@@ -119,8 +119,10 @@ def spectrum(config_path, out, seed, fmt) -> None:
     atomic_write_text(out_dir / "spectrum.csv", csv_text)
     atomic_write_text(out_dir / "spectrum.json", json_text)
     click.echo(json_text if fmt_val == "json" else csv_text, nl=False)
-    if not result.all_converged:
-        click.echo("warning: quadrature did not converge on every grid point", err=True)
+    unconverged = [r.omega for r in result.rows if not r.converged]
+    if unconverged:
+        listed = ", ".join(repr(o) for o in unconverged)
+        click.echo(f"warning: quadrature did not converge at omega = {listed}", err=True)
         sys.exit(EXIT_NONCONVERGED)
 
 

@@ -5,13 +5,22 @@ The object of interest is
     J_p(s, w) = int_0^inf u^(p - i s - 1) exp(i w u) du,      s = omega/a, w = omega_hat * z,
 
 reached from the proper-time integral by the substitution u = exp(-a tau).
-For p = 0 the integrand is only conditionally convergent at both ends, so the
-evaluator computes the doubly damped
+Two exact identities on this real-axis integral reduce every call to one
+integral at w = 1 with p >= 1, without the gamma function:
 
-    J_p(s, w; h) = int_0^inf u^(p + h - i s - 1) exp((i w - h) u) du,
+    rescaling                u -> u / w:   J_p(s, w) = w^(-(p - i s)) J_p(s, 1)
+    integration by parts     (p = 0):      J_0(s, w) = (w / s) J_1(s, w)
 
-which converges absolutely for h > 0 and is analytic in h around 0, and then
-removes the damping by polynomial (Richardson/Neville) extrapolation over a
+Rescaling makes the cost independent of w.  Integration by parts removes the
+conditional convergence at u = 0; the damped J_0 below has a pole at h = i s,
+only |s| away from the extrapolation point h = 0 at low frequency, while the
+damped J_1 has no singularity closer than distance 1.  J_0 diverges at s = 0,
+where mode_integral raises ValueError.  What is extrapolated is the doubly damped
+
+    J_p(s, 1; h) = int_0^inf u^(p + h - i s - 1) exp((i - h) u) du,
+
+which converges absolutely for h > 0 and is analytic in h around 0; the
+damping is removed by polynomial (Richardson/Neville) extrapolation over a
 geometric ladder h_k = h0 / 2^k.  Each damped integral is split at u = 1:
 the inner piece is integrated in v = ln u, where the endpoint singularity
 flattens into a smooth exponential, and the outer piece directly in u; both
@@ -24,6 +33,7 @@ grow under panel doubling.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -113,8 +123,17 @@ def _neville_to_zero(hs: list[float], vals: list[complex]) -> tuple[complex, flo
 
 
 def default_eps0(s: float) -> float:
-    """Starting damping tuned to the oscillation rate: clamp(s/4, 0.05, 0.25)."""
-    return min(0.25, max(0.05, abs(s) / 4.0))
+    """Starting damping min(0.25, 0.5/|s|) of the extrapolated J_q(s, 1; h).
+
+    The damped integral, Gamma(q + h - i s) (h - i)^(-(q + h - i s)) for
+    q >= 1, varies in h at a rate of about |s| (the second factor contains
+    e^(-s h)), so the tableau residual grows like (|s| h0)^6.  Roundoff in
+    the damped integral at the smallest damping grows as h0 falls and,
+    relative to the value, like e^(pi |s|); |s| h0 = 0.5 keeps both below
+    rtol out to |s| of about 4.  At small |s| the cap 0.25 keeps h0 well
+    inside the radius 1 of the expansion in h, set by the branch point h = i.
+    """
+    return 0.25 if s == 0 else min(0.25, 0.5 / abs(s))
 
 
 def mode_integral(
@@ -129,26 +148,41 @@ def mode_integral(
 ) -> QuadratureResult:
     """Extrapolated J_p(s, w) with an error estimate.
 
-    The estimate is the extrapolation-tableau residual plus the worst
-    per-level estimate of ``damped_mode_integral`` (the larger of the panel
-    refinement residual and the tail floor _TAIL_TOL); ``converged`` reports
-    whether it met ``rtol`` relative to the value.  Non-convergence is
-    reported, never raised, so callers can flag partial results.
+    The integral extrapolated in the damping is J_q(s, 1), with q = p, or
+    q = 1 after integration by parts when p = 0; its value and estimate are
+    then multiplied by the same exact factor w^(-(p - i s)), divided by s
+    when p = 0.  The estimate is the extrapolation-tableau residual plus the
+    worst per-level estimate of ``damped_mode_integral`` (the larger of the
+    panel refinement residual and the tail floor _TAIL_TOL); ``converged``
+    reports whether it met ``rtol`` relative to the value.  Non-convergence
+    is reported, never raised, so callers can flag partial results.  J_0
+    diverges at s = 0, which raises ValueError.
     """
     if levels < 2:
         raise ValueError("need at least two damping levels to extrapolate")
+    if w <= 0:
+        raise ValueError("w = omega_hat * z must be positive")
+    p = power_shift
+    if p == 0 and s == 0:
+        raise ValueError("J_0(s, w) diverges at s = 0 (gamma pole of the amplitude)")
     h0 = default_eps0(s) if eps0 is None else float(eps0)
     if h0 <= 0:
         raise ValueError("damping must be positive")
+    # rescaling J_p(s, w) = w^(-(p - i s)) J_p(s, 1), and for p = 0 integration
+    # by parts J_0(s, w) = (w/s) J_1(s, w)
+    scale = cmath.exp(-(p - 1j * s) * math.log(w))
+    if p == 0:
+        scale /= s
     hs = [h0 * 2.0 ** (-k) for k in range(levels)]
     vals: list[complex] = []
     worst_panel = 0.0
     for h in hs:
-        v, est = damped_mode_integral(s, w, h, power_shift, panel_factor)
+        v, est = damped_mode_integral(s, 1.0, h, p or 1, panel_factor)
         vals.append(v)
         worst_panel = max(worst_panel, est)
     value, tableau_resid = _neville_to_zero(hs, vals)
-    estimate = tableau_resid + worst_panel
+    value *= scale
+    estimate = (tableau_resid + worst_panel) * abs(scale)
     floor = 1e-15 * (1.0 + abs(value))
     estimate = max(estimate, floor)
     converged = estimate <= rtol * max(abs(value), 1e-300)

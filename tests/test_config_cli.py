@@ -183,6 +183,7 @@ def test_nonconverged_quadrature_exits_4_with_flagged_rows(tmp_path):
     out = tmp_path / "out"
     result = CliRunner().invoke(main, ["spectrum", "--config", str(cfg), "--out", str(out)])
     assert result.exit_code == 4
+    assert "did not converge at omega = 1.0" in result.stderr
     payload = json.loads((out / "spectrum.json").read_text())
     assert payload["rows"][0]["converged"] is False
 

@@ -68,10 +68,33 @@ def test_nonconvergence_is_reported_not_raised():
 
 
 def test_default_damping_clamps():
-    assert default_eps0(10.0) == 0.25
-    assert default_eps0(0.01) == 0.05
+    assert default_eps0(10.0) == 0.05
+    assert default_eps0(0.01) == 0.25
     assert default_eps0(1.0) == 0.25
-    assert default_eps0(0.6) == pytest.approx(0.15)
+    assert default_eps0(0.6) == 0.25
+    assert default_eps0(-4.0) == 0.125
+
+
+@pytest.mark.parametrize("p", [0, 1])
+@pytest.mark.parametrize("s", [-4.0, -0.04, 0.5, 2.0])
+@pytest.mark.parametrize("w", [1.0, 10.0, 100.0])
+def test_mode_integral_matches_gamma_form(p, s, w):
+    # the undamped limit Gamma(p - is) (-iw)^{-(p - is)}, at low frequency
+    # and at large w = omega_hat * z alike
+    res = mode_integral(s, w, power_shift=p)
+    c = p - 1j * s
+    want = complex(scipy_gamma(c)) * (-1j * w) ** (-c)
+    assert res.converged
+    assert abs(res.value - want) <= 1e-7 * abs(want)
+
+
+def test_plain_mode_integral_diverges_at_zero_frequency():
+    with pytest.raises(ValueError, match="diverges at s = 0"):
+        mode_integral(0.0, 1.0)
+    # with one extra power of u the integral is finite there: i / w
+    res = mode_integral(0.0, 2.0, power_shift=1)
+    assert res.converged
+    assert abs(res.value - 0.5j) <= 1e-7 * 0.5
 
 
 def test_negative_frequency_integral():

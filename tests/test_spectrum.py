@@ -249,6 +249,17 @@ def test_compute_spectrum_both_methods_tagged():
     assert abs(res.rows[0].power - res.rows[1].power) <= 1e-6 * res.rows[0].power
 
 
+def test_compute_spectrum_readme_grid_converges_at_low_frequency():
+    # the README config: a = 2 pi, omega_hat = z = 1, geom 0.25 5 20, method both
+    omegas = list(np.geomspace(0.25, 5.0, 20))
+    res = compute_spectrum(omegas, a=2.0 * math.pi, omega_hat=1.0, z=1.0, method="both")
+    assert res.all_converged
+    closed, quad = res.rows[0::2], res.rows[1::2]
+    for c, q in zip(closed, quad):
+        assert (c.method, q.method) == ("closed-form", "quadrature")
+        assert abs(q.f_value - c.f_value) <= 1e-7 * abs(c.f_value)
+
+
 def test_compute_spectrum_deformed_column():
     th = 1e-4
     res = compute_spectrum([0.5, 1.0, 2.0], a=2.0 * math.pi, omega_hat=1.0, z=1.0, theta01=th)
