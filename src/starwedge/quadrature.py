@@ -25,10 +25,25 @@ geometric ladder h_k = h0 / 2^k.  Each damped integral is split at u = 1:
 the inner piece is integrated in v = ln u, where the endpoint singularity
 flattens into a smooth exponential, and the outer piece directly in u; both
 use composite 16-point Gauss-Legendre panels sized to the local oscillation.
+The inner piece is cut at u = delta, and the dropped part,
+delta^c / c (1 + O(delta)) with c = p + h - i s, is added back.
 The per-level error estimate is the larger of the panel refinement residual
 (coarse against doubled panels) and the tail-truncation floor _TAIL_TOL; once
 the panels have converged to roundoff it is exactly that floor, so it does not
 grow under panel doubling.
+
+Rounding.  For s < 0 the value J_1(s, 1) is of order e^(-pi |s|), while the
+damped integrand is of order one over a range of length 1/h, so every rounding
+error in it is amplified by about e^(pi |s|) relative to the result; at |s| = 4
+that is 3e5.  (For s >= 0 |J_1(s, 1)| grows like |s|^(1/2) and nothing is
+amplified.)  The exponent phi(u) of the integrand reaches |s| ln u + h u of
+about 50 at the far end, and rounding it in double precision left an error of
+up to 3e-8 at |s| = 4 that jumped from one s to the next.  So each panel is
+factored at its left edge x0 into exp(phi(x0)) exp(phi(x0 + t) - phi(x0)).
+The second factor is evaluated in double from small arguments.  For s < 0 the
+first factor and the sums are carried in extended precision (np.longdouble),
+which brings that error to about 5e-11.  Where np.longdouble is plain double
+it is about 3e-9 at |s| = 4, and again changes from one s to the next.
 """
 
 from __future__ import annotations
@@ -55,14 +70,21 @@ class QuadratureResult:
     panel_factor: int
 
 
-def _panels(f, lo: float, hi: float, n: int) -> complex:
-    """Composite Gauss-Legendre integration with n equal panels."""
+def _panels(edge, step, lo: float, hi: float, n: int, real: type) -> complex:
+    """Composite Gauss-Legendre integral of f over n equal panels of [lo, hi].
+
+    Each panel is factored at its left edge x0 as f(x0 + t) = edge(x0) *
+    exp(step(x0, t)): ``edge`` gets the edges as the floating type ``real``,
+    ``step`` gets the edges and the node offsets t in double, and the sums
+    are accumulated in ``real``.
+    """
     edges = np.linspace(lo, hi, n + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halves = 0.5 * (edges[1:] - edges[:-1])
-    x = mids[:, None] + halves[:, None] * _GL_NODES[None, :]
-    vals = f(x.reshape(-1)).reshape(x.shape)
-    return complex(np.sum(halves[:, None] * _GL_WEIGHTS[None, :] * vals))
+    left = edges[:-1]
+    halves = 0.5 * (edges[1:] - left)
+    t = halves[:, None] * (1.0 + _GL_NODES[None, :])
+    steps = np.exp(step(left[:, None], t)).astype(np.result_type(real, 1j), copy=False)
+    sums = np.einsum("ij,j->i", steps, _GL_WEIGHTS.astype(real, copy=False)) * halves
+    return complex(np.sum(edge(left.astype(real, copy=False)) * sums))
 
 
 def damped_mode_integral(
@@ -85,23 +107,43 @@ def damped_mode_integral(
     p = power_shift
     c = p + h - 1j * s
     iw_h = 1j * w - h
+    # the edge factors and the sums in extended precision where the value is
+    # exponentially smaller than the integrand (see the module docstring)
+    real = np.longdouble if s < 0 else np.float64
+    c_edge = real(p + h) - 1j * real(s)
+    w_edge, h_edge = real(w), real(h)
 
-    def inner(v: np.ndarray) -> np.ndarray:
-        # u in (0, 1] parametrized as u = e^v
-        return np.exp(c * v + iw_h * np.exp(v))
+    # inner: u in (0, 1] parametrized as u = e^v, integrand exp(c v + (iw - h) e^v)
+    def inner(v0):
+        return np.exp(c_edge * v0 + (1j * w_edge - h_edge) * np.exp(v0))
 
-    def outer(u: np.ndarray) -> np.ndarray:
-        return np.exp((c - 1.0) * np.log(u) + iw_h * u)
+    def inner_step(v0, t):
+        return c * t + iw_h * np.exp(v0) * np.expm1(t)
 
-    # truncation points chosen so the dropped tails are below _TAIL_TOL
+    # outer: integrand u^(c - 1) e^(-h u) e^(i w u); the phase w u reaches
+    # w u_max, above 1e4, and gets its own exponential so no sum rounds it
+    def outer(u0):
+        return np.exp((c_edge - 1) * np.log(u0) - h_edge * u0) * np.exp(1j * w_edge * u0)
+
+    def outer_step(u0, t):
+        return (c - 1.0) * np.log1p(t / u0) + iw_h * t
+
+    # truncation points chosen so the dropped tails are below _TAIL_TOL; the
+    # leading term of the tail at u = e^v_min is added back, since J can be
+    # far smaller than _TAIL_TOL
     v_min = math.log(_TAIL_TOL * (p + h)) / (p + h)
     u_max = (40.0 + 12.0 * p) / h
+    head = cmath.exp(c * v_min) / c
     abs_s = abs(s)
 
     def total(factor: int) -> complex:
         n_in = max(16, int(abs(v_min) * (1.0 + abs_s + w) / 2.0)) * factor
         n_out = max(32, int(u_max * (w + abs_s + h) / 4.0)) * factor
-        return _panels(inner, v_min, 0.0, n_in) + _panels(outer, 1.0, u_max, n_out)
+        return (
+            head
+            + _panels(inner, inner_step, v_min, 0.0, n_in, real)
+            + _panels(outer, outer_step, 1.0, u_max, n_out, real)
+        )
 
     coarse = total(panel_factor)
     fine = total(2 * panel_factor)
@@ -123,17 +165,21 @@ def _neville_to_zero(hs: list[float], vals: list[complex]) -> tuple[complex, flo
 
 
 def default_eps0(s: float) -> float:
-    """Starting damping min(0.25, 0.5/|s|) of the extrapolated J_q(s, 1; h).
+    """Starting damping min(0.25, 0.8/|s|) of the extrapolated J_q(s, 1; h).
 
     The damped integral, Gamma(q + h - i s) (h - i)^(-(q + h - i s)) for
     q >= 1, varies in h at a rate of about |s| (the second factor contains
-    e^(-s h)), so the tableau residual grows like (|s| h0)^6.  Roundoff in
-    the damped integral at the smallest damping grows as h0 falls and,
-    relative to the value, like e^(pi |s|); |s| h0 = 0.5 keeps both below
-    rtol out to |s| of about 4.  At small |s| the cap 0.25 keeps h0 well
-    inside the radius 1 of the expansion in h, set by the branch point h = i.
+    e^(-s h)), so the extrapolation error and the tableau residual grow with
+    |s| h0.  Roundoff in the damped integral at the smallest damping grows as
+    h0 falls and, relative to the value, like e^(pi |s|).  At |s| h0 = 0.8
+    the residual stays below 8e-8, under rtol = 1e-7, out to |s| of about 5,
+    and at |s| near 4 the error (about 2e-10) comes from the extrapolation,
+    which changes smoothly with s, not from roundoff, which does not: at
+    |s| h0 = 0.5 roundoff set it and it ranged over more than a decade
+    between neighbouring s.  At small |s| the cap 0.25 keeps h0 well inside the
+    radius 1 of the expansion in h, set by the branch point h = i.
     """
-    return 0.25 if s == 0 else min(0.25, 0.5 / abs(s))
+    return 0.25 if s == 0 else min(0.25, 0.8 / abs(s))
 
 
 def mode_integral(

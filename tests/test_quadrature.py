@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from scipy.special import gamma as scipy_gamma
 
@@ -68,11 +69,11 @@ def test_nonconvergence_is_reported_not_raised():
 
 
 def test_default_damping_clamps():
-    assert default_eps0(10.0) == 0.05
+    assert default_eps0(10.0) == 0.08
     assert default_eps0(0.01) == 0.25
     assert default_eps0(1.0) == 0.25
     assert default_eps0(0.6) == 0.25
-    assert default_eps0(-4.0) == 0.125
+    assert default_eps0(-4.0) == 0.2
 
 
 @pytest.mark.parametrize("p", [0, 1])
@@ -86,6 +87,21 @@ def test_mode_integral_matches_gamma_form(p, s, w):
     want = complex(scipy_gamma(c)) * (-1j * w) ** (-c)
     assert res.converged
     assert abs(res.value - want) <= 1e-7 * abs(want)
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+    reason="np.longdouble is plain double on this platform",
+)
+@pytest.mark.parametrize("s", [-4.08, -4.0, -3.92])
+def test_negative_frequency_error_is_not_roundoff(s):
+    # J_0(s, 1) is about e^(-pi |s|) smaller than its integrand here; the
+    # error must stay at the extrapolation's ~2e-10, not at roundoff (which
+    # reached 3e-8 in double precision)
+    res = mode_integral(s, 1.0)
+    want = complex(scipy_gamma(-1j * s)) * math.exp(math.pi * s / 2.0)
+    assert res.converged
+    assert abs(res.value - want) <= 5e-10 * abs(want)
 
 
 def test_plain_mode_integral_diverges_at_zero_frequency():
