@@ -1,6 +1,7 @@
 """Command-line front end: commutator tables, spectra and the invariant suite.
 
-Exit codes: 0 success; 1 verification failure; 2 configuration problem;
+Exit codes: 0 success; 1 verification failure; 2 configuration problem
+(including a grid frequency whose spectrum overflows);
 3 chart or deformation-parameter inconsistency; 4 quadrature non-convergence
 (partial results are still written, flagged per row).
 """
@@ -102,18 +103,21 @@ def spectrum(config_path, out, seed, fmt) -> None:
         _fail(EXIT_CONFIG, "config has no [spectrum] section")
     out_dir, seed_val, fmt_val = _resolve(cfg, out, seed, fmt)
     sc = cfg.spectrum
-    result = compute_spectrum(
-        list(sc.omegas),
-        a=sc.a,
-        omega_hat=sc.omega_hat,
-        z=sc.z,
-        theta01=sc.theta01,
-        method=sc.method,
-        eps0=sc.eps0,
-        levels=sc.levels,
-        panel_factor=sc.panel_factor,
-        rtol=sc.rtol,
-    )
+    try:
+        result = compute_spectrum(
+            list(sc.omegas),
+            a=sc.a,
+            omega_hat=sc.omega_hat,
+            z=sc.z,
+            theta01=sc.theta01,
+            method=sc.method,
+            eps0=sc.eps0,
+            levels=sc.levels,
+            panel_factor=sc.panel_factor,
+            rtol=sc.rtol,
+        )
+    except OverflowError as err:
+        _fail(EXIT_CONFIG, f"grid frequency {err}")
     csv_text = result.to_csv()
     json_text = result.to_json(seed=seed_val, tolerances=cfg.tolerances)
     atomic_write_text(out_dir / "spectrum.csv", csv_text)

@@ -98,8 +98,13 @@ def hawking_temperature(a: float) -> float:
 
 
 def planck_power(a: float, omega: float) -> float:
-    """(2 pi / a) / (e^{2 pi omega / a} - 1), the thermal closed form."""
-    return (2.0 * math.pi / a) / math.expm1(2.0 * math.pi * omega / a)
+    """(2 pi / a) / (e^{2 pi omega / a} - 1), the thermal closed form.
+
+    Written as (2 pi / a) e^{-x} / (-expm1(-x)), x = 2 pi omega / a, so that
+    it underflows to 0.0 at large omega / a instead of overflowing.
+    """
+    x = 2.0 * math.pi * omega / a
+    return (2.0 * math.pi / a) * math.exp(-x) / -math.expm1(-x)
 
 
 def f_closed(m: ModeParams) -> complex:
@@ -357,7 +362,9 @@ def compute_spectrum(
     """Evaluate the detected spectrum over a grid of positive frequencies.
 
     ``method`` is "closed-form", "quadrature" or "both"; quadrature rows tag
-    the damping they started from and report convergence per point.
+    the damping they started from and report convergence per point.  A value
+    that overflows (the gamma reflection, past omega / a of about 226) raises
+    OverflowError naming its omega.
     """
     if method not in ("closed-form", "quadrature", "both"):
         raise ValueError(f"unknown method {method!r}")
@@ -368,7 +375,13 @@ def compute_spectrum(
             raise ValueError("grid frequencies must be positive")
         m = ModeParams(omega_hat=omega_hat, z=z, a=a, omega=omega)
         neg = replace(m, omega=-omega)
-        dp = deformed_power(m, d)
+        try:
+            # the closed form first; the rows below repeat its computations
+            dp = deformed_power(m, d)
+        except OverflowError as err:
+            raise OverflowError(
+                f"omega = {omega!r} (omega / a = {omega / a:.6g}) is out of range: {err}"
+            ) from err
         if method in ("closed-form", "both"):
             fval = f_closed(neg)
             rows.append(

@@ -43,15 +43,14 @@ __all__ = [
 ETA = (-1, 1, 1, 1)
 
 
-def _check_chart(twist: LinearTwist, *exprs: Expr) -> None:
-    del exprs  # coefficients may carry extra parameters; chart symbols suffice
+def _check_chart(twist: LinearTwist) -> None:
     if twist.operator.chart != twist.chart:
         raise ChartMismatchError("twist operator chart disagrees with its record")
 
 
 def star(f: Expr, g: Expr, twist: LinearTwist) -> Expr:
     """Deformed product truncated at first order in the deformation parameter."""
-    _check_chart(twist, f, g)
+    _check_chart(twist)
     return mul(f, g) + twist.operator.apply(f, g)
 
 

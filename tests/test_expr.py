@@ -317,3 +317,17 @@ def test_ring_identities_hold_structurally(r1, r2):
     assert (f + g) ** 2 - f ** 2 - 2 * f * g - g ** 2 == ZERO
     assert (f * g) ** 2 == f ** 2 * g ** 2
     assert f * (g + 1) == f * g + f
+
+
+def test_simplify_check_still_catches_a_wrong_canonical_value(monkeypatch):
+    # the residual is scaled by 1 + sum |term|; an evaluation off by 1e-9 of
+    # every term must still fail the 1e-12 tolerance
+    import random
+
+    from starwedge import verification
+
+    exact = verification.eval_numeric
+    monkeypatch.setattr(verification, "eval_numeric", lambda e, b: exact(e, b) * (1 + 1e-9))
+    result = verification._check_simplify_preserves_eval(random.Random(1), 1e-12)
+    assert not result.passed
+    assert result.measured > 1e-10

@@ -12,7 +12,7 @@ import pytest
 import sympy
 from hypothesis import given
 
-from starwedge.expr import eval_numeric, differentiate, substitute
+from starwedge.expr import Add, Const, Fn, Mul, Pow, Sym, eval_numeric, differentiate, exp, sinh, substitute, sym
 from starwedge.gammafn import complex_gamma
 from starwedge.spectrum import ModeParams, f_closed
 
@@ -112,3 +112,47 @@ def test_planck_form_against_mpmath():
         got = m.omega * abs(f_closed(ModeParams(1.0, 1.0, 1.0, -y))) ** 2
         want = float(2 * mpmath.pi / mpmath.expm1(2 * mpmath.pi * y))
         assert got == pytest.approx(want, rel=1e-12)
+
+
+def _mp_eval(e, b):
+    """An engine expression in mpmath, independently of eval_numeric."""
+    if isinstance(e, Const):
+        re, im = e.value.re, e.value.im
+        return mpmath.mpc(mpmath.mpf(re.numerator) / re.denominator, mpmath.mpf(im.numerator) / im.denominator)
+    if isinstance(e, Sym):
+        return mpmath.mpf(b[e.name])
+    if isinstance(e, Add):
+        return mpmath.fsum(_mp_eval(t, b) for t in e.terms)
+    if isinstance(e, Mul):
+        return mpmath.fprod(_mp_eval(f, b) for f in e.factors)
+    if isinstance(e, Pow):
+        return _mp_eval(e.base, b) ** e.exponent
+    fn = {"sinh": mpmath.sinh, "cosh": mpmath.cosh, "exp": mpmath.exp, "tanh": mpmath.tanh}
+    return fn[e.fname](_mp_eval(e.arg, b))
+
+
+def test_canonical_form_is_exact_where_its_double_evaluation_cancels():
+    # the worst case of `starwedge verify --seed 12` before the
+    # expr_simplify_preserves_eval residual was scaled by the terms' size
+    mpmath.mp.dps = 30
+    b = {
+        "z0": 1.5876353208101734,
+        "z1": 1.155216350721351,
+        "z2": 1.862761198685051,
+        "z3": 1.261152957672253,
+        "a": 0.6430645938722681,
+    }
+    z0, z1, z2, z3, a = (sym(n) for n in ("z0", "z1", "z2", "z3", "a"))
+    e = ((z2 * z1 - 2 * z0 + z3) * ((exp(a) - 5) * sinh(z0))) ** 3
+    x = mpmath.mpf
+    want = ((x(b["z2"]) * x(b["z1"]) - 2 * x(b["z0"]) + x(b["z3"]))
+            * (mpmath.exp(x(b["a"])) - 5) * mpmath.sinh(x(b["z0"]))) ** 3
+    assert isinstance(e, Add)
+    # the canonical form itself is exact ...
+    assert abs(_mp_eval(e, b) - want) <= mpmath.mpf(10) ** -25 * abs(want)
+    # ... but its terms are about 1e5 times the value, so in double it rounds
+    # at their size (4e-12 of the value here), within 1e-15 of the terms
+    values = [eval_numeric(t, b) for t in e.terms]
+    scale = sum(abs(v) for v in values)
+    assert scale > 1e4 * abs(want)
+    assert abs(sum(values) - complex(want)) <= 1e-15 * scale

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from scipy.special import gamma as scipy_gamma
 
+from starwedge import quadrature
 from starwedge.quadrature import damped_mode_integral, default_eps0, mode_integral
+
+_LONGDOUBLE_IS_DOUBLE = np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps
 
 
 def _damped_closed_form(p: int, s: float, w: float, h: float) -> complex:
@@ -89,11 +92,13 @@ def test_mode_integral_matches_gamma_form(p, s, w):
     assert abs(res.value - want) <= 1e-7 * abs(want)
 
 
-@pytest.mark.skipif(
-    np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
-    reason="np.longdouble is plain double on this platform",
+@pytest.mark.skipif(_LONGDOUBLE_IS_DOUBLE, reason="np.longdouble is plain double on this platform")
+@pytest.mark.parametrize(
+    "s",
+    # the far-field grid's top row moves over [-4.08, -3.92]; then a dense
+    # grid over [-4.1, -3.9]
+    [-4.08, -4.0, -3.92, -4.1, -4.075, -4.05, -4.025, -3.975, -3.95, -3.925, -3.9],
 )
-@pytest.mark.parametrize("s", [-4.08, -4.0, -3.92])
 def test_negative_frequency_error_is_not_roundoff(s):
     # J_0(s, 1) is about e^(-pi |s|) smaller than its integrand here; the
     # error must stay at the extrapolation's ~2e-10, not at roundoff (which
@@ -119,3 +124,74 @@ def test_negative_frequency_integral():
     res = mode_integral(s, 1.0)
     want = complex(scipy_gamma(-1j * s)) * math.exp(math.pi * s / 2.0)
     assert abs(res.value - want) <= 1e-8 * abs(want)
+
+
+# --- outer panel grading -------------------------------------------------------------
+
+_GRADING_CASES = [
+    # s, w, h, power_shift, panel_factor
+    (-4.0, 1.0, 0.003125, 1, 1),
+    (-0.04, 1.0, 0.25, 1, 1),
+    (2.0, 3.0, 0.05, 0, 2),
+    (-6.0, 0.5, 0.01, 1, 1),
+]
+
+
+def _outer_octaves(s, w, h, p, panel_factor):
+    # the arguments damped_mode_integral passes for the outer piece
+    c = p + h - 1j * s
+    u_max = (40.0 + 12.0 * p) / h
+    return quadrature._outer_octaves(abs(1j * w - h), abs(c - 1.0), u_max, panel_factor), c, u_max
+
+
+@pytest.mark.parametrize("s, w, h, p, pf", _GRADING_CASES)
+def test_coarse_outer_panels_stay_within_rate_budget(s, w, h, p, pf):
+    octaves, c, u_max = _outer_octaves(s, w, h, p, pf)
+    edges = quadrature._outer_edges(octaves, 1)
+    assert edges[0] == 1.0
+    assert edges[-1] >= u_max
+    widths = np.diff(edges)
+    assert np.all(widths > 0)
+    # |d/du log f| <= |iw - h| + |c - 1| / u, largest at the left edge
+    rate = abs(1j * w - h) + abs(c - 1.0) / edges[:-1]
+    assert np.all(pf * widths * rate <= quadrature._PANEL_PHASE)
+
+
+@pytest.mark.parametrize("s, w, h, p, pf", _GRADING_CASES)
+def test_coarse_outer_edges_are_every_other_fine_edge(s, w, h, p, pf):
+    octaves, _, _ = _outer_octaves(s, w, h, p, pf)
+    coarse = quadrature._outer_edges(octaves, 1)
+    fine = quadrature._outer_edges(octaves, 2)
+    assert len(fine) == 2 * len(coarse) - 1
+    assert np.array_equal(fine[::2], coarse)
+    # each coarse panel is halved exactly
+    assert np.array_equal(fine[1::2] - fine[:-1:2], fine[2::2] - fine[1::2])
+
+
+def test_outer_panel_count_follows_the_local_rate():
+    s, w, h, p = -4.0, 1.0, 0.003125, 1
+    octaves, c, u_max = _outer_octaves(s, w, h, p, 1)
+    # the rule this replaced sized every panel to the global rate w + |s| + h
+    old = int(u_max * (w + abs(s) + h) / 4.0)
+    new = int(octaves[2].sum())
+    assert new < 0.3 * old
+    # at least the integral of the rate bound over [1, u_max] over 4; at most
+    # that with the 1/u part taken at each octave's start, the widths rounded
+    # down to 8 bits and one more panel per octave
+    rate, rate_1, n_octaves = abs(1j * w - h), abs(c - 1.0), len(octaves[2])
+    assert (rate * (u_max - 1.0) + rate_1 * math.log(u_max)) / 4.0 <= new
+    upper = (1 + 2.0**-7) * (rate * (u_max - 1.0) + rate_1 * math.log2(u_max)) / 4.0
+    assert new <= upper + n_octaves
+
+
+@pytest.mark.skipif(_LONGDOUBLE_IS_DOUBLE, reason="np.longdouble is plain double on this platform")
+@pytest.mark.parametrize("s", [-4.08, -4.0, -3.92])
+def test_damped_integral_rounding_near_minus_four(s):
+    # at the smallest damping of the ladder the damped J_1 is e^(pi |s|) ~ 3e5
+    # times smaller than its integrand; its rounding error stays near 1e-12 of J
+    h = default_eps0(s) / 64
+    got, _ = damped_mode_integral(s, 1.0, h, power_shift=1)
+    want = _damped_closed_form(1, s, 1.0, h)
+    undamped = abs(complex(scipy_gamma(1 - 1j * s)) * math.exp(math.pi * s / 2.0))
+    assert abs(got - want) <= 5e-12 * undamped
+

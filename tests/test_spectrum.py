@@ -86,6 +86,15 @@ def test_power_equals_planck_factor_at_unit_temperature():
     assert p.via_amplitude == pytest.approx(p.planck, rel=1e-12)
 
 
+def test_planck_power_underflows_instead_of_overflowing():
+    # e^(2 pi omega / a) overflows a double past omega / a of about 113
+    for ratio in (0.01, 1.0, 50.0, 110.0):
+        x = 2.0 * math.pi * ratio
+        assert planck_power(1.0, ratio) == pytest.approx(2.0 * math.pi / math.expm1(x), rel=1e-14)
+    assert planck_power(1.0, 120.0) == 0.0
+    assert planck_power(2.0, 1e6) == 0.0
+
+
 def test_power_equivalence_on_grid_and_phase_independence():
     for y in np.geomspace(0.1, 5.0, 20):
         for wz in (0.5, 1.0, 3.0):
