@@ -21,42 +21,42 @@ where mode_integral raises ValueError.  What is extrapolated is the doubly dampe
 
 which converges absolutely for h > 0 and is analytic in h around 0; the
 damping is removed by polynomial (Richardson/Neville) extrapolation over a
-geometric ladder h_k = h0 / 2^k.  Each damped integral is split at u = 1:
-the inner piece is integrated in v = ln u, where the endpoint singularity
-flattens into a smooth exponential, and the outer piece directly in u; both
-use composite 16-point Gauss-Legendre panels.  The inner panels are equal.
-The outer panels are graded to the local rate bound |iw - h| + |c - 1| / u of
-|d/du log f|: octave by octave, each panel is as wide as keeps its width times
-the bound at its left edge under 4.  The phase of u^(-i s) slows as |s| / u, so
-the panels widen from about 4 / (w + |s|) at u = 1 to 4 / w, and there are
-about (1 + |s| / w) times fewer of them than at one width for the whole range.
-The inner piece is cut at u = delta, and the dropped part,
-delta^c / c (1 + O(delta)) with c = p + h - i s, is added back.
-The per-level error estimate is the larger of the panel refinement residual
-(the panels against the same panels halved) and the tail-truncation floor
-_TAIL_TOL; once the panels have converged to roundoff it is exactly that
-floor, so it does not grow under panel doubling.  The coarse and fine sums
-share their edges: the coarse edges are every other fine edge.
+geometric ladder h_k = h0 / 2^k.
+
+Each damped integral is evaluated on the real axis by the double-exponential
+(DE) rule of Ooura and Mori for Fourier integrals (J. Comput. Appl. Math. 38
+(1991) 353-360; the robust map of 112 (1999) 229-241).  With x = w u,
+
+    x = M phi(t),   phi(t) = t / (1 - e^(-v)),   v = 2 t + alpha (1 - e^(-t)) + beta (e^t - 1),
+
+beta = 1/4 and alpha = beta / sqrt(1 + M ln(1 + M) / (4 pi)), the cos part of
+e^(ix) is sampled at t = (n - 1/2) pi / M and the sin part at t = n pi / M,
+with weights pi phi'(t).  The nodes approach the zeros of cos and sin, and
+phi' vanishes, double exponentially, so one node set covers (0, inf) with no
+panels and no cut of the range; it depends on M alone and is cached.
+M = 64 panel_factor with the 64 doubled while under 8 s, up to 4096, since
+u^(-i s) turns at the rate |s| / u (for s < 0 rounding limits |s| to about 5).
+The per-level estimate max(|J(M) - J(2M)|, _TAIL_TOL) is exactly that floor
+once the rule has converged to roundoff, so it does not grow under doubling.
 
 Rounding.  For s < 0 the value J_1(s, 1) is of order e^(-pi |s|), while the
-damped integrand is of order one over a range of length 1/h, so every rounding
-error in it is amplified by about e^(pi |s|) relative to the result; at |s| = 4
-that is 3e5.  (For s >= 0 |J_1(s, 1)| grows like |s|^(1/2) and nothing is
-amplified.)  The exponent phi(u) of the integrand reaches |s| ln u + h u of
-about 50 at the far end, so each panel is factored at its left edge x0 into
-exp(phi(x0)) exp(phi(x0 + t) - phi(x0)).  The first factor is computed once
-per coarse panel for both sums.  In the inner piece the second is computed in
-double from small arguments.  In the outer piece it is e^((iw - h) t) (1 + g)
-with g = (1 + t / x0)^(c - 1) - 1: every outer edge is an exact double, so all
-panels of an octave have the same node offsets t and e^((iw - h) t) is
-computed once per octave; only g is computed per node, in double where that
-rounds it by less than 1/32 ulp of the panel.  For s < 0 everything else (the
-edge factors, the per-octave factors, the Gauss-Legendre weights and the sums)
-is carried in extended precision (np.longdouble).  At |s| = 4 this leaves a
-rounding error of about 1e-12 of J per damping level, well below the
-extrapolation error of about 2e-10, which changes smoothly with s.  Where
-np.longdouble is plain double the error at |s| = 4 is up to about 1.4e-9, and
-it changes from one s to the next.
+terms of the rule are of order one, so every rounding error in them is
+amplified by about e^(pi |s|) relative to the result; at |s| = 4 that is 3e5.
+So everything runs in extended precision (np.longdouble), s >= 0 included
+(in double the refinement residual at s = 1 grew under doubling of M), and:
+
+- the node t = 0, where phi(0) = 1 / (2 + alpha + beta), is kept (dropping it
+  gives O(1) errors) and evaluated from the limits of phi and phi';
+- the trig factor is (-1)^n sin(x e^(-v)): x - M t = x e^(-v), and M t is a
+  multiple of pi (sin part) or an odd multiple of pi / 2 (cos part), with pi
+  in extended precision; sin or cos of the rounded x would lose ulp(x);
+- phi' = e^(-v) N / (1 - e^(-v))^2 has an O(t^2) numerator, written without
+  cancellation as N = (expm1(v) - v) + alpha e^(-t) (expm1(t) - t) + beta (expm1(t) - t e^t);
+- for p = 0 the rule would meet u^(c - 1) singular at u = 0, so the damped
+  integral is taken by parts, J(c) = ((h - i w) / c) J(c + 1).
+
+At |s| = 4 this leaves at most about 2.5e-12 of J per damping level, under the
+extrapolation error of about 2e-10 (smooth in s); in plain double, up to 7e-9.
 """
 
 from __future__ import annotations
@@ -64,35 +64,16 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 __all__ = ["QuadratureResult", "damped_mode_integral", "mode_integral"]
 
+# floor of the per-level error estimate
 _TAIL_TOL = 1e-14
-# bound on |d/du log f| times the width of a coarse outer panel
-_PANEL_PHASE = 4.0
-# significant bits of an outer panel width; with few of them every edge
-# a + k * width is an exact double
-_WIDTH_BITS = 8
-
-
-def _legendre_rule(n: int = 16) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes shifted to [0, 2] and weights, in np.longdouble.
-
-    numpy's double nodes are refined by Newton's method on P_n.
-    """
-    x = np.polynomial.legendre.leggauss(n)[0].astype(np.longdouble)
-    for _ in range(3):
-        p0, p1 = np.ones_like(x), x
-        for k in range(2, n + 1):
-            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-        dp = n * (x * p1 - p0) / (x * x - 1)
-        x = x - p1 / dp
-    return 1 + x, 2 / ((1 - x * x) * dp * dp)
-
-
-_GL_RULE = _legendre_rule()
+_PI = np.longdouble("3.14159265358979323846264338327950288")
+_BETA = np.longdouble(0.25)
 
 
 @dataclass(frozen=True)
@@ -105,119 +86,43 @@ class QuadratureResult:
     panel_factor: int
 
 
-def _widen(z: complex, real: type):
-    """The complex double z in the floating type ``real``."""
-    return real(z.real) + 1j * real(z.imag)
+@lru_cache(maxsize=8)
+def _de_rule(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes x, their logarithms and the complex weights of the DE rule with mesh pi / m.
 
-
-def _inner_sums(c: complex, iw_h: complex, v_min: float, n: int, real: type):
-    """Coarse and fine sums of the inner piece int_{v_min}^0 exp(c v + (iw - h) e^v) dv.
-
-    The fine sum has ``n`` (even) equal panels, the coarse sum their pairs.
-    Each coarse panel is factored at its left edge v0,
-
-        f(v0 + t) = f(v0) exp(c t + (iw - h) e^v0 expm1(t)),
-
-    with f(v0) computed once for both sums, in ``real``, and the second factor
-    in double from small arguments; the sums are accumulated in ``real``.
+    sum_k f(x_k) weights_k approximates int_0^inf f(x) e^(ix) dx (real weights
+    at the cos nodes, imaginary at the sin nodes).  Beyond the kept range of t,
+    [-ln(64 / alpha), ln 256], the weights are below 1e-28.
     """
-    edges = np.linspace(v_min, 0.0, n + 1)
-    v0 = edges[:-2:2]
-    v0_r = v0.astype(real)
-    factors = np.exp(_widen(c, real) * v0_r + _widen(iw_h, real) * np.exp(v0_r))
-    rise = iw_h * np.exp(v0)[:, None, None]
-    shifted, weights = _GL_RULE[0].astype(np.float64), _GL_RULE[1].astype(real)
-    wide = np.result_type(real, 1j)
-
-    def total(lo, hi):
-        # lo, hi: the panels within each coarse panel, one row per v0
-        half = 0.5 * (hi - lo)
-        t = (lo - v0[:, None])[..., None] + half[..., None] * shifted
-        steps = np.exp(c * t + rise * np.expm1(t))
-        sums = np.einsum("ikj,j,ik->i", steps, weights, half, dtype=wide, casting="safe")
-        return np.sum(factors * sums)
-
-    coarse = total(v0[:, None], edges[2::2, None])
-    fine = total(edges[:-1].reshape(-1, 2), edges[1:].reshape(-1, 2))
-    return coarse, fine
-
-
-def _outer_octaves(rate: float, rate_1: float, u_max: float, panel_factor: int):
-    """Coarse outer panels on [1, U], U >= u_max, for the rate bound rate + rate_1 / u.
-
-    Octave by octave, from a = 1 or where the octave before ended, up to the
-    first edge at or past min(2^(j + 1), u_max), with 2^j <= a < 2^(j + 1):
-    equal panels of width d, the largest with _WIDTH_BITS significant bits
-    such that panel_factor * d * (rate + rate_1 / a) <= _PANEL_PHASE.  The
-    bound falls with u, so this holds at the left edge of every panel.
-    Returns the starts a, the widths d and the panel counts.
-    """
-    starts, widths, counts = [], [], []
-    a = 1.0
-    while a < u_max:
-        top = min(2.0 ** (math.floor(math.log2(a)) + 1), u_max)
-        m, e = math.frexp(_PANEL_PHASE / (panel_factor * (rate + rate_1 / a)))
-        d = math.ldexp(math.floor(math.ldexp(m, _WIDTH_BITS)), e - _WIDTH_BITS)
-        n = math.ceil((top - a) / d)
-        starts.append(a)
-        widths.append(d)
-        counts.append(n)
-        a += n * d
-    return np.array(starts), np.array(widths), np.array(counts)
+    alpha = _BETA / np.sqrt(1 + m * np.log1p(np.longdouble(m)) / (4 * _PI))
+    lo, hi = -math.log(64 / float(alpha)), math.log(256)
+    n = np.arange(math.floor(lo * m / math.pi), math.ceil(hi * m / math.pi) + 1)
+    nodes, weights = [], []
+    # the cos part at t = (n - 1/2) pi / m, the sin part at t = n pi / m
+    for shift, unit in ((0.5, 1), (0.0, 1j)):
+        t = (n - shift) * _PI / m
+        et, emt = np.exp(t), np.exp(-t)
+        v = 2 * t + alpha * (1 - emt) + _BETA * (et - 1)
+        with np.errstate(invalid="ignore"):
+            x = m * t / -np.expm1(-v)
+            num = np.expm1(v) - v + alpha * emt * (np.expm1(t) - t)
+            num += _BETA * (np.expm1(t) - t * et)
+            dphi = np.exp(-v) * num / np.expm1(-v) ** 2
+        # the limits of phi and phi' at t = 0
+        zero = t == 0
+        x[zero] = m / (2 + alpha + _BETA)
+        dphi[zero] = 0.5 + (alpha - _BETA) / (2 * (2 + alpha + _BETA) ** 2)
+        nodes.append(x)
+        weights.append(unit * _PI * dphi * (-1.0) ** n * np.sin(x * np.exp(-v)))
+    x = np.concatenate(nodes)
+    return x, np.log(x), np.concatenate(weights)
 
 
-def _outer_edges(octaves, split: int) -> np.ndarray:
-    """Edges of the outer panels, each coarse panel cut into ``split`` equal parts."""
-    starts, widths, counts = octaves
-    n = split * counts
-    octave = np.repeat(np.arange(len(n)), n)
-    k = np.arange(n.sum()) - (np.cumsum(n) - n)[octave]
-    end = starts[-1] + widths[-1] * counts[-1]
-    return np.append(starts[octave] + widths[octave] / split * k, end)
-
-
-def _outer_sums(c: complex, iw_h: complex, octaves, real: type):
-    """Coarse and fine sums of the outer piece int_1^U u^(c - 1) e^((iw - h) u) du.
-
-    Each coarse panel [x0, x0 + d] is factored at its left edge,
-
-        f(x0 + t) = f(x0) e^((iw - h) t) (1 + g),   g = (1 + t / x0)^(c - 1) - 1,
-
-    and the fine sum splits it in two.  f(x0) is computed once for both sums
-    and the weights times e^((iw - h) t) once per octave, all in ``real``.
-    g = e^z - 1, z = (c - 1) log1p(t / x0), is computed per node.  In double
-    (with expm1) its error is about ulp(1) |z| of the panel, so where |z| may
-    exceed 1/32 it is computed in ``real`` instead, where exp(z) - 1 is exact
-    enough and cheaper.
-    """
-    starts, widths, counts = octaves
-    octave = np.repeat(np.arange(len(counts)), counts)
-    x0 = _outer_edges(octaves, 1)[:-1]
-    x0_r = x0.astype(real)
-    cm1 = c - 1.0
-    cm1_r, iw_h_r = _widen(cm1, real), _widen(iw_h, real)
-    # the phase w u reaches w u_max, above 1e4, and gets its own exponential
-    factors = np.exp(cm1_r * np.log(x0_r) + iw_h_r.real * x0_r)
-    factors *= np.exp(1j * iw_h_r.imag * x0_r)
-    d = widths.astype(real)[:, None]
-    y, wt = (v.astype(real) for v in _GL_RULE)
-    # node offsets from x0 and weights: coarse on [0, d], fine on [0, d/2] and [d/2, d]
-    rules = (
-        (d / 2 * y, d / 2 * wt),
-        (np.hstack([d / 4 * y, d / 2 + d / 4 * y]), np.hstack([d / 4 * wt, d / 4 * wt])),
-    )
-    near = (abs(cm1) * widths / starts > 1 / 32)[octave]
-    sums = []
-    for t, weights in rules:
-        wp = weights * np.exp(iw_h_r * t)
-        total = np.sum(factors * wp.sum(axis=1)[octave])
-        for rows, kind, cm1_k in ((near, real, cm1_r), (~near, np.float64, cm1)):
-            z = cm1_k * np.log1p(t.astype(kind)[octave[rows]] / x0.astype(kind)[rows, None])
-            g = np.expm1(z) if kind is np.float64 else np.exp(z) - 1
-            corr = np.einsum("ij,ij->i", g, wp.astype(g.dtype)[octave[rows]])
-            total += np.sum(factors[rows] * corr)
-        sums.append(total)
-    return sums[0], sums[1]
+def _de_sum(c: complex, rate: float, m: int):
+    """The DE rule with mesh pi / m for int_0^inf x^(c - 1) e^(-rate x) e^(ix) dx."""
+    x, log_x, weights = _de_rule(m)
+    cm1 = np.clongdouble(c - 1)
+    return np.sum(np.exp(cm1 * log_x - np.longdouble(rate) * x) * weights)
 
 
 def damped_mode_integral(
@@ -227,46 +132,28 @@ def damped_mode_integral(
 
     ``power_shift`` is the extra power p of u in the integrand (0 for the
     plain mode amplitude, 1 when an extra exp(-a tau) factor is present).
-    The inner piece (u < 1, in v = ln u) has equal panels.  The outer panels
-    are graded octave by octave, each as wide as keeps its width times the
-    bound |iw - h| + |c - 1| / u on |d/du log f| at its left edge under
-    _PANEL_PHASE / ``panel_factor``.  The fine sum cuts every coarse panel in
-    two, so the coarse edges are every other fine edge and the extended-
-    precision edge factors are evaluated once for both sums.
-    The estimate is max(|fine - coarse|, _TAIL_TOL): the residual between
-    ``panel_factor`` and twice as many panels, floored at the bound on the
-    dropped tails.  The floor depends on neither the panel count nor the
-    value, so once the panel error reaches roundoff the estimate is exactly
-    the floor and roundoff noise cannot make it grow under panel doubling.
+    With c = p + h - i s and x = w u the integral is w^(-c) times the DE rule
+    for int_0^inf x^(c - 1) e^(-(h / w) x) e^(ix) dx; for p = 0 it is first
+    taken by parts, J(c) = ((h - i w) / c) J(c + 1).  The value is J(2M) and
+    the estimate max(|J(M) - J(2M)|, _TAIL_TOL), with M set by s and
+    ``panel_factor`` as the module docstring says.
     """
     if h <= 0:
         raise ValueError("damping must be positive")
     if w <= 0:
         raise ValueError("w = omega_hat * z must be positive")
-    p = power_shift
-    c = p + h - 1j * s
-    iw_h = 1j * w - h
-    # the edge factors, the weights and the sums in extended precision where
-    # the value is exponentially smaller than the integrand (see the module
-    # docstring)
-    real = np.longdouble if s < 0 else np.float64
-
-    # truncation points chosen so the dropped tails are below _TAIL_TOL (u_max
-    # at least 2, so the outer range is never empty); the leading term of the
-    # tail at u = e^v_min is added back, since J can be far smaller than _TAIL_TOL
-    v_min = math.log(_TAIL_TOL * (p + h)) / (p + h)
-    u_max = max(2.0, (40.0 + 12.0 * p) / h)
-    head = cmath.exp(c * v_min) / c
-
-    # inner: u in (0, 1] parametrized as u = e^v
-    n_in = 2 * panel_factor * max(16, int(abs(v_min) * (1.0 + abs(s) + w) / 2.0))
-    in_coarse, in_fine = _inner_sums(c, iw_h, v_min, n_in, real)
-    # |d/du log f| <= |iw - h| + |c - 1| / u for the outer integrand f
-    octaves = _outer_octaves(abs(iw_h), abs(c - 1.0), u_max, panel_factor)
-    out_coarse, out_fine = _outer_sums(c, iw_h, octaves, real)
-    # the pieces are far larger than J for s < 0: add them in ``real``
-    coarse = complex(head + in_coarse + out_coarse)
-    fine = complex(head + in_fine + out_fine)
+    c = power_shift + h - 1j * s
+    scale = 1.0
+    if power_shift == 0:
+        scale = (h - 1j * w) / c
+        c += 1
+    scale *= cmath.exp(-c * math.log(w))
+    # M >= 8 s resolves u^(-i s); see the module docstring
+    m = 64
+    while m < min(8 * s, 4096):
+        m *= 2
+    m *= panel_factor
+    coarse, fine = (complex(scale * _de_sum(c, h / w, k)) for k in (m, 2 * m))
     return fine, max(abs(fine - coarse), _TAIL_TOL)
 
 
@@ -319,7 +206,7 @@ def mode_integral(
     then multiplied by the same exact factor w^(-(p - i s)), divided by s
     when p = 0.  The estimate is the extrapolation-tableau residual plus the
     worst per-level estimate of ``damped_mode_integral`` (the larger of the
-    panel refinement residual and the tail floor _TAIL_TOL); ``converged``
+    rule's refinement residual and the floor _TAIL_TOL); ``converged``
     reports whether it met ``rtol`` relative to the value.  Non-convergence
     is reported, never raised, so callers can flag partial results.  J_0
     diverges at s = 0, which raises ValueError.
@@ -341,14 +228,14 @@ def mode_integral(
         scale /= s
     hs = [h0 * 2.0 ** (-k) for k in range(levels)]
     vals: list[complex] = []
-    worst_panel = 0.0
+    worst_level = 0.0
     for h in hs:
         v, est = damped_mode_integral(s, 1.0, h, p or 1, panel_factor)
         vals.append(v)
-        worst_panel = max(worst_panel, est)
+        worst_level = max(worst_level, est)
     value, tableau_resid = _neville_to_zero(hs, vals)
     value *= scale
-    estimate = (tableau_resid + worst_panel) * abs(scale)
+    estimate = (tableau_resid + worst_level) * abs(scale)
     floor = 1e-15 * (1.0 + abs(value))
     estimate = max(estimate, floor)
     converged = estimate <= rtol * max(abs(value), 1e-300)
