@@ -257,13 +257,22 @@ class BidiffOp:
         return not self.terms
 
     def apply(self, f: Expr, g: Expr) -> Expr:
-        """Act on the pair of slots and multiply the legs pointwise."""
+        """Act on the pair of slots and multiply the legs pointwise.
+
+        Each distinct left leg acts on f once and each distinct right leg on g
+        once; terms that share a leg reuse its result.
+        """
         _check_function_chart(self.chart, f)
         _check_function_chart(self.chart, g)
-        pieces = [
-            mul(scalar, left.apply(f), right.apply(g))
-            for scalar, left, right in self.terms
-        ]
+        on_f: dict[DiffOp, Expr] = {}
+        on_g: dict[DiffOp, Expr] = {}
+        pieces = []
+        for scalar, left, right in self.terms:
+            if left not in on_f:
+                on_f[left] = left.apply(f)
+            if right not in on_g:
+                on_g[right] = right.apply(g)
+            pieces.append(mul(scalar, on_f[left], on_g[right]))
         return add(*pieces) if pieces else ZERO
 
     def scale(self, scalar: ComplexRational) -> "BidiffOp":

@@ -39,13 +39,7 @@ _Z = tuple(sym(n) for n in RINDLER_COORDS)
 
 def standard_map() -> dict[str, Expr]:
     """Coordinate map of the standard profile N(z1) = z1, as a substitution table."""
-    u = _A * _Z[0]
-    return {
-        "x0": _Z[1] * sinh(u),
-        "x1": _Z[1] * cosh(u),
-        "x2": _Z[2],
-        "x3": _Z[3],
-    }
+    return RindlerMap().as_substitution()
 
 
 def partial_transport(mu: int) -> tuple[tuple[Expr, int], ...]:

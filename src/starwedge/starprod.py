@@ -1,12 +1,15 @@
 """Linearized star products, star commutators and coordinate commutator tables.
 
 The deformed product is f*g = fg + O(f, g) with O the first-order twist
-operator; the commutator [f, g] = f*g - g*f drops the undeformed part exactly
-and is first order in the deformation parameter.  Associativity of the
-truncated product holds only up to second order in the parameter and is
-deliberately not asserted anywhere.  ``verify_flat_relations`` compares an
-engine-built flat-chart table entry by entry against independent closed-form
-expressions for all three deformation kinds.
+operator.  The commutator [f, g] = f*g - g*f is (O - O^t)(f, g), where O^t
+swaps the legs of every term of O: O(g, f) = O^t(f, g).  Canonical forms
+are unique, so the undeformed part fg - gf is structurally zero and is never
+built; the commutator is first order in the deformation parameter.
+Associativity of the truncated product holds only up to second order in the
+parameter and is deliberately not asserted anywhere.
+``verify_flat_relations`` compares an engine-built flat-chart table entry by
+entry against independent closed-form expressions for all three deformation
+kinds.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diffop import Chart, ChartMismatchError, MINKOWSKI, lowered_coordinate
+from .diffop import BidiffOp, Chart, ChartMismatchError, MINKOWSKI, lowered_coordinate
 from .expr import Expr, I, ZERO, add, equality_probe, mul, sym
 from .grammar import to_text
 from .twists import (
@@ -55,8 +58,18 @@ def star(f: Expr, g: Expr, twist: LinearTwist) -> Expr:
 
 
 def commutator(f: Expr, g: Expr, twist: LinearTwist) -> Expr:
-    """Star commutator f*g - g*f; the undeformed product cancels exactly."""
-    return star(f, g, twist) - star(g, f, twist)
+    """Star commutator f*g - g*f, applied as one operator O - O^t to (f, g).
+
+    O^t swaps the legs of each term of O, so O(g, f) = O^t(f, g); the
+    undeformed products fg and gf cancel exactly and are never formed.
+    ``from_terms`` merges a term (s, a, b) of O with a swapped (-s, b, a) of
+    O^t into 2s; nothing assumes O is antisymmetric, the terms just stay
+    apart where it is not.
+    """
+    _check_chart(twist)
+    op = twist.operator
+    swapped = [(-s, right, left) for s, left, right in op.terms]
+    return BidiffOp.from_terms(op.chart, (*op.terms, *swapped)).apply(f, g)
 
 
 @dataclass(frozen=True)

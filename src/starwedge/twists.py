@@ -103,16 +103,6 @@ class CanonicalTwist:
     def __post_init__(self) -> None:
         object.__setattr__(self, "theta", _as_theta_matrix(self.theta))
 
-    @staticmethod
-    def from_components(**comps: FractionLike) -> "CanonicalTwist":
-        """Build from keyword components like theta01=..., theta23=...."""
-        entries: dict[tuple[int, int], FractionLike] = {}
-        for key, val in comps.items():
-            if len(key) != 7 or not key.startswith("theta"):
-                raise TwistSpecError(f"unknown component {key!r}")
-            entries[(int(key[5]), int(key[6]))] = val
-        return CanonicalTwist(entries)  # type: ignore[arg-type]
-
 
 @dataclass(frozen=True)
 class LieTwist:

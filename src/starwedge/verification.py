@@ -361,6 +361,8 @@ def _check_commutator_antisymmetry(rng: random.Random, tol: float | None) -> Che
         g = sym("z1") ** 2
         ok = ok and commutator(f, g, tw) == -commutator(g, f, tw)
         ok = ok and commutator(f, f, tw) == ZERO
+        # the definition, by the independent route of two star products
+        ok = ok and commutator(f, g, tw) == star(f, g, tw) - star(g, f, tw)
     return CheckResult(
         "commutator_antisymmetry", ok, None, None, "commutators are antisymmetric"
     )

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from starwedge.diffop import MINKOWSKI, RINDLER
+from starwedge.diffop import MINKOWSKI, RINDLER, DiffOp
 from starwedge.expr import (
     I,
     ONE,
@@ -81,6 +81,52 @@ def test_first_order_legs_satisfy_leibniz():
         lhs = commutator(f * g, h, tw)
         rhs = f * commutator(g, h, tw) + commutator(f, h, tw) * g
         assert lhs == rhs
+
+
+# --- the commutator as one antisymmetrized operator -----------------------------------
+
+def _readme_twists(chart):
+    return {
+        "canonical": canonical_twist_linear({(0, 1): Fraction(3, 7), (2, 3): Fraction(1, 3)}, chart),
+        "lie": lie_twist_linear(Fraction(1, 3), (0, 0, Fraction(2, 3), 0), 0, 1, chart),
+        "quadratic": quadratic_twist_linear(Fraction(1, 6), 0, 1, 2, 3, chart),
+    }
+
+
+def _ladder_pair(chart):
+    # f = c0 + c1 sinh(a c0) + c2 and g = c3 + c1 cosh(a c0) + c0 c2 in the
+    # chart's coordinates c; the powers exercise cosh^2 = 1 + sinh^2
+    c0, c1, c2, c3 = (sym(n) for n in chart.coords)
+    f = c0 + c1 * sinh(a * c0) + c2
+    g = c3 + c1 * cosh(a * c0) + c0 * c2
+    return f, g
+
+
+@pytest.mark.parametrize("kind", ["canonical", "lie", "quadratic"])
+@pytest.mark.parametrize("chart", [MINKOWSKI, RINDLER])
+def test_commutator_is_difference_of_star_products_on_ladder(chart, kind):
+    tw = _readme_twists(chart)[kind]
+    f, g = _ladder_pair(chart)
+    for k in (1, 2, 3):
+        fk, gk = f ** k, g ** k
+        assert commutator(fk, gk, tw) == star(fk, gk, tw) - star(gk, fk, tw)
+
+
+@pytest.mark.parametrize("kind, legs", [("canonical", 8), ("lie", 4), ("quadratic", 4)])
+def test_commutator_applies_each_distinct_leg_once(monkeypatch, kind, legs):
+    # applying star(f, g) - star(g, f) term by term acts with every leg twice
+    # on each slot; the antisymmetrized operator acts with each distinct leg once
+    calls = []
+    apply = DiffOp.apply
+
+    def counted(self, f):
+        calls.append(self)
+        return apply(self, f)
+
+    monkeypatch.setattr(DiffOp, "apply", counted)
+    f, g = _ladder_pair(RINDLER)
+    commutator(f, g, _readme_twists(RINDLER)[kind])
+    assert len(calls) == legs
 
 
 # --- flat tables against closed forms --------------------------------------------------
