@@ -5,12 +5,16 @@ Laurent monomials in "atoms" (symbols and function applications), with one
 exact complex-rational coefficient per monomial.  Products of sums are always
 expanded, children are kept in a fixed deterministic order, and any positive
 even power of cosh is rewritten through cosh(u)^2 = 1 + sinh(u)^2 so that a
-canonical monomial carries a cosh exponent of at most one.  On the fragment
-used by this package (Laurent polynomials in coordinates, sinh/cosh of a
-common argument, opaque exp/tanh atoms) structural equality of canonical
-forms coincides with semantic equality.
+canonical monomial carries a cosh exponent of at most one.
 
-Constants are exact complex rationals; floating point enters only through
+Structurally equal canonical forms are semantically equal.  The converse
+holds on Laurent polynomials in coordinates and in sinh/cosh of one common
+argument, but not once exp or tanh appear: those atoms are opaque, so
+``exp(x)*exp(-x)`` and ``exp(x)^2`` stay as they are, and ``tanh(x)*cosh(x)``
+is not rewritten to ``sinh(x)``.
+
+Constants are exact complex rationals, each stored as one reduced integer
+triple (see :class:`ComplexRational`); floating point enters only through
 :func:`eval_numeric`.
 """
 
@@ -20,6 +24,7 @@ import cmath
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Mapping, Union
 
 __all__ = [
@@ -70,65 +75,116 @@ class ProbeSamplingError(RuntimeError):
     """equality_probe could not find finite sample points within its retry cap."""
 
 
-@dataclass(frozen=True)
 class ComplexRational:
-    """Exact complex number with rational real and imaginary parts."""
+    """Exact complex number ``(a + b*i) / d`` with integers ``a``, ``b`` and ``d``.
 
-    re: Fraction
-    im: Fraction
+    The triple is stored reduced: ``d > 0`` and ``gcd(a, b, d) == 1``.  Each
+    value has exactly one such triple, so ``==`` and ``hash`` compare the
+    three integers.  Arithmetic works on the integers and reduces each result
+    with one gcd.  Instances are immutable by convention (``Const`` nodes hash
+    them); ``re`` and ``im`` give the parts as ``Fraction``s.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
+
+    def __new__(cls, re: RationalLike = 0, im: RationalLike = 0) -> "ComplexRational":
+        if type(re) is int and type(im) is int:
+            return _reduced(re, im, 1)
+        re, im = Fraction(re), Fraction(im)
+        d = lcm(re.denominator, im.denominator)
+        a = re.numerator * (d // re.denominator)
+        return _reduced(a, im.numerator * (d // im.denominator), d)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ComplexRational:
+            return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
+
+    def __hash__(self) -> int:
+        return hash((self._a, self._b, self._d))
+
+    def __repr__(self) -> str:
+        return f"ComplexRational(re={self.re!r}, im={self.im!r})"
 
     def __add__(self, other: "ComplexRational") -> "ComplexRational":
-        return ComplexRational(self.re + other.re, self.im + other.im)
+        d, f = self._d, other._d
+        if d == f:
+            return _reduced(self._a + other._a, self._b + other._b, d)
+        return _reduced(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
 
     def __sub__(self, other: "ComplexRational") -> "ComplexRational":
-        return ComplexRational(self.re - other.re, self.im - other.im)
+        d, f = self._d, other._d
+        if d == f:
+            return _reduced(self._a - other._a, self._b - other._b, d)
+        return _reduced(self._a * f - other._a * d, self._b * f - other._b * d, d * f)
 
     def __mul__(self, other: "ComplexRational") -> "ComplexRational":
-        return ComplexRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
 
     def __neg__(self) -> "ComplexRational":
-        return ComplexRational(-self.re, -self.im)
+        return _new_cr(-self._a, -self._b, self._d)
 
     def inverse(self) -> "ComplexRational":
-        d = self.re * self.re + self.im * self.im
-        if d == 0:
+        a, b, d = self._a, self._b, self._d
+        n = a * a + b * b
+        if n == 0:
             raise ZeroDivisionError("inverse of exact zero")
-        return ComplexRational(self.re / d, -self.im / d)
+        return _reduced(d * a, -d * b, n)
 
     def power(self, n: int) -> "ComplexRational":
         if n < 0:
             return self.inverse().power(-n)
-        out = CR_ONE
-        base = self
+        # (a + b i)^n by binary exponentiation on Gaussian integers, over d^n
+        a, b, pa, pb, d = 1, 0, self._a, self._b, self._d ** n
         while n:
             if n & 1:
-                out = out * base
-            base = base * base
+                a, b = a * pa - b * pb, a * pb + b * pa
             n >>= 1
-        return out
+            if n:
+                pa, pb = pa * pa - pb * pb, 2 * pa * pb
+        return _reduced(a, b, d)
 
     @property
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self._a == 0 and self._b == 0
 
     @property
     def is_one(self) -> bool:
-        return self.re == 1 and self.im == 0
+        return self._a == 1 and self._b == 0 and self._d == 1
 
     def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int / int is correctly rounded, as float(Fraction) is
+        return complex(self._a / self._d, self._b / self._d)
 
 
-def _crat(re: RationalLike = 0, im: RationalLike = 0) -> ComplexRational:
-    return ComplexRational(Fraction(re), Fraction(im))
+def _new_cr(a: int, b: int, d: int) -> ComplexRational:
+    """The triple (a, b, d) as a ComplexRational; it must already be reduced."""
+    c = object.__new__(ComplexRational)
+    c._a, c._b, c._d = a, b, d
+    return c
 
 
-CR_ZERO = _crat(0)
-CR_ONE = _crat(1)
-CR_I = _crat(0, 1)
+def _reduced(a: int, b: int, d: int) -> ComplexRational:
+    """The value (a + b*i) / d for d > 0, reduced by one gcd."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    return _new_cr(a, b, d)
+
+
+CR_ZERO = ComplexRational(0)
+CR_ONE = ComplexRational(1)
+CR_I = ComplexRational(0, 1)
 
 
 class Expr:
@@ -232,15 +288,15 @@ I = Const(CR_I)
 
 
 def const(re: RationalLike = 0, im: RationalLike = 0) -> Expr:
-    return Const(_crat(re, im))
+    return Const(ComplexRational(re, im))
 
 
 def integer(n: int) -> Expr:
-    return Const(_crat(n))
+    return Const(ComplexRational(n))
 
 
 def rational(p: int, q: int) -> Expr:
-    return Const(_crat(Fraction(p, q)))
+    return Const(ComplexRational(Fraction(p, q)))
 
 
 def sym(name: str) -> Expr:
@@ -255,7 +311,7 @@ def _coerce(e: ExprLike) -> Expr:
     if isinstance(e, bool):
         raise TypeError("bool is not an expression")
     if isinstance(e, (int, Fraction)):
-        return Const(_crat(e))
+        return Const(ComplexRational(e))
     if isinstance(e, ComplexRational):
         return Const(e)
     raise TypeError(f"cannot interpret {type(e).__name__} as Expr")
@@ -328,7 +384,7 @@ def _reduce_cosh(mono_atoms: dict[Expr, int], coeff: ComplexRational, out: TermM
                 sub = dict(rest)
                 if j:
                     sub[s_atom] = sub.get(s_atom, 0) + 2 * j
-                _reduce_cosh(sub, coeff * _crat(binom), out)
+                _reduce_cosh(sub, coeff * ComplexRational(binom), out)
                 binom = binom * (k - j) // (j + 1)
             return
     _add_term(out, _freeze(mono_atoms), coeff)
@@ -542,7 +598,7 @@ def differentiate(e: Expr, v: Union[str, Expr]) -> Expr:
                 if j != idx
             ]
             parts.append(
-                mul(Const(coeff * _crat(k)), _pow_expr(atom, k - 1), d, *rest)
+                mul(Const(coeff * ComplexRational(k)), _pow_expr(atom, k - 1), d, *rest)
             )
     return add(*parts) if parts else ZERO
 

@@ -173,25 +173,24 @@ def _frac_text(q: Fraction) -> str:
 
 
 def coeff_text(c: ComplexRational) -> str:
-    if c.im == 0:
-        return _frac_text(c.re)
-    if c.re == 0:
-        if c.im == 1:
+    re, im = c.re, c.im  # each read builds a Fraction
+    if im == 0:
+        return _frac_text(re)
+    if re == 0:
+        if im == 1:
             return "i"
-        if c.im == -1:
+        if im == -1:
             return "-i"
-        return f"{_frac_text(c.im)}*i"
-    im = c.im
+        return f"{_frac_text(im)}*i"
     sign = "+" if im > 0 else "-"
     im_abs = -im if im < 0 else im
     im_txt = "i" if im_abs == 1 else f"{_frac_text(im_abs)}*i"
-    return f"({_frac_text(c.re)}{sign}{im_txt})"
+    return f"({_frac_text(re)}{sign}{im_txt})"
 
 
 def _is_negative_leading(c: ComplexRational) -> bool:
-    if c.re != 0:
-        return c.re < 0
-    return c.im < 0
+    re = c.re
+    return re < 0 if re != 0 else c.im < 0
 
 
 def _atom_text(a: Expr) -> str:

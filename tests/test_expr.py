@@ -1,10 +1,12 @@
 import cmath
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from starwedge.expr import (
+    ComplexRational,
     I,
     ONE,
     ZERO,
@@ -24,6 +26,7 @@ from starwedge.expr import (
     sym,
     tanh,
 )
+from starwedge.grammar import to_text
 
 a, z0, z1, z2, z3 = (sym(n) for n in ("a", "z0", "z1", "z2", "z3"))
 x0, x1 = sym("x0"), sym("x1")
@@ -331,3 +334,96 @@ def test_simplify_check_still_catches_a_wrong_canonical_value(monkeypatch):
     result = verification._check_simplify_preserves_eval(random.Random(1), 1e-12)
     assert not result.passed
     assert result.measured > 1e-10
+
+
+# --- exact complex-rational arithmetic against a Fraction-pair reference ------------
+
+# small parts make equal values likely; huge ones test the rounding of to_complex
+_fractions = st.one_of(
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+    st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**30)),
+)
+_pairs = st.tuples(_fractions, _fractions)
+
+
+def _ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _ref_power(x, n):
+    if n < 0:
+        d = x[0] * x[0] + x[1] * x[1]
+        if d == 0:
+            raise ZeroDivisionError
+        x, n = (x[0] / d, -x[1] / d), -n
+    out = (Fraction(1), Fraction(0))
+    for _ in range(n):
+        out = _ref_mul(out, x)
+    return out
+
+
+def _assert_matches(c, ref):
+    a, b, d = c._a, c._b, c._d
+    assert d > 0 and math.gcd(a, b, d) == 1
+    assert type(c.re) is Fraction and type(c.im) is Fraction
+    assert (c.re, c.im) == ref
+    z = c.to_complex()
+    assert (z.real, z.imag) == (float(ref[0]), float(ref[1]))
+    assert c.is_zero == (ref == (0, 0))
+    assert c.is_one == (ref == (1, 0))
+
+
+@given(_pairs, _pairs, st.integers(-4, 4))
+def test_complex_rational_arithmetic_matches_fraction_pairs(x, y, n):
+    cx, cy = ComplexRational(*x), ComplexRational(*y)
+    _assert_matches(cx, x)
+    _assert_matches(cx + cy, (x[0] + y[0], x[1] + y[1]))
+    _assert_matches(cx - cy, (x[0] - y[0], x[1] - y[1]))
+    _assert_matches(cx * cy, _ref_mul(x, y))
+    _assert_matches(-cx, (-x[0], -x[1]))
+    if x == (0, 0):
+        with pytest.raises(ZeroDivisionError):
+            cx.inverse()
+    else:
+        _assert_matches(cx.inverse(), _ref_power(x, -1))
+    try:
+        ref = _ref_power(x, n)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            cx.power(n)
+    else:
+        _assert_matches(cx.power(n), ref)
+
+
+@given(_pairs, _pairs, _pairs)
+def test_complex_rational_equality_agrees_with_hash(x, y, z):
+    cx, cy, cz = (ComplexRational(*p) for p in (x, y, z))
+    assert (cx == cy) == (x == y)
+    # one value reached by different routes has one triple, so one hash
+    n = x[0].numerator
+    routes = (
+        ((cx * cy) * cz, cx * (cy * cz)),
+        (cx + cy - cy, cx),
+        (cx - cx, ComplexRational(0)),
+        (ComplexRational(n, 0), ComplexRational(Fraction(n))),  # the all-int constructor path
+    )
+    for lhs, rhs in routes:
+        assert lhs == rhs and hash(lhs) == hash(rhs)
+
+
+# --- canonical order ------------------------------------------------------------------
+
+def test_canonical_order_compares_coefficients_as_text():
+    # atoms are ordered by the text of their coefficients: "-" sorts before
+    # the digits, "10" before "2", and the imaginary part breaks ties
+    x = sym("x")
+    e = (
+        sinh(2 * x) + sinh(10 * x) + sinh(-3 * x) + sinh(3 * x) + sinh(x / 2)
+        + sinh(x / 3) + sinh(I * x) + sinh(-I * x) + sinh((1 + I) * x)
+    )
+    assert to_text(e) == (
+        "sinh(-3*x) + sinh(-i*x) + sinh(i*x) + sinh((1+i)*x) + sinh(1/2*x)"
+        " + sinh(1/3*x) + sinh(10*x) + sinh(2*x) + sinh(3*x)"
+    )
+    e = exp(x + 2) + exp(x + 10) + exp(x - 1) + exp(x + rational(1, 2))
+    assert to_text(e) == "exp(-1 + x) + exp(1/2 + x) + exp(10 + x) + exp(2 + x)"

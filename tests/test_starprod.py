@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -16,6 +17,7 @@ from starwedge.expr import (
     substitute,
     sym,
 )
+from starwedge.grammar import to_text
 from starwedge.rindler import standard_map
 from starwedge.starprod import (
     RelationEntry,
@@ -269,3 +271,51 @@ def test_table_json_round_trip_text():
     for key, text in payload["entries"].items():
         mu, nu = (RINDLER.coords.index(n) for n in key.split(","))
         assert parse(text) == table.entries[(mu, nu)]
+
+
+# --- canonical order pinned as text ------------------------------------------------------
+# The artifacts are byte-identical across changes to the engine; these pins make a
+# change of canonical order, or of any coefficient, fail here first.
+
+_README_TABLE_TXT_SHA256 = {
+    ("minkowski", "canonical"): "9121f77533e07c278fbea654d2d511493a1126867892be3ee8c0bab2bd83c6e4",
+    ("minkowski", "lie"): "c0a9716261c215b82e3a9ed8d89d65dd40dd519991024fc35a0ceb8828c0841a",
+    ("minkowski", "quadratic"): "aaf0167797612660ba33ead22b752caaae54b2b1c2ce47418a25fe520fa64ff1",
+    ("rindler", "canonical"): "329f509059ae38cbd606b118f1d29424a9e9656d9c6595147851e8755c5d60c3",
+    ("rindler", "lie"): "1eae9c2c8dd0ffe195fab667c76e0c353f8f3d246dd6d56bb69997143e4071cf",
+    ("rindler", "quadratic"): "ff0800555b32e24206444cb6eeb9a7e74730b5b882588be224c54f1c94ce11c5",
+}
+
+_LADDER_TEXT = {
+    ("canonical", 1): "16/21*i - 3/7*i*z2*sinh(a*z0)/(a*z1) + 3/7*i*cosh(a*z0)/(a*z1)",
+    ("canonical", 2): "846ba98ef29146173beb24116d16d73dffb58e22f1f3ccff7bade4de86ab80a0",
+    ("canonical", 3): "199845d8a53c45190cf38140f7b8fc6eb4145d3c75346709a25a871453b4411d",
+    ("lie", 1): "2/9*i*z0/a - 2/9*i*z2/a + 2/9*i*z0*z1*cosh(a*z0) - 2/9*i*z1*sinh(a*z0)",
+    ("lie", 2): "4725717025340918f8d64f90d81a3a5e93a0914e5d2737c78388a2fc578fa7ad",
+    ("lie", 3): "4795c7c2a660852d11602b0f14e07480bbcfda57c1e07318a9228ce8a1ad9ee4",
+    ("quadratic", 1): (
+        "1/6*i*z0*z3/a - 1/6*i*z2/a - 1/6*i*z2*z3/a + 1/6*i*z0*z1*z3*cosh(a*z0)"
+        " - 1/6*i*z1*z2*cosh(a*z0) - 1/6*i*z1*z3*sinh(a*z0)"
+    ),
+    ("quadratic", 2): "3282c454c17c4854b4175f1188ce9d99ab7e8dfcf6ec1e870f5e7b602f37576a",
+    ("quadratic", 3): "44348ed7a14c17da64c47246a1345ee2adbc5cd5c21597e29f9b05a35f0e583c",
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("chart", [MINKOWSKI, RINDLER])
+def test_readme_table_text_is_pinned(chart):
+    for kind, tw in _readme_twists(chart).items():
+        assert _sha256(table_to_text(build_table(tw))) == _README_TABLE_TXT_SHA256[(chart.name, kind)]
+
+
+def test_ladder_commutator_text_is_pinned():
+    # k = 1 in full; the longer texts of k = 2, 3 by their sha256
+    f, g = _ladder_pair(RINDLER)
+    for kind, tw in _readme_twists(RINDLER).items():
+        for k in (1, 2, 3):
+            text = to_text(commutator(f ** k, g ** k, tw))
+            assert (text if k == 1 else _sha256(text)) == _LADDER_TEXT[(kind, k)]
