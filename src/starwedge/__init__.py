@@ -2,8 +2,8 @@
 corrected thermal spectrum seen by a uniformly accelerated observer.
 
 The symbolic layer (exact expressions, differential and tensor-leg operators,
-twists, star products) lives next to a numeric layer (complex gamma, damped
-oscillatory quadrature, spectrum closed forms); each closed-form result has an
+twists, star products) lives next to a numeric layer (complex gamma,
+real-axis oscillatory quadrature, spectrum closed forms); each closed-form result has an
 independent oracle beside it.
 """
 

@@ -111,8 +111,6 @@ def spectrum(config_path, out, seed, fmt) -> None:
             z=sc.z,
             theta01=sc.theta01,
             method=sc.method,
-            eps0=sc.eps0,
-            levels=sc.levels,
             panel_factor=sc.panel_factor,
             rtol=sc.rtol,
         )

@@ -40,8 +40,6 @@ _SPECTRUM_KEYS = {
     "theta01",
     "omega_grid",
     "method",
-    "eps0",
-    "levels",
     "panel_factor",
     "rtol",
 }
@@ -58,8 +56,6 @@ class SpectrumConfig:
     theta01: float
     omegas: tuple[float, ...]
     method: str
-    eps0: float | None
-    levels: int
     panel_factor: int
     rtol: float
 
@@ -182,8 +178,6 @@ def load_config(path: str | Path) -> RunConfig:
         method = items.get("method", "closed-form").strip()
         if method not in _METHODS:
             raise ConfigError(f"method must be one of {_METHODS}")
-        eps0_text = items.get("eps0", "auto").strip()
-        eps0 = None if eps0_text == "auto" else _number(eps0_text, "eps0")
         spectrum = SpectrumConfig(
             a=_number(items["a"], "a"),
             omega_hat=_number(items["omega_hat"], "omega_hat"),
@@ -191,8 +185,6 @@ def load_config(path: str | Path) -> RunConfig:
             theta01=_number(items.get("theta01", "0"), "theta01"),
             omegas=_parse_grid(items["omega_grid"]),
             method=method,
-            eps0=eps0,
-            levels=_int(items.get("levels", "7"), "levels"),
             panel_factor=_int(items.get("panel_factor", "1"), "panel_factor"),
             rtol=_number(items.get("rtol", "1e-7"), "rtol"),
         )

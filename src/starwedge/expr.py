@@ -82,7 +82,8 @@ class ComplexRational:
     value has exactly one such triple, so ``==`` and ``hash`` compare the
     three integers.  Arithmetic works on the integers and reduces each result
     with one gcd.  Instances are immutable by convention (``Const`` nodes hash
-    them); ``re`` and ``im`` give the parts as ``Fraction``s.
+    them); ``re`` and ``im`` give the parts as ``Fraction``s, ``part_texts``
+    as text without building them.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -152,6 +153,16 @@ class ComplexRational:
             if n:
                 pa, pb = pa * pa - pb * pb, 2 * pa * pb
         return _reduced(a, b, d)
+
+    def part_texts(self) -> tuple[str, str]:
+        """The real and imaginary parts as ``str(Fraction)`` prints them, one gcd each."""
+        d = self._d
+
+        def text(n: int) -> str:
+            g = gcd(n, d)
+            return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+        return text(self._a), text(self._b)
 
     @property
     def is_zero(self) -> bool:
@@ -322,7 +333,7 @@ def _coerce(e: ExprLike) -> Expr:
 def _skey(e: Expr) -> tuple:
     """Deterministic structural sort key."""
     if isinstance(e, Const):
-        return (0, str(e.value.re), str(e.value.im))
+        return (0, *e.value.part_texts())
     if isinstance(e, Sym):
         return (1, e.name)
     if isinstance(e, Fn):

@@ -7,8 +7,6 @@ inverts it: ``parse(to_text(e))`` is structurally equal to ``simplify(e)``.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .expr import (
     FUNCTIONS,
     Add,
@@ -168,29 +166,20 @@ def parse(text: str) -> Expr:
 
 # --- printer -----------------------------------------------------------------
 
-def _frac_text(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def coeff_text(c: ComplexRational) -> str:
-    re, im = c.re, c.im  # each read builds a Fraction
-    if im == 0:
-        return _frac_text(re)
-    if re == 0:
-        if im == 1:
-            return "i"
-        if im == -1:
-            return "-i"
-        return f"{_frac_text(im)}*i"
-    sign = "+" if im > 0 else "-"
-    im_abs = -im if im < 0 else im
-    im_txt = "i" if im_abs == 1 else f"{_frac_text(im_abs)}*i"
-    return f"({_frac_text(re)}{sign}{im_txt})"
+    re, im = c.part_texts()
+    if im == "0":
+        return re
+    sign, im_abs = ("-", im[1:]) if im[0] == "-" else ("+", im)
+    im_txt = "i" if im_abs == "1" else f"{im_abs}*i"
+    if re == "0":
+        return im_txt if sign == "+" else f"-{im_txt}"
+    return f"({re}{sign}{im_txt})"
 
 
 def _is_negative_leading(c: ComplexRational) -> bool:
-    re = c.re
-    return re < 0 if re != 0 else c.im < 0
+    re, im = c.part_texts()
+    return re[0] == "-" if re != "0" else im[0] == "-"
 
 
 def _atom_text(a: Expr) -> str:

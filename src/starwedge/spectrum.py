@@ -125,21 +125,17 @@ def f_closed(m: ModeParams) -> complex:
 def f_quadrature(
     m: ModeParams,
     *,
-    eps0: float | None = None,
-    levels: int = 7,
     panel_factor: int = 1,
     rtol: float = 1e-7,
 ) -> QuadratureResult:
-    """Fourier amplitude by damped quadrature and extrapolation of the damping.
+    """Fourier amplitude by real-axis quadrature of the undamped mode integral.
 
     Independent of :func:`f_closed` and of the gamma function; this is the
     numerical oracle for the closed form.
     """
     s = m.omega / m.a
     w = m.omega_hat * m.z
-    res = mode_integral(
-        s, w, power_shift=0, eps0=eps0, levels=levels, panel_factor=panel_factor, rtol=rtol
-    )
+    res = mode_integral(s, w, power_shift=0, panel_factor=panel_factor, rtol=rtol)
     return replace(res, value=res.value / m.a)
 
 
@@ -159,17 +155,13 @@ def correction_integral_closed(m: ModeParams) -> complex:
 def correction_integral_quadrature(
     m: ModeParams,
     *,
-    eps0: float | None = None,
-    levels: int = 7,
     panel_factor: int = 1,
     rtol: float = 1e-7,
 ) -> QuadratureResult:
     """Quadrature oracle for :func:`correction_integral_closed`."""
     s = m.omega / m.a
     w = m.omega_hat * m.z
-    res = mode_integral(
-        s, w, power_shift=1, eps0=eps0, levels=levels, panel_factor=panel_factor, rtol=rtol
-    )
+    res = mode_integral(s, w, power_shift=1, panel_factor=panel_factor, rtol=rtol)
     return replace(res, value=res.value / m.a)
 
 
@@ -205,15 +197,13 @@ def deformed_correction_quadrature(
     m: ModeParams,
     d: ThetaCorrection,
     *,
-    eps0: float | None = None,
-    levels: int = 7,
     panel_factor: int = 1,
     rtol: float = 1e-7,
 ) -> complex:
     """First-order amplitude correction assembled from its two mode integrals.
 
     Both correction terms carry the integral with one extra e^{-a tau} factor,
-    here evaluated by damped quadrature rather than by the gamma recursion:
+    here evaluated by quadrature rather than by the gamma recursion:
 
         (2 i theta^{01} omega omega_hat / (a z)) J  -  (2 theta^{01} omega_hat / z) J,
 
@@ -221,9 +211,7 @@ def deformed_correction_quadrature(
     deformed_f_theta(m, d) - f_closed(m).
     """
     theta_upper = -d.theta01
-    j = correction_integral_quadrature(
-        m, eps0=eps0, levels=levels, panel_factor=panel_factor, rtol=rtol
-    ).value
+    j = correction_integral_quadrature(m, panel_factor=panel_factor, rtol=rtol).value
     wave_term = (2.0j * theta_upper * m.omega * m.omega_hat / (m.a * m.z)) * j
     argument_term = -(2.0 * theta_upper * m.omega_hat / m.z) * j
     return wave_term + argument_term
@@ -293,7 +281,9 @@ class SpectrumResult:
 
     Per row: the amplitude f(-omega), the detected power omega * |f(-omega)|^2,
     its first-order deformed counterpart, and whether the amplitude came from
-    the closed form or from the quadrature oracle (with its starting damping).
+    the closed form or from the quadrature oracle.  ``eps`` is the damping
+    the amplitude was computed at: 0.0 on quadrature rows, None on
+    closed-form rows.
     """
 
     a: float
@@ -354,15 +344,13 @@ def compute_spectrum(
     z: float,
     theta01: float = 0.0,
     method: str = "closed-form",
-    eps0: float | None = None,
-    levels: int = 7,
     panel_factor: int = 1,
     rtol: float = 1e-7,
 ) -> SpectrumResult:
     """Evaluate the detected spectrum over a grid of positive frequencies.
 
-    ``method`` is "closed-form", "quadrature" or "both"; quadrature rows tag
-    the damping they started from and report convergence per point.  A value
+    ``method`` is "closed-form", "quadrature" or "both"; quadrature rows are
+    evaluated undamped (``eps`` 0.0) and report convergence per point.  A value
     that overflows (the gamma reflection, past omega / a of about 226) raises
     OverflowError naming its omega.
     """
@@ -395,9 +383,7 @@ def compute_spectrum(
                 )
             )
         if method in ("quadrature", "both"):
-            res = f_quadrature(
-                neg, eps0=eps0, levels=levels, panel_factor=panel_factor, rtol=rtol
-            )
+            res = f_quadrature(neg, panel_factor=panel_factor, rtol=rtol)
             power = omega * abs(res.value) ** 2
             rows.append(
                 SpectrumRow(
@@ -406,7 +392,7 @@ def compute_spectrum(
                     power=power,
                     power_deformed=power * (1.0 + relative_deviation_closed(m, d)),
                     method="quadrature",
-                    eps=res.eps0,
+                    eps=0.0,
                     converged=res.converged,
                 )
             )

@@ -516,22 +516,27 @@ def _check_planck_equivalence(rng: random.Random, tol: float) -> CheckResult:
     )
 
 
+# the oracle's frequencies s = omega / a: the spectrum evaluates f(-omega),
+# where rounding is amplified by about e^(pi |s|)
+_ORACLE_S = (0.5, 1.0, 2.0, -0.5, -2.0, -4.0)
+
+
 def _check_quadrature_agreement(rng: random.Random, tol: float) -> CheckResult:
     worst = 0.0
-    for s in (0.5, 1.0, 2.0):
+    for s in _ORACLE_S:
         m = ModeParams(omega_hat=1.0, z=1.0, a=1.0, omega=s)
         q = f_quadrature(m)
         c = f_closed(m)
         worst = max(worst, abs(q.value - c) / abs(c))
     return CheckResult(
         "quadrature_agreement", worst <= tol, worst, tol,
-        "damped-quadrature amplitude matches the closed form",
+        "real-axis quadrature amplitude matches the closed form",
     )
 
 
 def _check_correction_integral(rng: random.Random, tol: float) -> CheckResult:
     worst = 0.0
-    for s in (0.5, 1.0, 2.0):
+    for s in _ORACLE_S:
         m = ModeParams(omega_hat=1.0, z=1.0, a=1.0, omega=s)
         q = correction_integral_quadrature(m)
         c = correction_integral_closed(m)
@@ -546,7 +551,7 @@ def _check_correction_assembly(rng: random.Random, tol: float) -> CheckResult:
     from .spectrum import deformed_correction_quadrature
 
     worst = 0.0
-    for s in (0.5, 1.0, 2.0):
+    for s in _ORACLE_S:
         m = ModeParams(omega_hat=1.3, z=0.9, a=1.1, omega=1.1 * s)
         d = ThetaCorrection(1e-4)
         got = deformed_correction_quadrature(m, d)
@@ -559,11 +564,11 @@ def _check_correction_assembly(rng: random.Random, tol: float) -> CheckResult:
 
 
 def _check_quadrature_refinement(rng: random.Random, tol: float | None) -> CheckResult:
-    ests = [damped_mode_integral(1.0, 1.0, 0.05, panel_factor=pf)[1] for pf in (1, 2, 4)]
+    ests = [damped_mode_integral(1.0, 1.0, 0.0, panel_factor=pf)[1] for pf in (1, 2, 4)]
     ok = ests[1] <= ests[0] and ests[2] <= ests[1]
     return CheckResult(
         "quadrature_refinement", ok, None, None,
-        f"fixed-damping refinement residual non-increasing under panel doubling: "
+        f"undamped refinement residual non-increasing under doubling of the rule's M: "
         f"{ests[0]:.3e} -> {ests[1]:.3e} -> {ests[2]:.3e}",
     )
 

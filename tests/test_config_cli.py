@@ -52,6 +52,26 @@ def test_full_config_parses(tmp_path):
     assert cfg.tolerances == {"quadrature_agreement": 1e-6}
 
 
+def _readme_ini() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_config_parses_and_rejects_removed_keys(tmp_path):
+    # the README's configuration block is valid as printed
+    text = _readme_ini()
+    cfg = load_config(_write(tmp_path, text))
+    assert cfg.spectrum.method == "both"
+    assert cfg.spectrum.panel_factor == 1
+    # the oracle takes no damping: eps0 is an unknown key, named in the message
+    bad = _write(tmp_path, text.replace("[spectrum]\n", "[spectrum]\neps0 = auto\n"), "bad.ini")
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["spectrum", "--config", str(bad), "--out", str(out)])
+    assert result.exit_code == 2
+    assert "unknown keys in [spectrum]: ['eps0']" in result.stderr
+    assert not out.exists()
+
+
 def test_lie_config_parses(tmp_path):
     text = "[twist]\nkind = lie\nchart = minkowski\ninv_kappa = 1/3\nzeta = 0 0 2/3 0\nalpha = 0\nbeta = 1\n"
     cfg = load_config(_write(tmp_path, text))
@@ -177,7 +197,7 @@ def test_spec_violation_exits_3(tmp_path):
 def test_nonconverged_quadrature_exits_4_with_flagged_rows(tmp_path):
     text = (
         "[spectrum]\na = 1\nomega_hat = 1\nz = 1\nomega_grid = 1\n"
-        "method = quadrature\nlevels = 2\nrtol = 1e-15\n"
+        "method = quadrature\nrtol = 1e-15\n"
     )
     cfg = _write(tmp_path, text)
     out = tmp_path / "out"

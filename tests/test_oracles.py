@@ -83,12 +83,14 @@ def test_gamma_against_mpmath_high_precision():
 def test_damped_integral_against_mpmath_closed_form():
     # the damped mode integral has the exact value Gamma(p+h-is) (h-iw)^(-(p+h-is));
     # evaluate it at 30 significant digits and compare the double-exponential
-    # rule, also at large damping
+    # rule, also at large damping and undamped (h = 0, where s < 0 amplifies
+    # rounding by about e^(pi |s|))
     from starwedge.quadrature import damped_mode_integral
 
     mpmath.mp.dps = 30
     cases = [(p, s, h) for p in (0, 1) for s in (0.5, 1.0, 2.0) for h in (0.25, 0.05)]
     cases += [(1, 1.0, h) for h in (7.5, 15.0, 30.0)]
+    cases += [(p, s, 0.0) for p in (0, 1) for s in (-4.0, -0.5, 0.5, 2.0)]
     for p, s, h in cases:
         got, _ = damped_mode_integral(s, 1.0, h, power_shift=p)
         c = p + h - 1j * s

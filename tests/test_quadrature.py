@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma as scipy_gamma
 
-from starwedge.quadrature import damped_mode_integral, default_eps0, mode_integral
+from starwedge.quadrature import damped_mode_integral, mode_integral
 
 _LONGDOUBLE_IS_DOUBLE = np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps
 
@@ -27,13 +27,11 @@ def test_damped_integral_matches_gamma_form(p, s, h):
 
 def test_damped_integral_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        damped_mode_integral(1.0, 1.0, 0.0)
+        damped_mode_integral(1.0, 1.0, -0.1)
     with pytest.raises(ValueError):
         damped_mode_integral(1.0, -1.0, 0.1)
     with pytest.raises(ValueError):
-        mode_integral(1.0, 1.0, levels=1)
-    with pytest.raises(ValueError):
-        mode_integral(1.0, 1.0, eps0=-0.1)
+        mode_integral(1.0, 0.0)
 
 
 def test_extrapolated_value_against_limit_form():
@@ -50,32 +48,18 @@ def test_extrapolated_value_against_limit_form():
 def test_error_estimate_shrinks_with_panel_doubling():
     # at fixed damping the refinement residual |J(M) - J(2M)| is the rule's
     # error; it must not grow under doubling of M (it bottoms out at the floor)
-    ests = [
-        damped_mode_integral(1.0, 1.0, 0.05, panel_factor=pf)[1] for pf in (1, 2, 4)
-    ]
-    assert ests[1] <= ests[0]
-    assert ests[2] <= ests[1]
-    # the full pipeline estimate is dominated by the damping extrapolation,
-    # so doubling M must never make it worse beyond float noise
-    full = [
-        mode_integral(1.0, 1.0, eps0=0.25, levels=5, panel_factor=pf).error_estimate
-        for pf in (1, 2)
-    ]
+    for h in (0.05, 0.0):
+        ests = [damped_mode_integral(1.0, 1.0, h, panel_factor=pf)[1] for pf in (1, 2, 4)]
+        assert ests[1] <= ests[0]
+        assert ests[2] <= ests[1]
+    full = [mode_integral(1.0, 1.0, panel_factor=pf).error_estimate for pf in (1, 2)]
     assert full[1] <= full[0] * (1.0 + 1e-9)
 
 
 def test_nonconvergence_is_reported_not_raised():
-    res = mode_integral(1.0, 1.0, levels=2, rtol=1e-15)
+    res = mode_integral(1.0, 1.0, rtol=1e-15)
     assert not res.converged
     assert res.error_estimate > 0
-
-
-def test_default_damping_clamps():
-    assert default_eps0(10.0) == 0.08
-    assert default_eps0(0.01) == 0.25
-    assert default_eps0(1.0) == 0.25
-    assert default_eps0(0.6) == 0.25
-    assert default_eps0(-4.0) == 0.2
 
 
 @pytest.mark.parametrize("p", [0, 1])
@@ -99,13 +83,13 @@ def test_mode_integral_matches_gamma_form(p, s, w):
     [-4.08, -4.0, -3.92, -4.1, -4.075, -4.05, -4.025, -3.975, -3.95, -3.925, -3.9],
 )
 def test_negative_frequency_error_is_not_roundoff(s):
-    # J_0(s, 1) is about e^(-pi |s|) smaller than its integrand here; the
-    # error must stay at the extrapolation's ~2e-10, not at roundoff (which
-    # reached 3e-8 in double precision)
+    # J_0(s, 1) is about e^(-pi |s|) smaller than its integrand here, so
+    # rounding in the rule's terms is amplified by about 3e5; in extended
+    # precision the error stays at a few 1e-12
     res = mode_integral(s, 1.0)
     want = complex(scipy_gamma(-1j * s)) * math.exp(math.pi * s / 2.0)
     assert res.converged
-    assert abs(res.value - want) <= 5e-10 * abs(want)
+    assert abs(res.value - want) <= 2e-11 * abs(want)
 
 
 def test_plain_mode_integral_diverges_at_zero_frequency():
@@ -123,17 +107,3 @@ def test_negative_frequency_integral():
     res = mode_integral(s, 1.0)
     want = complex(scipy_gamma(-1j * s)) * math.exp(math.pi * s / 2.0)
     assert abs(res.value - want) <= 1e-8 * abs(want)
-
-
-@pytest.mark.skipif(_LONGDOUBLE_IS_DOUBLE, reason="np.longdouble is plain double on this platform")
-@pytest.mark.parametrize("s", [-4.08, -4.0, -3.92])
-def test_damped_integral_rounding_near_minus_four(s):
-    # at the smallest damping of the ladder the damped J_1 is e^(pi |s|) ~ 3e5
-    # times smaller than the terms of the rule; its rounding error stays at a few
-    # 1e-12 of J
-    h = default_eps0(s) / 64
-    got, _ = damped_mode_integral(s, 1.0, h, power_shift=1)
-    want = _damped_closed_form(1, s, 1.0, h)
-    undamped = abs(complex(scipy_gamma(1 - 1j * s)) * math.exp(math.pi * s / 2.0))
-    assert abs(got - want) <= 5e-12 * undamped
-
