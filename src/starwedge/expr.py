@@ -16,13 +16,17 @@ is not rewritten to ``sinh(x)``.
 Constants are exact complex rationals, each stored as one reduced integer
 triple (see :class:`ComplexRational`); floating point enters only through
 :func:`eval_numeric`.
+
+Nodes are immutable.  Each stores its structural sort key, the one source of
+canonical order, and the hash of that key, both computed on first use, so
+hashing and comparing nodes costs no walk over subtrees already keyed.
+Nodes pickle by their fields.
 """
 
 from __future__ import annotations
 
 import cmath
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Mapping, Union
@@ -115,6 +119,9 @@ class ComplexRational:
     def __repr__(self) -> str:
         return f"ComplexRational(re={self.re!r}, im={self.im!r})"
 
+    def __reduce__(self) -> tuple:
+        return _new_cr, (self._a, self._b, self._d)
+
     def __add__(self, other: "ComplexRational") -> "ComplexRational":
         d, f = self._d, other._d
         if d == f:
@@ -198,10 +205,48 @@ CR_ONE = ComplexRational(1)
 CR_I = ComplexRational(0, 1)
 
 
-class Expr:
-    """Base class of canonical expression nodes."""
+_setattr = object.__setattr__
 
-    __slots__ = ()
+
+class Expr:
+    """Base class of canonical expression nodes.
+
+    The fields, named by ``__match_args__``, are set once by the positional
+    constructor; assigning or deleting any attribute raises.  The slots
+    ``_key`` and ``_hash`` stay unset until :func:`_skey` and ``hash`` first
+    fill them.
+    """
+
+    __slots__ = ("_key", "_hash")
+    __match_args__: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(_skey(self))
+            _setattr(self, "_hash", h)
+            return h
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Expr):
+            return NotImplemented
+        return hash(self) == hash(other) and _skey(self) == _skey(other)
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{self.__class__.__name__}({fields})"
 
     def __add__(self, other: "ExprLike") -> "Expr":
         return add(self, other)
@@ -237,48 +282,48 @@ class Expr:
 ExprLike = Union[Expr, int, Fraction, ComplexRational]
 
 
-@dataclass(frozen=True)
 class Const(Expr):
-    value: ComplexRational
+    __slots__ = __match_args__ = ("value",)
 
-    __slots__ = ("value",)
+    def __init__(self, value: ComplexRational) -> None:
+        _setattr(self, "value", value)
 
 
-@dataclass(frozen=True)
 class Sym(Expr):
-    name: str
+    __slots__ = __match_args__ = ("name",)
 
-    __slots__ = ("name",)
+    def __init__(self, name: str) -> None:
+        _setattr(self, "name", name)
 
 
-@dataclass(frozen=True)
 class Add(Expr):
-    terms: tuple[Expr, ...]
+    __slots__ = __match_args__ = ("terms",)
 
-    __slots__ = ("terms",)
+    def __init__(self, terms: tuple[Expr, ...]) -> None:
+        _setattr(self, "terms", terms)
 
 
-@dataclass(frozen=True)
 class Mul(Expr):
-    factors: tuple[Expr, ...]
+    __slots__ = __match_args__ = ("factors",)
 
-    __slots__ = ("factors",)
+    def __init__(self, factors: tuple[Expr, ...]) -> None:
+        _setattr(self, "factors", factors)
 
 
-@dataclass(frozen=True)
 class Pow(Expr):
-    base: Expr
-    exponent: int
+    __slots__ = __match_args__ = ("base", "exponent")
 
-    __slots__ = ("base", "exponent")
+    def __init__(self, base: Expr, exponent: int) -> None:
+        _setattr(self, "base", base)
+        _setattr(self, "exponent", exponent)
 
 
-@dataclass(frozen=True)
 class Fn(Expr):
-    fname: str
-    arg: Expr
+    __slots__ = __match_args__ = ("fname", "arg")
 
-    __slots__ = ("fname", "arg")
+    def __init__(self, fname: str, arg: Expr) -> None:
+        _setattr(self, "fname", fname)
+        _setattr(self, "arg", arg)
 
 
 FUNCTIONS = ("sinh", "cosh", "exp", "tanh")
@@ -331,20 +376,30 @@ def _coerce(e: ExprLike) -> Expr:
 # --- ordering ---------------------------------------------------------------
 
 def _skey(e: Expr) -> tuple:
-    """Deterministic structural sort key."""
+    """Deterministic structural sort key, computed once per node and stored in it.
+
+    Two nodes are equal exactly when their keys are equal.
+    """
+    try:
+        return e._key
+    except AttributeError:
+        pass
     if isinstance(e, Const):
-        return (0, *e.value.part_texts())
-    if isinstance(e, Sym):
-        return (1, e.name)
-    if isinstance(e, Fn):
-        return (2, e.fname, _skey(e.arg))
-    if isinstance(e, Pow):
-        return (3, _skey(e.base), e.exponent)
-    if isinstance(e, Mul):
-        return (4, tuple(_skey(f) for f in e.factors))
-    if isinstance(e, Add):
-        return (5, tuple(_skey(t) for t in e.terms))
-    raise TypeError(type(e))
+        k = (0, *e.value.part_texts())
+    elif isinstance(e, Sym):
+        k = (1, e.name)
+    elif isinstance(e, Fn):
+        k = (2, e.fname, _skey(e.arg))
+    elif isinstance(e, Pow):
+        k = (3, _skey(e.base), e.exponent)
+    elif isinstance(e, Mul):
+        k = (4, tuple(map(_skey, e.factors)))
+    elif isinstance(e, Add):
+        k = (5, tuple(map(_skey, e.terms)))
+    else:
+        raise TypeError(type(e))
+    _setattr(e, "_key", k)
+    return k
 
 
 # --- normal form ------------------------------------------------------------

@@ -32,6 +32,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, replace
+from numbers import Real
 
 from .gammafn import GammaPoleError, complex_gamma
 from .quadrature import QuadratureResult, mode_integral
@@ -39,6 +40,7 @@ from .quadrature import QuadratureResult, mode_integral
 __all__ = [
     "ModeParams",
     "ThetaCorrection",
+    "theta01_from_engine",
     "hawking_temperature",
     "planck_power",
     "f_closed",
@@ -88,6 +90,18 @@ class ThetaCorrection:
     """
 
     theta01: float
+
+
+def theta01_from_engine(theta01: Real) -> Real:
+    """The spectrum's lowered ``theta01`` for an engine twist with parameter ``theta01``.
+
+    The engine's twist operators are normalized by -i/2, so that flat
+    coordinate commutators equal i*theta (``twists.WEDGE_NORMALIZATION``).
+    The correction exponent of this module is four times the engine's, and
+    ``theta01`` here lowers both indices, which flips the sign.  Exact for
+    ``Fraction`` input.
+    """
+    return -theta01 / 4
 
 
 def hawking_temperature(a: float) -> float:

@@ -64,6 +64,7 @@ from .spectrum import (
     planck_power,
     power_spectrum,
     relative_deviation_closed,
+    theta01_from_engine,
 )
 from .starprod import build_table, commutator, star, verify_flat_relations
 from .twists import (
@@ -614,20 +615,20 @@ def _check_deformed_fd(rng: random.Random, tol: float) -> CheckResult:
 def _check_integrand_consistency(rng: random.Random, tol: float) -> CheckResult:
     """Tie the spectrum-module correction coefficients to the twist engine.
 
-    The engine twist is normalized so flat coordinate commutators equal
-    i*theta; the amplitude-correction coefficients are expressed in the
-    convention whose exponent is four times larger, so the engine action on
-    the two mode factors must equal the coefficient forms divided by four.
+    The engine action of a canonical twist with parameter r on the two mode
+    factors must equal the amplitude-correction coefficient forms at the
+    spectrum parameter ``theta01_from_engine(r)``.
     """
     r = Fraction(3, 7)
     tw = canonical_twist_linear({(0, 1): r}, RINDLER)
+    theta_upper = -theta01_from_engine(r)  # the spectrum's raised component theta^{01}
     z0, z1, a, w_hat, w = sym("z0"), sym("z1"), sym("a"), sym("omega_hat"), sym("omega")
     phi = exp(I * w_hat * z1 * exp(-a * z0))
     psi = exp(I * w * z0)
     lhs1 = tw.operator.apply(phi, psi)
-    want1 = mul(Fraction(1, 4), 2 * I * r * w * w_hat / (a * z1), exp(-a * z0), phi, psi)
+    want1 = mul(2 * I * theta_upper * w * w_hat / (a * z1), exp(-a * z0), phi, psi)
     lhs2 = tw.operator.apply(I * w_hat * z1, exp(-a * z0))
-    want2 = mul(Fraction(1, 4), -2 * r * w_hat / z1, exp(-a * z0))
+    want2 = mul(-2 * theta_upper * w_hat / z1, exp(-a * z0))
     ok = equality_probe(lhs1, want1, trials=24, tol=tol, seed=rng.randrange(2**30))
     ok = ok and equality_probe(lhs2, want2, trials=24, tol=tol, seed=rng.randrange(2**30))
     return CheckResult(

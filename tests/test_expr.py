@@ -1,5 +1,6 @@
 import cmath
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -7,11 +8,15 @@ from hypothesis import given, strategies as st
 
 from starwedge.expr import (
     ComplexRational,
+    Expr,
     I,
     ONE,
     ZERO,
     NonMonomialDivisionError,
     UnboundSymbolError,
+    _skey,
+    add,
+    const,
     cosh,
     differentiate,
     equality_probe,
@@ -320,6 +325,71 @@ def test_ring_identities_hold_structurally(r1, r2):
     assert (f + g) ** 2 - f ** 2 - 2 * f * g - g ** 2 == ZERO
     assert (f * g) ** 2 == f ** 2 * g ** 2
     assert f * (g + 1) == f * g + f
+
+
+# --- node contract: immutable, hashed and keyed once, picklable --------------------
+
+def _rebuild(v):
+    """The same tree from raw constructors: fresh nodes with nothing stored yet."""
+    if isinstance(v, tuple):
+        return tuple(map(_rebuild, v))
+    if isinstance(v, Expr):
+        return type(v)(*(_rebuild(getattr(v, f)) for f in v.__match_args__))
+    return v
+
+
+def _assert_frozen(e):
+    for node in _walk_nodes(e):
+        for f in (*node.__match_args__, "_key", "_hash"):
+            with pytest.raises(AttributeError):
+                setattr(node, f, ONE)
+            with pytest.raises(AttributeError):
+                delattr(node, f)
+
+
+def test_every_node_class_rejects_assignment():
+    x = sym("x")
+    nodes = (ONE, x, x + 1, 2 * x, x**2, sinh(x))
+    assert [type(n).__name__ for n in nodes] == ["Const", "Sym", "Add", "Mul", "Pow", "Fn"]
+    for node in nodes:
+        _assert_frozen(node)
+
+
+@given(recipes, recipes)
+def test_equal_nodes_have_equal_hashes(r1, r2):
+    x, y = _to_expr(r1), _to_expr(r2)
+    for lhs, rhs in ((add(x, y), add(y, x)), (simplify(x), x), (substitute(x, {}), x)):
+        assert lhs == rhs and hash(lhs) == hash(rhs)
+    assert (x == y) == (_skey(x) == _skey(y))
+    if x == y:
+        assert hash(x) == hash(y)
+
+
+@given(recipes)
+def test_stored_key_matches_key_of_rebuilt_tree(recipe):
+    e = _to_expr(recipe)
+    stored = _skey(e)
+    assert e._key is stored
+    fresh = _rebuild(e)
+    assert fresh is not e and _skey(fresh) == stored
+    assert fresh == e and hash(fresh) == hash(e)
+
+
+def _assert_round_trips(e):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(e, protocol))
+        assert back == e and hash(back) == hash(e)
+        assert to_text(back) == to_text(e)
+        _assert_frozen(back)
+
+
+def test_pickle_round_trip_with_complex_constant():
+    _assert_round_trips(sinh(const(Fraction(1, 2), 3) * sym("x")))
+
+
+@given(recipes)
+def test_pickle_round_trip(recipe):
+    _assert_round_trips(_to_expr(recipe))
 
 
 def test_simplify_check_still_catches_a_wrong_canonical_value(monkeypatch):
