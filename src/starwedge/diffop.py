@@ -21,9 +21,13 @@ from .expr import (
     Expr,
     ExprLike,
     I,
+    TermMap,
     ZERO,
-    add,
-    differentiate,
+    _add_term,
+    _as_terms,
+    _diff_terms,
+    _from_terms,
+    _mul_terms,
     mul,
     substitute,
     sym,
@@ -95,14 +99,6 @@ def _check_function_chart(chart: Chart, f: Expr) -> None:
         )
 
 
-def _partial(f: Expr, chart: Chart, multi: MultiIndex) -> Expr:
-    out = f
-    for idx, order in enumerate(multi):
-        for _ in range(order):
-            out = differentiate(out, chart.coords[idx])
-    return out
-
-
 @dataclass(frozen=True)
 class DiffOp:
     """Normalized sum of (coefficient, multi-index) terms on one chart."""
@@ -144,8 +140,19 @@ class DiffOp:
     def apply(self, f: Expr) -> Expr:
         """Act on a function slot: sum of coeff * (mixed partial of f)."""
         _check_function_chart(self.chart, f)
-        pieces = [mul(c, _partial(f, self.chart, m)) for c, m in self.terms]
-        return add(*pieces) if pieces else ZERO
+        return _from_terms(self._act(_as_terms(f)))
+
+    def _act(self, f: TermMap) -> TermMap:
+        """The action of :meth:`apply` on the term map of a function."""
+        out: TermMap = {}
+        for coeff, multi in self.terms:
+            d = f
+            for idx, order in enumerate(multi):
+                for _ in range(order):
+                    d = _diff_terms(d, self.chart.coords[idx])
+            for mono, c in _mul_terms(_as_terms(coeff), d).items():
+                _add_term(out, mono, c)
+        return out
 
     def scale(self, factor: ExprLike) -> "DiffOp":
         return DiffOp.from_terms(self.chart, [(mul(factor, c), m) for c, m in self.terms])
@@ -259,21 +266,25 @@ class BidiffOp:
     def apply(self, f: Expr, g: Expr) -> Expr:
         """Act on the pair of slots and multiply the legs pointwise.
 
-        Each distinct left leg acts on f once and each distinct right leg on g
-        once; terms that share a leg reuse its result.
+        f and g become term maps once.  Each distinct left leg acts on f once
+        and each distinct right leg on g once; terms that share a leg reuse
+        its result.  Every scalar * left(f) * right(g) accumulates into one
+        term map, and the expression is built once, at the end.
         """
         _check_function_chart(self.chart, f)
         _check_function_chart(self.chart, g)
-        on_f: dict[DiffOp, Expr] = {}
-        on_g: dict[DiffOp, Expr] = {}
-        pieces = []
+        f_terms, g_terms = _as_terms(f), _as_terms(g)
+        on_f: dict[DiffOp, TermMap] = {}
+        on_g: dict[DiffOp, TermMap] = {}
+        out: TermMap = {}
         for scalar, left, right in self.terms:
             if left not in on_f:
-                on_f[left] = left.apply(f)
+                on_f[left] = left._act(f_terms)
             if right not in on_g:
-                on_g[right] = right.apply(g)
-            pieces.append(mul(scalar, on_f[left], on_g[right]))
-        return add(*pieces) if pieces else ZERO
+                on_g[right] = right._act(g_terms)
+            for mono, c in _mul_terms(on_f[left], on_g[right]).items():
+                _add_term(out, mono, scalar * c)
+        return _from_terms(out)
 
     def scale(self, scalar: ComplexRational) -> "BidiffOp":
         return BidiffOp.from_terms(

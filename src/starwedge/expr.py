@@ -21,6 +21,13 @@ Nodes are immutable.  Each stores its structural sort key, the one source of
 canonical order, and the hash of that key, both computed on first use, so
 hashing and comparing nodes costs no walk over subtrees already keyed.
 Nodes pickle by their fields.
+
+The working form is the term map, which maps each monomial to its
+coefficient; ``_add_term``, ``_mul_terms`` and ``_reduce_cosh`` are the one
+definition of the normal form on it.  Each public operation takes its
+operands apart into term maps once, works on the maps, and builds its result
+node once, at the end; ``differentiate`` and the operators of ``diffop``
+chain whole computations on term maps the same way.
 """
 
 from __future__ import annotations
@@ -622,24 +629,47 @@ def simplify(e: Expr) -> Expr:
     raise TypeError(type(e))
 
 
-def _atom_derivative(atom: Expr, name: str) -> Expr:
+def _atom_derivative(atom: Expr, name: str) -> TermMap:
     if isinstance(atom, Sym):
-        return ONE if atom.name == name else ZERO
+        return {(): CR_ONE} if atom.name == name else {}
     if isinstance(atom, Fn):
-        inner = differentiate(atom.arg, name)
-        if inner is ZERO or inner == ZERO:
-            return ZERO
+        inner = _diff_terms(_as_terms(atom.arg), name)
+        if not inner:
+            return {}
         u = atom.arg
         if atom.fname == "sinh":
-            outer = cosh(u)
+            outer = {((Fn("cosh", u), 1),): CR_ONE}
         elif atom.fname == "cosh":
-            outer = sinh(u)
+            outer = {((Fn("sinh", u), 1),): CR_ONE}
         elif atom.fname == "exp":
-            outer = exp(u)
+            outer = {((atom, 1),): CR_ONE}
         else:  # tanh
-            outer = ONE - tanh(u) ** 2
-        return mul(outer, inner)
+            outer = {(): CR_ONE, ((atom, 2),): -CR_ONE}
+        return _mul_terms(outer, inner)
     raise TypeError(type(atom))
+
+
+def _diff_terms(terms: TermMap, name: str) -> TermMap:
+    """Term map of the partial derivative of ``terms`` by the symbol ``name``.
+
+    Each derivative term coeff * k * atom^(k-1) * rest * d is folded into one
+    atom dict and inserted with one cosh reduction.
+    """
+    out: TermMap = {}
+    for mono, coeff in terms.items():
+        for idx, (atom, k) in enumerate(mono):
+            d = _atom_derivative(atom, name)
+            if not d:
+                continue
+            c = coeff * ComplexRational(k)
+            for d_mono, d_coeff in d.items():
+                atoms = {a: x for j, (a, x) in enumerate(mono) if j != idx}
+                if k != 1:
+                    atoms[atom] = k - 1
+                for a, x in d_mono:
+                    atoms[a] = atoms.get(a, 0) + x
+                _reduce_cosh(atoms, c * d_coeff, out)
+    return out
 
 
 def differentiate(e: Expr, v: Union[str, Expr]) -> Expr:
@@ -652,21 +682,7 @@ def differentiate(e: Expr, v: Union[str, Expr]) -> Expr:
         raise TypeError("differentiation variable must be a symbol or its name")
     if not name or name == "i":
         raise ValueError(f"invalid differentiation symbol {name!r}")
-    parts: list[Expr] = []
-    for mono, coeff in _as_terms(e).items():
-        for idx, (atom, k) in enumerate(mono):
-            d = _atom_derivative(atom, name)
-            if d == ZERO:
-                continue
-            rest = [
-                (a if x == 1 else Pow(a, x))
-                for j, (a, x) in enumerate(mono)
-                if j != idx
-            ]
-            parts.append(
-                mul(Const(coeff * ComplexRational(k)), _pow_expr(atom, k - 1), d, *rest)
-            )
-    return add(*parts) if parts else ZERO
+    return _from_terms(_diff_terms(_as_terms(e), name))
 
 
 def substitute(e: Expr, mapping: Mapping[str, ExprLike]) -> Expr:

@@ -64,7 +64,9 @@ def commutator(f: Expr, g: Expr, twist: LinearTwist) -> Expr:
     undeformed products fg and gf cancel exactly and are never formed.
     ``from_terms`` merges a term (s, a, b) of O with a swapped (-s, b, a) of
     O^t into 2s; nothing assumes O is antisymmetric, the terms just stay
-    apart where it is not.
+    apart where it is not.  ``BidiffOp.apply`` then acts with each distinct
+    leg once and accumulates the whole commutator in one term map, so the
+    result is the only expression built.
     """
     _check_chart(twist)
     op = twist.operator

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given
 
 from starwedge.diffop import (
     MINKOWSKI,
@@ -28,6 +29,9 @@ from starwedge.expr import (
     sym,
 )
 from starwedge.rindler import standard_map
+
+from test_expr import _to_expr, recipes
+from test_starprod import _readme_twists
 
 a, z0, z1, z2, z3 = (sym(n) for n in ("a", "z0", "z1", "z2", "z3"))
 xs = [sym(f"x{k}") for k in range(4)]
@@ -242,3 +246,23 @@ def test_pretty_printer_shows_leg_structure():
     mixed = DiffOp.from_terms(MINKOWSKI, [(ONE, (1, 1, 0, 0)), (xs[2], (0, 0, 2, 0))])
     text = mixed.pretty()
     assert "d^2/(dx0 dx1)" in text and "d^2/dx2^2" in text
+
+
+# --- the pair action against its composition from single legs ----------------------
+
+def _on_chart(chart, recipe):
+    # the recipes are written in z0, z1, z2; the flat chart takes them as x0, x1, x2
+    e = _to_expr(recipe)
+    if chart == MINKOWSKI:
+        e = substitute(e, {f"z{k}": xs[k] for k in range(3)})
+    return e
+
+
+@pytest.mark.parametrize("kind", ["canonical", "lie", "quadratic"])
+@pytest.mark.parametrize("chart", [MINKOWSKI, RINDLER])
+@given(r1=recipes, r2=recipes)
+def test_pair_action_is_the_sum_of_leg_products(chart, kind, r1, r2):
+    op = _readme_twists(chart)[kind].operator
+    f, g = _on_chart(chart, r1), _on_chart(chart, r2)
+    composed = add(*(mul(s, left.apply(f), right.apply(g)) for s, left, right in op.terms))
+    assert op.apply(f, g) == composed

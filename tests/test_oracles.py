@@ -10,13 +10,13 @@ import math
 import mpmath
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from starwedge.expr import Add, Const, Fn, Mul, Pow, Sym, eval_numeric, differentiate, exp, sinh, substitute, sym
 from starwedge.gammafn import complex_gamma
 from starwedge.spectrum import ModeParams, f_closed
 
-from test_expr import recipes, _to_expr, _NAMES
+from test_expr import recipes, _to_expr, _BINDINGS, _NAMES
 
 _SYMPY_SYMBOLS = {n: sympy.Symbol(n) for n in _NAMES}
 _SYMPY_FNS = {"sinh": sympy.sinh, "cosh": sympy.cosh, "exp": sympy.exp, "tanh": sympy.tanh}
@@ -47,6 +47,20 @@ def test_derivative_against_sympy(recipe):
     try:
         got = eval_numeric(ours, _POINT)
         want = complex(theirs.evalf(subs=_POINT))
+    except OverflowError:
+        return
+    if not (cmath.isfinite(got) and cmath.isfinite(want)):
+        return
+    assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
+
+
+@given(recipes, st.sampled_from(_NAMES), _BINDINGS)
+def test_derivative_against_sympy_at_random_bindings(recipe, name, bindings):
+    ours = differentiate(_to_expr(recipe), name)
+    theirs = sympy.diff(_to_sympy(recipe), _SYMPY_SYMBOLS[name])
+    try:
+        got = eval_numeric(ours, bindings)
+        want = complex(theirs.evalf(subs={_SYMPY_SYMBOLS[n]: v for n, v in bindings.items()}))
     except OverflowError:
         return
     if not (cmath.isfinite(got) and cmath.isfinite(want)):
