@@ -6,11 +6,20 @@ coordinates and the coefficient is an expression; coefficients always
 multiply from the left, after the derivatives have acted.  A ``BidiffOp`` is
 a finite sum of ``scalar * (left tensor right)`` legs acting on a pair of
 function slots.
+
+Operators are immutable values.  The momentum and Lorentz generators of each
+chart, like the chart transport ``rindler.partial_transport`` they are built
+from, are shared values built once: each is cached on its (chart, indices)
+arguments, a domain of at most 4 + 12 operators per chart.  ``DiffOp.pretty``
+computes its text, the sort key of tensor legs, once per operator.
+``pullback`` itself is not cached, so transporting a flat operator always
+recomputes the chain rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 from typing import Iterable
 
 from . import rindler
@@ -195,6 +204,10 @@ class DiffOp:
         return DiffOp.from_terms(RINDLER, out)
 
     def pretty(self) -> str:
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
         if not self.terms:
             return "0"
         from .expr import Add
@@ -321,6 +334,7 @@ def lowered_coordinate(chart: Chart, mu: int) -> Expr:
     return mul(chart.signature[mu], sym(chart.coords[mu]))
 
 
+@cache
 def momentum_generator(chart: Chart, mu: int) -> DiffOp:
     """Translation generator i d/dx_mu; transported if the chart is accelerated."""
     flat = DiffOp.partial(MINKOWSKI, mu, I)
@@ -331,6 +345,7 @@ def momentum_generator(chart: Chart, mu: int) -> DiffOp:
     raise ChartMismatchError(f"unknown chart {chart.name}")
 
 
+@cache
 def lorentz_generator(chart: Chart, alpha: int, beta: int) -> DiffOp:
     """Rotation/boost generator i (x_alpha d_beta - x_beta d_alpha).
 

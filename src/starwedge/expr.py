@@ -652,13 +652,17 @@ def _atom_derivative(atom: Expr, name: str) -> TermMap:
 def _diff_terms(terms: TermMap, name: str) -> TermMap:
     """Term map of the partial derivative of ``terms`` by the symbol ``name``.
 
-    Each derivative term coeff * k * atom^(k-1) * rest * d is folded into one
-    atom dict and inserted with one cosh reduction.
+    Each distinct atom is derived once.  Each derivative term
+    coeff * k * atom^(k-1) * rest * d is folded into one atom dict and
+    inserted with one cosh reduction.
     """
     out: TermMap = {}
+    derived: dict[Expr, TermMap] = {}
     for mono, coeff in terms.items():
         for idx, (atom, k) in enumerate(mono):
-            d = _atom_derivative(atom, name)
+            d = derived.get(atom)
+            if d is None:
+                d = derived[atom] = _atom_derivative(atom, name)
             if not d:
                 continue
             c = coeff * ComplexRational(k)

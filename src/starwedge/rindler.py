@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 from .expr import Expr, ONE, cosh, differentiate, mul, simplify, sinh, substitute, sym
 
@@ -42,6 +43,7 @@ def standard_map() -> dict[str, Expr]:
     return RindlerMap().as_substitution()
 
 
+@cache
 def partial_transport(mu: int) -> tuple[tuple[Expr, int], ...]:
     """Chain-rule image of d/dx_mu on the accelerated chart (standard profile).
 
@@ -52,6 +54,7 @@ def partial_transport(mu: int) -> tuple[tuple[Expr, int], ...]:
 
     while the transverse directions pass through unchanged.  Correctness
     against the coordinate map is enforced by the chain-rule property tests.
+    The four images are built once and shared.
     """
     u = _A * _Z[0]
     inv = ONE / (_A * _Z[1])

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -213,6 +214,52 @@ def test_chain_rule_property(generator):
     lhs = d.pullback().apply(substitute(f, coord_map))
     rhs = substitute(d.apply(f), coord_map)
     assert equality_probe(lhs, rhs, trials=20, tol=1e-9)
+
+
+# --- shared generators -------------------------------------------------------------
+
+LORENTZ_PAIRS = [(al, be) for al in range(4) for be in range(4) if al != be]
+
+
+@pytest.mark.parametrize("chart", [MINKOWSKI, RINDLER])
+def test_generators_are_built_once(chart):
+    for mu in range(4):
+        assert momentum_generator(chart, mu) is momentum_generator(chart, mu)
+    for al, be in LORENTZ_PAIRS:
+        assert lorentz_generator(chart, al, be) is lorentz_generator(chart, al, be)
+
+
+def test_shared_rindler_generators_equal_a_fresh_pullback():
+    for mu in range(4):
+        assert momentum_generator(RINDLER, mu) == DiffOp.partial(MINKOWSKI, mu, I).pullback()
+    for al, be in LORENTZ_PAIRS:
+        flat = DiffOp.partial(MINKOWSKI, be, mul(I, lowered_coordinate(MINKOWSKI, al))) + DiffOp.partial(
+            MINKOWSKI, al, mul(-1, I, lowered_coordinate(MINKOWSKI, be))
+        )
+        assert lorentz_generator(RINDLER, al, be) == flat.pullback()
+
+
+@pytest.mark.parametrize("chart", [MINKOWSKI, RINDLER])
+def test_invalid_generator_indices_raise_on_every_call(chart):
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            lorentz_generator(chart, 2, 2)
+        with pytest.raises(ValueError):
+            momentum_generator(chart, 4)
+
+
+def test_operator_text_survives_pickle_and_leaves_equality_alone():
+    # a fresh pullback, so the text is not computed yet on either operator
+    shown = lorentz_generator(MINKOWSKI, 0, 1).pullback()
+    unshown = lorentz_generator(MINKOWSKI, 0, 1).pullback()
+    text = shown.pretty()
+    assert shown == unshown and hash(shown) == hash(unshown)
+    for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+        for op in (shown, unshown):
+            back = pickle.loads(pickle.dumps(op, proto))
+            assert back.pretty() == text
+            assert back == shown and hash(back) == hash(shown)
+    assert unshown.pretty() == text
 
 
 # --- structure ---------------------------------------------------------------------

@@ -91,3 +91,11 @@ def test_transport_is_consistent_with_map():
                 )
                 want = 1.0 if name == f"x{mu}" else 0.0
                 assert abs(got - want) < 1e-12
+
+
+def test_transport_is_built_once():
+    for mu in range(4):
+        assert partial_transport(mu) is partial_transport(mu)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            partial_transport(4)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from starwedge import diffop, expr
 from starwedge.diffop import MINKOWSKI, RINDLER, DiffOp
 from starwedge.expr import (
     I,
@@ -129,6 +130,34 @@ def test_commutator_applies_each_distinct_leg_once(monkeypatch, kind, legs):
     f, g = _ladder_pair(RINDLER)
     commutator(f, g, _readme_twists(RINDLER)[kind])
     assert len(calls) == legs
+
+
+@pytest.mark.parametrize("kind", ["canonical", "lie", "quadratic"])
+def test_each_derivative_derives_each_atom_once(monkeypatch, kind):
+    # the atoms of f**4 recur in many monomials; one _diff_terms call derives
+    # each of them once, and its nested calls (inside sinh/cosh) keep their own
+    frames: list[list] = []
+    repeats: list[int] = []
+    diff_terms, atom_derivative = expr._diff_terms, expr._atom_derivative
+
+    def framed(terms, name):
+        frames.append([])
+        try:
+            return diff_terms(terms, name)
+        finally:
+            atoms = frames.pop()
+            repeats.append(len(atoms) - len(set(atoms)))
+
+    def counted(atom, name):
+        frames[-1].append(atom)
+        return atom_derivative(atom, name)
+
+    monkeypatch.setattr(expr, "_diff_terms", framed)
+    monkeypatch.setattr(diffop, "_diff_terms", framed)
+    monkeypatch.setattr(expr, "_atom_derivative", counted)
+    f, g = _ladder_pair(RINDLER)
+    commutator(f**4, g**4, _readme_twists(RINDLER)[kind])
+    assert repeats and repeats == [0] * len(repeats)
 
 
 # --- flat tables against closed forms --------------------------------------------------

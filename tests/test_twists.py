@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from starwedge.diffop import MINKOWSKI, RINDLER
+from starwedge import verification
+from starwedge.diffop import MINKOWSKI, RINDLER, DiffOp, lorentz_generator, momentum_generator
 from starwedge.expr import ComplexRational, ONE, ZERO, cosh, mul, sym
 from starwedge.twists import (
     CanonicalTwist,
@@ -98,6 +100,28 @@ def test_chart_consistency_lie_and_quadratic():
     flat_q = quadratic_twist_linear(Fraction(1, 6), 0, 1, 2, 3, MINKOWSKI)
     curved_q = quadratic_twist_linear(Fraction(1, 6), 0, 1, 2, 3, RINDLER)
     assert flat_q.operator.pullback() == curved_q.operator
+
+
+def _drop_one_chain_rule_term(pullback):
+    def broken(self):
+        moved = pullback(self)
+        return DiffOp(moved.chart, moved.terms[1:])
+
+    return broken
+
+
+def test_chart_consistency_check_catches_a_broken_pullback(monkeypatch):
+    # the accelerated-chart generators are shared values built by the true
+    # pullback; the flat twist must still be transported afresh, so a pullback
+    # broken afterwards shows as a difference, not as a value equal to itself
+    rng = random.Random(0)
+    assert verification._check_twist_chart_consistency(rng, None).passed
+    with monkeypatch.context() as m:
+        m.setattr(DiffOp, "pullback", _drop_one_chain_rule_term(DiffOp.pullback))
+        assert not verification._check_twist_chart_consistency(rng, None).passed
+        assert not verification._check_chain_rule(rng, 1e-9).passed
+    momentum_generator.cache_clear()
+    lorentz_generator.cache_clear()
 
 
 def test_parameter_scaling_is_exact():
