@@ -75,9 +75,6 @@ from .twists import (
     TwistSpecError,
     WEDGE_NORMALIZATION,
     build_linear_twist,
-    canonical_twist_linear,
-    lie_twist_linear,
-    quadratic_twist_linear,
 )
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .twists import TwistSpec, TwistSpecError, spec_from_config
+from .twists import CONFIG_KEYS, TwistSpec, TwistSpecError, spec_from_config
 from .verification import DEFAULT_TOLERANCES
 
 __all__ = ["ConfigError", "SpectrumConfig", "RunConfig", "load_config", "atomic_write_text"]
@@ -28,11 +28,6 @@ class ConfigError(ValueError):
 
 _RUN_KEYS = {"seed", "format", "out"}
 _TWIST_COMMON_KEYS = {"kind", "chart"}
-_TWIST_KIND_KEYS = {
-    "canonical": {f"theta{mu}{nu}" for mu in range(4) for nu in range(mu + 1, 4)},
-    "lie": {"inv_kappa", "zeta", "alpha", "beta"},
-    "quadratic": {"xi", "indices"},
-}
 _SPECTRUM_KEYS = {
     "a",
     "omega_hat",
@@ -155,9 +150,9 @@ def load_config(path: str | Path) -> RunConfig:
     if "twist" in sections:
         items = dict(cp.items("twist"))
         kind = items.get("kind")
-        if kind not in _TWIST_KIND_KEYS:
-            raise ConfigError(f"twist kind must be one of {sorted(_TWIST_KIND_KEYS)}")
-        _check_keys("twist", set(items), _TWIST_COMMON_KEYS | _TWIST_KIND_KEYS[kind])
+        if kind not in CONFIG_KEYS:
+            raise ConfigError(f"twist kind must be one of {sorted(CONFIG_KEYS)}")
+        _check_keys("twist", set(items), _TWIST_COMMON_KEYS | CONFIG_KEYS[kind])
         chart = items.pop("chart", "minkowski").strip()
         if chart not in _CHARTS:
             raise ConfigError(f"chart must be one of {_CHARTS}")

@@ -17,16 +17,11 @@ from .expr import (
     Mul,
     Pow,
     Sym,
+    _fn,
     const,
-    cosh,
-    exp,
     integer,
-    sinh,
     sym,
-    tanh,
 )
-
-_FN_BUILDERS = {"sinh": sinh, "cosh": cosh, "exp": exp, "tanh": tanh}
 
 __all__ = ["parse", "to_text", "coeff_text", "ParseError"]
 
@@ -149,7 +144,7 @@ class _Parser:
                 self.expect("(")
                 arg = self.parse_sum()
                 self.expect(")")
-                return _FN_BUILDERS[val](arg)
+                return _fn(val, arg)
             return sym(val)
         raise ParseError(f"unexpected token {val!r}")
 

@@ -285,8 +285,12 @@ class SpectrumRow:
     power: float
     power_deformed: float
     method: str
-    eps: float | None
     converged: bool = True
+
+    @property
+    def eps(self) -> float | None:
+        """0.0 on quadrature rows, which are evaluated undamped; None on closed-form rows."""
+        return 0.0 if self.method == "quadrature" else None
 
 
 @dataclass(frozen=True)
@@ -393,7 +397,6 @@ def compute_spectrum(
                     power=omega * abs(fval) ** 2,
                     power_deformed=dp.via_amplitude,
                     method="closed-form",
-                    eps=None,
                 )
             )
         if method in ("quadrature", "both"):
@@ -406,7 +409,6 @@ def compute_spectrum(
                     power=power,
                     power_deformed=power * (1.0 + relative_deviation_closed(m, d)),
                     method="quadrature",
-                    eps=0.0,
                     converged=res.converged,
                 )
             )

@@ -46,14 +46,8 @@ __all__ = [
 ETA = (-1, 1, 1, 1)
 
 
-def _check_chart(twist: LinearTwist) -> None:
-    if twist.operator.chart != twist.chart:
-        raise ChartMismatchError("twist operator chart disagrees with its record")
-
-
 def star(f: Expr, g: Expr, twist: LinearTwist) -> Expr:
     """Deformed product truncated at first order in the deformation parameter."""
-    _check_chart(twist)
     return mul(f, g) + twist.operator.apply(f, g)
 
 
@@ -68,7 +62,6 @@ def commutator(f: Expr, g: Expr, twist: LinearTwist) -> Expr:
     leg once and accumulates the whole commutator in one term map, so the
     result is the only expression built.
     """
-    _check_chart(twist)
     op = twist.operator
     swapped = [(-s, right, left) for s, left, right in op.terms]
     return BidiffOp.from_terms(op.chart, (*op.terms, *swapped)).apply(f, g)

@@ -1,30 +1,33 @@
 """Linearized twist operators for the three coordinate-algebra deformations.
 
-Each deformation is described by an exact-rational parameter set
-(:class:`CanonicalTwist`, :class:`LieTwist`, :class:`QuadraticTwist`) and
-realized, on either chart, as a first-order bidifferential operator O so that
-the deformed product of functions is f*g = fg + O(f, g) at leading order in
-the deformation parameter.
+Each deformation is described by an exact-rational parameter record
+(:class:`CanonicalTwist`, :class:`LieTwist`, :class:`QuadraticTwist`) that
+names its wedge legs: ``legs(chart)`` yields (parameter, left generator, right
+generator) for each wedge of Poincare generators.  :func:`build_linear_twist`
+realizes any record, on either chart, as the first-order bidifferential
+operator O = -i/2 * sum parameter * wedge(left, right), so that the deformed
+product of functions is f*g = fg + O(f, g) at leading order in the
+deformation parameter.
 
-All three constructors share one normalization constant, fixed so that the
-flat-chart coordinate commutators come out exactly as i * parameter (constant
-case), i * structure-coefficients * x (linear case) and the linearized
-quadratic constraint (quadratic case).  The same constant is reused unchanged
-on the accelerated chart.
+The normalization constant -i/2 is fixed so that the flat-chart coordinate
+commutators come out exactly as i * parameter (constant case),
+i * structure-coefficients * x (linear case) and the linearized quadratic
+constraint (quadratic case).  The same constant is reused unchanged on the
+accelerated chart.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterator, Union
 
 from .diffop import (
     BidiffOp,
     Chart,
+    DiffOp,
     lorentz_generator,
     momentum_generator,
-    wedge,
 )
 from .expr import ComplexRational
 
@@ -36,9 +39,7 @@ __all__ = [
     "TwistSpec",
     "LinearTwist",
     "WEDGE_NORMALIZATION",
-    "canonical_twist_linear",
-    "lie_twist_linear",
-    "quadratic_twist_linear",
+    "CONFIG_KEYS",
     "build_linear_twist",
     "spec_to_config",
     "spec_from_config",
@@ -57,9 +58,8 @@ WEDGE_NORMALIZATION = ComplexRational(Fraction(0), Fraction(-1, 2))
 
 FractionLike = Union[int, Fraction, str]
 
-
-def _frac(x: FractionLike) -> Fraction:
-    return Fraction(x)
+# (parameter, left leg, right leg) of one wedge
+Leg = tuple[Fraction, DiffOp, DiffOp]
 
 
 def _as_theta_matrix(
@@ -75,7 +75,7 @@ def _as_theta_matrix(
         for (mu, nu), val in entries.items():
             if not (0 <= mu < 4 and 0 <= nu < 4) or mu == nu:
                 raise TwistSpecError(f"bad component index ({mu},{nu})")
-            v = _frac(val)
+            v = Fraction(val)
             mat[mu][nu] = v
             mat[nu][mu] = -v
     else:
@@ -84,7 +84,7 @@ def _as_theta_matrix(
             raise TwistSpecError("matrix must be 4x4")
         for mu in range(4):
             for nu in range(4):
-                mat[mu][nu] = _frac(rows[mu][nu])
+                mat[mu][nu] = Fraction(rows[mu][nu])
     for mu in range(4):
         for nu in range(4):
             if mat[mu][nu] != -mat[nu][mu]:
@@ -103,6 +103,13 @@ class CanonicalTwist:
     def __post_init__(self) -> None:
         object.__setattr__(self, "theta", _as_theta_matrix(self.theta))
 
+    def legs(self, chart: Chart) -> Iterator[Leg]:
+        """theta^{mu nu} with the translations P_mu, P_nu, for each mu < nu."""
+        p = [momentum_generator(chart, mu) for mu in range(4)]
+        for mu in range(4):
+            for nu in range(mu + 1, 4):
+                yield self.theta[mu][nu], p[mu], p[nu]
+
 
 @dataclass(frozen=True)
 class LieTwist:
@@ -120,8 +127,8 @@ class LieTwist:
     kind = "lie"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "inv_kappa", _frac(self.inv_kappa))
-        zeta = tuple(_frac(v) for v in self.zeta)
+        object.__setattr__(self, "inv_kappa", Fraction(self.inv_kappa))
+        zeta = tuple(Fraction(v) for v in self.zeta)
         if len(zeta) != 4:
             raise TwistSpecError("zeta must have four components")
         object.__setattr__(self, "zeta", zeta)
@@ -132,6 +139,12 @@ class LieTwist:
                 raise TwistSpecError(
                     f"zeta must vanish on the generator pair, got zeta[{k}] != 0"
                 )
+
+    def legs(self, chart: Chart) -> Iterator[Leg]:
+        """inv_kappa * zeta_lambda with P_lambda and M_{alpha beta}, for each lambda."""
+        rot = lorentz_generator(chart, self.alpha, self.beta)
+        for lam in range(4):
+            yield self.inv_kappa * self.zeta[lam], momentum_generator(chart, lam), rot
 
 
 @dataclass(frozen=True)
@@ -144,14 +157,26 @@ class QuadraticTwist:
     kind = "quadratic"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "xi", _frac(self.xi))
+        object.__setattr__(self, "xi", Fraction(self.xi))
         idx = tuple(int(k) for k in self.indices)
         if len(idx) != 4 or len(set(idx)) != 4 or not all(0 <= k < 4 for k in idx):
             raise TwistSpecError("indices must be four pairwise-distinct chart indices")
         object.__setattr__(self, "indices", idx)
 
+    def legs(self, chart: Chart) -> Iterator[Leg]:
+        """xi with the rotation/boost generators M_{alpha beta} and M_{gamma delta}."""
+        a, b, g, d = self.indices
+        yield self.xi, lorentz_generator(chart, a, b), lorentz_generator(chart, g, d)
+
 
 TwistSpec = Union[CanonicalTwist, LieTwist, QuadraticTwist]
+
+# the [twist] config keys of each kind, besides "kind" itself
+CONFIG_KEYS: dict[str, frozenset[str]] = {
+    CanonicalTwist.kind: frozenset(f"theta{mu}{nu}" for mu in range(4) for nu in range(mu + 1, 4)),
+    LieTwist.kind: frozenset({"inv_kappa", "zeta", "alpha", "beta"}),
+    QuadraticTwist.kind: frozenset({"xi", "indices"}),
+}
 
 
 @dataclass(frozen=True)
@@ -159,81 +184,31 @@ class LinearTwist:
     """First-order twist operator O on a chart: deformed product = fg + O(f, g)."""
 
     spec: TwistSpec
-    chart: Chart
     operator: BidiffOp
 
-
-def _scalar(q: Fraction) -> ComplexRational:
-    return ComplexRational(q, Fraction(0))
-
-
-def canonical_twist_linear(theta, chart: Chart) -> LinearTwist:
-    """Constant-deformation twist; flat-chart commutators equal i*theta exactly."""
-    spec = theta if isinstance(theta, CanonicalTwist) else CanonicalTwist(theta)
-    legs = [momentum_generator(chart, mu) for mu in range(4)]
-    op = BidiffOp.zero(chart)
-    for mu in range(4):
-        for nu in range(mu + 1, 4):
-            if spec.theta[mu][nu] == 0:
-                continue
-            w = wedge(legs[mu], legs[nu])
-            op = op + w.scale(WEDGE_NORMALIZATION * _scalar(spec.theta[mu][nu]))
-    return LinearTwist(spec, chart, op)
-
-
-def lie_twist_linear(
-    inv_kappa: FractionLike,
-    zeta,
-    alpha: int,
-    beta: int,
-    chart: Chart,
-) -> LinearTwist:
-    """Linear-deformation twist from translation and rotation/boost legs."""
-    spec = LieTwist(_frac(inv_kappa), tuple(zeta), alpha, beta)
-    rot = lorentz_generator(chart, alpha, beta)
-    op = BidiffOp.zero(chart)
-    for lam in range(4):
-        comp = spec.zeta[lam]
-        if comp == 0:
-            continue
-        w = wedge(momentum_generator(chart, lam), rot)
-        op = op + w.scale(WEDGE_NORMALIZATION * _scalar(spec.inv_kappa * comp))
-    return LinearTwist(spec, chart, op)
-
-
-def quadratic_twist_linear(
-    xi: FractionLike,
-    alpha: int,
-    beta: int,
-    gamma: int,
-    delta: int,
-    chart: Chart,
-) -> LinearTwist:
-    """Quadratic-deformation twist from two rotation/boost legs."""
-    spec = QuadraticTwist(_frac(xi), (alpha, beta, gamma, delta))
-    op = BidiffOp.zero(chart)
-    if spec.xi != 0:
-        w = wedge(lorentz_generator(chart, alpha, beta), lorentz_generator(chart, gamma, delta))
-        op = w.scale(WEDGE_NORMALIZATION * _scalar(spec.xi))
-    return LinearTwist(spec, chart, op)
+    @property
+    def chart(self) -> Chart:
+        return self.operator.chart
 
 
 def build_linear_twist(spec: TwistSpec, chart: Chart) -> LinearTwist:
-    """Dispatch on the parameter record kind."""
-    if isinstance(spec, CanonicalTwist):
-        return canonical_twist_linear(spec, chart)
-    if isinstance(spec, LieTwist):
-        return lie_twist_linear(spec.inv_kappa, spec.zeta, spec.alpha, spec.beta, chart)
-    if isinstance(spec, QuadraticTwist):
-        a, b, g, d = spec.indices
-        return quadratic_twist_linear(spec.xi, a, b, g, d, chart)
-    raise TypeError(f"not a twist parameter record: {type(spec).__name__}")
+    """The twist operator of a parameter record on a chart.
+
+    O = N * sum_legs parameter * wedge(left, right) with N = WEDGE_NORMALIZATION,
+    assembled once from the terms (s, left, right) and (-s, right, left);
+    legs with a zero parameter drop out.
+    """
+    terms = []
+    for param, left, right in spec.legs(chart):
+        s = WEDGE_NORMALIZATION * ComplexRational(param)
+        terms += [(s, left, right), (-s, right, left)]
+    return LinearTwist(spec, BidiffOp.from_terms(chart, terms))
 
 
 def spec_to_config(spec: TwistSpec) -> dict[str, str]:
     """Flatten a parameter record into human-editable key/value pairs."""
     if isinstance(spec, CanonicalTwist):
-        out = {"kind": "canonical"}
+        out = {"kind": spec.kind}
         for mu in range(4):
             for nu in range(mu + 1, 4):
                 if spec.theta[mu][nu] != 0:
@@ -241,7 +216,7 @@ def spec_to_config(spec: TwistSpec) -> dict[str, str]:
         return out
     if isinstance(spec, LieTwist):
         return {
-            "kind": "lie",
+            "kind": spec.kind,
             "inv_kappa": str(spec.inv_kappa),
             "zeta": " ".join(str(v) for v in spec.zeta),
             "alpha": str(spec.alpha),
@@ -249,7 +224,7 @@ def spec_to_config(spec: TwistSpec) -> dict[str, str]:
         }
     if isinstance(spec, QuadraticTwist):
         return {
-            "kind": "quadratic",
+            "kind": spec.kind,
             "xi": str(spec.xi),
             "indices": " ".join(str(k) for k in spec.indices),
         }
@@ -257,34 +232,26 @@ def spec_to_config(spec: TwistSpec) -> dict[str, str]:
 
 
 def spec_from_config(items: dict[str, str]) -> TwistSpec:
-    """Inverse of :func:`spec_to_config`; raises TwistSpecError on unknown keys."""
+    """Inverse of :func:`spec_to_config`; raises TwistSpecError on unknown keys.
+
+    The canonical kind takes any subset of its keys (absent components are
+    zero); the other kinds need every key of theirs.
+    """
     data = dict(items)
     kind = data.pop("kind", None)
-    if kind == "canonical":
-        comps: dict[tuple[int, int], FractionLike] = {}
-        for key, val in data.items():
-            if len(key) != 7 or not key.startswith("theta") or not key[5:].isdigit():
-                raise TwistSpecError(f"unknown canonical key {key!r}")
-            comps[(int(key[5]), int(key[6]))] = Fraction(val)
-        return CanonicalTwist(comps)  # type: ignore[arg-type]
-    if kind == "lie":
-        try:
-            inv_kappa = Fraction(data.pop("inv_kappa"))
-            zeta = tuple(Fraction(v) for v in data.pop("zeta").split())
-            alpha = int(data.pop("alpha"))
-            beta = int(data.pop("beta"))
-        except KeyError as missing:
-            raise TwistSpecError(f"missing lie key {missing}") from None
-        if data:
-            raise TwistSpecError(f"unknown lie keys: {sorted(data)}")
-        return LieTwist(inv_kappa, zeta, alpha, beta)  # type: ignore[arg-type]
-    if kind == "quadratic":
-        try:
-            xi = Fraction(data.pop("xi"))
-            idx = tuple(int(k) for k in data.pop("indices").split())
-        except KeyError as missing:
-            raise TwistSpecError(f"missing quadratic key {missing}") from None
-        if data:
-            raise TwistSpecError(f"unknown quadratic keys: {sorted(data)}")
-        return QuadraticTwist(xi, idx)  # type: ignore[arg-type]
-    raise TwistSpecError(f"unknown twist kind {kind!r}")
+    if kind not in CONFIG_KEYS:
+        raise TwistSpecError(f"unknown twist kind {kind!r}")
+    unknown = set(data) - CONFIG_KEYS[kind]
+    if unknown:
+        raise TwistSpecError(f"unknown {kind} keys: {sorted(unknown)}")
+    if kind == CanonicalTwist.kind:
+        return CanonicalTwist({(int(k[5]), int(k[6])): Fraction(v) for k, v in data.items()})
+    missing = CONFIG_KEYS[kind] - set(data)
+    if missing:
+        raise TwistSpecError(f"missing {kind} keys: {sorted(missing)}")
+    if kind == LieTwist.kind:
+        zeta = tuple(Fraction(v) for v in data["zeta"].split())
+        alpha, beta = int(data["alpha"]), int(data["beta"])
+        return LieTwist(Fraction(data["inv_kappa"]), zeta, alpha, beta)  # type: ignore[arg-type]
+    indices = tuple(int(k) for k in data["indices"].split())
+    return QuadraticTwist(Fraction(data["xi"]), indices)  # type: ignore[arg-type]

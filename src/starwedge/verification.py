@@ -29,7 +29,9 @@ from .diffop import (
 )
 from .expr import (
     _FN_NUMERIC,
+    _fn,
     CR_ONE,
+    FUNCTIONS,
     Add,
     Expr,
     I,
@@ -46,7 +48,6 @@ from .expr import (
     sinh,
     substitute,
     sym,
-    tanh,
 )
 from .gammafn import complex_gamma, gamma_modulus_sq_imag_axis
 from .grammar import parse, to_text
@@ -67,12 +68,7 @@ from .spectrum import (
     theta01_from_engine,
 )
 from .starprod import build_table, commutator, star, verify_flat_relations
-from .twists import (
-    CanonicalTwist,
-    canonical_twist_linear,
-    lie_twist_linear,
-    quadratic_twist_linear,
-)
+from .twists import CanonicalTwist, LieTwist, QuadraticTwist, build_linear_twist
 
 __all__ = ["CheckResult", "DEFAULT_TOLERANCES", "run_all_checks", "report_dict"]
 
@@ -119,7 +115,7 @@ def _random_recipe(rng: random.Random, depth: int):
         return ("pow", _random_recipe(rng, depth - 1), rng.randint(0, 3))
     if kind == "invsym":
         return ("pow", ("sym", rng.choice(_RECIPE_SYMBOLS)), rng.randint(-2, -1))
-    return ("fn", rng.choice(("sinh", "cosh", "exp", "tanh")), _random_recipe(rng, depth - 2))
+    return ("fn", rng.choice(FUNCTIONS), _random_recipe(rng, depth - 2))
 
 
 def _recipe_to_expr(r) -> Expr:
@@ -135,7 +131,7 @@ def _recipe_to_expr(r) -> Expr:
     if tag == "pow":
         return _recipe_to_expr(r[1]) ** r[2]
     if tag == "fn":
-        return {"sinh": sinh, "cosh": cosh, "exp": exp, "tanh": tanh}[r[1]](_recipe_to_expr(r[2]))
+        return _fn(r[1], _recipe_to_expr(r[2]))
     raise ValueError(tag)
 
 
@@ -297,18 +293,23 @@ def _check_wedge_antisymmetry(rng: random.Random, tol: float | None) -> CheckRes
     )
 
 
-def _sample_twists(rng: random.Random, chart):
-    theta = {(0, 1): Fraction(3, 7), (0, 2): Fraction(-2, 5), (2, 3): Fraction(1, 3)}
-    yield canonical_twist_linear(theta, chart)
-    yield lie_twist_linear(Fraction(1, 4), (0, 0, Fraction(2, 3), 0), 0, 1, chart)
-    yield quadratic_twist_linear(Fraction(1, 6), 0, 1, 2, 3, chart)
+_SAMPLE_SPECS = (
+    CanonicalTwist({(0, 1): Fraction(3, 7), (0, 2): Fraction(-2, 5), (2, 3): Fraction(1, 3)}),
+    LieTwist(Fraction(1, 4), (0, 0, Fraction(2, 3), 0), 0, 1),
+    QuadraticTwist(Fraction(1, 6), (0, 1, 2, 3)),
+)
+
+
+def _sample_twists(chart):
+    for spec in _SAMPLE_SPECS:
+        yield build_linear_twist(spec, chart)
 
 
 def _check_twist_annihilates_constants(rng: random.Random, tol: float | None) -> CheckResult:
     ok = True
     for chart in (MINKOWSKI, RINDLER):
         g = sym(chart.coords[1]) * sinh(sym(chart.coords[0]))
-        for tw in _sample_twists(rng, chart):
+        for tw in _sample_twists(chart):
             ok = ok and tw.operator.apply(ONE, g) == ZERO and tw.operator.apply(g, ONE) == ZERO
     return CheckResult(
         "twist_annihilates_constants", ok, None, None,
@@ -317,9 +318,24 @@ def _check_twist_annihilates_constants(rng: random.Random, tol: float | None) ->
 
 
 def _check_twist_chart_consistency(rng: random.Random, tol: float | None) -> CheckResult:
+    """The accelerated-chart twist against the flat twist, by two routes.
+
+    The flat twist transported afresh by ``pullback`` must equal the twist
+    built from the accelerated-chart generators.  Those generators are
+    themselves transported, so the twist's action on substituted flat
+    functions must also equal the substituted flat action: that comparison
+    uses no ``pullback`` and fails when the transport is wrong from the start.
+    """
+    coord_map = rindler.standard_map()
+    x0, x1, x2, x3 = (sym(n) for n in rindler.MINKOWSKI_COORDS)
+    f, g = x0 * x2 + x1**2, x1 * x3 + x0
+    f_moved, g_moved = substitute(f, coord_map), substitute(g, coord_map)
     ok = True
-    for flat, curved in zip(_sample_twists(rng, MINKOWSKI), _sample_twists(rng, RINDLER)):
+    for flat, curved in zip(_sample_twists(MINKOWSKI), _sample_twists(RINDLER)):
         ok = ok and flat.operator.pullback() == curved.operator
+        ok = ok and curved.operator.apply(f_moved, g_moved) == substitute(
+            flat.operator.apply(f, g), coord_map
+        )
     return CheckResult(
         "twist_chart_consistency", ok, None, None,
         "building on the accelerated chart equals transporting the flat twist",
@@ -330,15 +346,17 @@ def _check_twist_parameter_linearity(rng: random.Random, tol: float | None) -> C
     s = Fraction(5, 3)
     f = sym("z0") * sym("z1")
     g = sym("z2") ** 2
-    base = canonical_twist_linear({(0, 1): Fraction(3, 7), (1, 2): Fraction(1, 2)}, RINDLER)
-    scaled = canonical_twist_linear({(0, 1): Fraction(3, 7) * s, (1, 2): Fraction(1, 2) * s}, RINDLER)
-    lie_base = lie_twist_linear(Fraction(1, 4), (0, 0, 1, 0), 0, 1, RINDLER)
-    lie_scaled = lie_twist_linear(Fraction(1, 4) * s, (0, 0, 1, 0), 0, 1, RINDLER)
-    quad_base = quadratic_twist_linear(Fraction(1, 6), 0, 1, 2, 3, RINDLER)
-    quad_scaled = quadratic_twist_linear(Fraction(1, 6) * s, 0, 1, 2, 3, RINDLER)
+    lie = LieTwist(Fraction(1, 4), (0, 0, 1, 0), 0, 1)
+    quad = QuadraticTwist(Fraction(1, 6), (0, 1, 2, 3))
     ok = True
-    for b, sc in ((base, scaled), (lie_base, lie_scaled), (quad_base, quad_scaled)):
-        ok = ok and sc.operator.apply(f, g) == mul(s, b.operator.apply(f, g))
+    for base, scaled in (
+        (CanonicalTwist({(0, 1): Fraction(3, 7), (1, 2): Fraction(1, 2)}),
+         CanonicalTwist({(0, 1): Fraction(3, 7) * s, (1, 2): Fraction(1, 2) * s})),
+        (lie, replace(lie, inv_kappa=lie.inv_kappa * s)),
+        (quad, replace(quad, xi=quad.xi * s)),
+    ):
+        want = mul(s, build_linear_twist(base, RINDLER).operator.apply(f, g))
+        ok = ok and build_linear_twist(scaled, RINDLER).operator.apply(f, g) == want
     return CheckResult(
         "twist_parameter_linearity", ok, None, None,
         "scaling the deformation parameter scales the twist action exactly",
@@ -349,7 +367,7 @@ def _check_twist_parameter_linearity(rng: random.Random, tol: float | None) -> C
 
 def _check_star_unit(rng: random.Random, tol: float | None) -> CheckResult:
     ok = True
-    for tw in _sample_twists(rng, RINDLER):
+    for tw in _sample_twists(RINDLER):
         g = sym("z1") * cosh(sym("a") * sym("z0"))
         ok = ok and star(ONE, g, tw) == g and star(g, ONE, tw) == g
     return CheckResult("star_unit", ok, None, None, "1 is the unit of the deformed product")
@@ -357,7 +375,7 @@ def _check_star_unit(rng: random.Random, tol: float | None) -> CheckResult:
 
 def _check_commutator_antisymmetry(rng: random.Random, tol: float | None) -> CheckResult:
     ok = True
-    for tw in _sample_twists(rng, RINDLER):
+    for tw in _sample_twists(RINDLER):
         f = sym("z0") * sym("z2")
         g = sym("z1") ** 2
         ok = ok and commutator(f, g, tw) == -commutator(g, f, tw)
@@ -372,7 +390,7 @@ def _check_commutator_antisymmetry(rng: random.Random, tol: float | None) -> Che
 def _check_commutator_leibniz(rng: random.Random, tol: float | None) -> CheckResult:
     ok = True
     z = [sym(n) for n in rindler.RINDLER_COORDS]
-    for tw in _sample_twists(rng, RINDLER):
+    for tw in _sample_twists(RINDLER):
         f, g, h = z[0], z[1] * z[2], z[3]
         lhs = commutator(f * g, h, tw)
         rhs = f * commutator(g, h, tw) + commutator(f, h, tw) * g
@@ -386,12 +404,12 @@ def _check_commutator_leibniz(rng: random.Random, tol: float | None) -> CheckRes
 def _check_classical_limits(rng: random.Random, tol: float | None) -> CheckResult:
     ok = True
     for chart in (MINKOWSKI, RINDLER):
-        for tw in (
-            canonical_twist_linear({}, chart),
-            lie_twist_linear(0, (0, 0, 1, 0), 0, 1, chart),
-            quadratic_twist_linear(0, 0, 1, 2, 3, chart),
+        for spec in (
+            CanonicalTwist({}),
+            LieTwist(0, (0, 0, 1, 0), 0, 1),
+            QuadraticTwist(0, (0, 1, 2, 3)),
         ):
-            table = build_table(tw)
+            table = build_table(build_linear_twist(spec, chart))
             ok = ok and all(e == ZERO for e in table.entries.values())
     return CheckResult(
         "classical_limits", ok, None, None,
@@ -401,17 +419,16 @@ def _check_classical_limits(rng: random.Random, tol: float | None) -> CheckResul
 
 def _check_flat_relations(rng: random.Random, tol: float | None) -> list[CheckResult]:
     out = []
-    for name, tw in (
-        ("flat_relations_canonical", canonical_twist_linear(
+    for name, spec in (
+        ("flat_relations_canonical", CanonicalTwist(
             {(0, 1): Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
              (0, 3): Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-             (1, 2): Fraction(rng.randint(-9, 9), rng.randint(1, 9))}, MINKOWSKI)),
-        ("flat_relations_lie", lie_twist_linear(
-            Fraction(1, 3), (0, Fraction(1, 2), 0, Fraction(-2, 7)), 0, 2, MINKOWSKI)),
-        ("flat_relations_quadratic", quadratic_twist_linear(
-            Fraction(2, 9), 0, 2, 1, 3, MINKOWSKI)),
+             (1, 2): Fraction(rng.randint(-9, 9), rng.randint(1, 9))})),
+        ("flat_relations_lie",
+         LieTwist(Fraction(1, 3), (0, Fraction(1, 2), 0, Fraction(-2, 7)), 0, 2)),
+        ("flat_relations_quadratic", QuadraticTwist(Fraction(2, 9), (0, 2, 1, 3))),
     ):
-        rep = verify_flat_relations(tw, seed=rng.randrange(2**30))
+        rep = verify_flat_relations(build_linear_twist(spec, MINKOWSKI), seed=rng.randrange(2**30))
         fails = ", ".join(f"({e.mu},{e.nu})" for e in rep.failures())
         out.append(CheckResult(
             name, rep.passed, None, None,
@@ -459,7 +476,7 @@ def hand_canonical_rindler_table(theta: CanonicalTwist) -> dict[tuple[int, int],
 def _check_rindler_canonical_structural(rng: random.Random, tol: float | None) -> CheckResult:
     spec = CanonicalTwist({(0, 1): Fraction(3, 7), (0, 2): Fraction(-2, 5),
                            (1, 3): Fraction(1, 2), (2, 3): Fraction(5, 6)})
-    engine = build_table(canonical_twist_linear(spec, RINDLER))
+    engine = build_table(build_linear_twist(spec, RINDLER))
     hand = hand_canonical_rindler_table(spec)
     ok = all(engine.entries[k] == hand[k] for k in hand)
     ok = ok and engine.entries[(2, 3)] == mul(I, Fraction(5, 6))
@@ -474,7 +491,7 @@ def _check_rindler_flat_functoriality(rng: random.Random, tol: float | None) -> 
     gs = [coord_map[n] for n in rindler.MINKOWSKI_COORDS]
     xs = [sym(n) for n in rindler.MINKOWSKI_COORDS]
     ok = True
-    for flat, curved in zip(_sample_twists(rng, MINKOWSKI), _sample_twists(rng, RINDLER)):
+    for flat, curved in zip(_sample_twists(MINKOWSKI), _sample_twists(RINDLER)):
         for mu in range(4):
             for nu in range(mu + 1, 4):
                 lhs = commutator(gs[mu], gs[nu], curved)
@@ -622,7 +639,7 @@ def _check_integrand_consistency(rng: random.Random, tol: float) -> CheckResult:
     reported.
     """
     r = Fraction(3, 7)
-    tw = canonical_twist_linear({(0, 1): r}, RINDLER)
+    tw = build_linear_twist(CanonicalTwist({(0, 1): r}), RINDLER)
     theta_upper = -theta01_from_engine(r)  # the spectrum's raised component theta^{01}
     z0, z1, a, w_hat, w = sym("z0"), sym("z1"), sym("a"), sym("omega_hat"), sym("omega")
     phi = exp(I * w_hat * z1 * exp(-a * z0))

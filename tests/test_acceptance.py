@@ -40,12 +40,7 @@ from starwedge.spectrum import (
     power_spectrum,
 )
 from starwedge.starprod import build_table, expected_flat_table
-from starwedge.twists import (
-    CanonicalTwist,
-    canonical_twist_linear,
-    lie_twist_linear,
-    quadratic_twist_linear,
-)
+from starwedge.twists import CanonicalTwist, LieTwist, QuadraticTwist, build_linear_twist
 
 a, z1 = sym("a"), sym("z1")
 
@@ -67,7 +62,7 @@ def test_criterion_01_flat_constant_commutators():
             (mu, nu): _random_fraction(rng) for mu in range(4) for nu in range(mu + 1, 4)
         }
         spec = CanonicalTwist(comps)
-        table = build_table(canonical_twist_linear(spec, MINKOWSKI))
+        table = build_table(build_linear_twist(spec, MINKOWSKI))
         for (mu, nu), entry in table.entries.items():
             assert entry == mul(I, spec.theta[mu][nu])
     elapsed = time.perf_counter() - started
@@ -87,7 +82,7 @@ def test_criterion_02_flat_linear_commutators():
                 zeta[lam] = _random_fraction(rng)
         cases.append((Fraction(rng.randint(1, 9), rng.randint(1, 9)), tuple(zeta), alpha, beta))
     for inv_kappa, zeta, alpha, beta in cases:
-        tw = lie_twist_linear(inv_kappa, zeta, alpha, beta, MINKOWSKI)
+        tw = build_linear_twist(LieTwist(inv_kappa, zeta, alpha, beta), MINKOWSKI)
         table = build_table(tw)
         expected = expected_flat_table(tw.spec)
         for key, want in expected.items():
@@ -102,7 +97,7 @@ def test_criterion_03_flat_quadratic_commutators():
     """Linearized quadratic constraint holds symbolically for three index choices, < 5 s."""
     started = time.perf_counter()
     for indices in ((0, 1, 2, 3), (0, 2, 1, 3), (1, 3, 0, 2)):
-        tw = quadratic_twist_linear(Fraction(2, 5), *indices, MINKOWSKI)
+        tw = build_linear_twist(QuadraticTwist(Fraction(2, 5), indices), MINKOWSKI)
         table = build_table(tw)
         expected = expected_flat_table(tw.spec)
         for key, want in expected.items():
@@ -129,7 +124,7 @@ def test_criterion_04_accelerated_chart_structure():
         {(0, 1): Fraction(3, 7), (0, 2): Fraction(-2, 5), (1, 3): Fraction(1, 2),
          (2, 3): Fraction(5, 6)}
     )
-    engine = build_table(canonical_twist_linear(spec, RINDLER))
+    engine = build_table(build_linear_twist(spec, RINDLER))
     legs = {(r, m): parse(_HAND_LEG_ACTIONS.get((r, m), "0")) for r in range(4) for m in range(4)}
     c = mul(Fraction(1, 2), I)  # the constant forced by the flat normalization
     for mu in range(4):
@@ -149,12 +144,13 @@ def test_criterion_04_accelerated_chart_structure():
     assert engine.entries[(2, 3)] == mul(I, Fraction(5, 6))
 
     for chart in (MINKOWSKI, RINDLER):
-        for tw in (
-            canonical_twist_linear({}, chart),
-            lie_twist_linear(0, (0, 0, 1, 0), 0, 1, chart),
-            quadratic_twist_linear(0, 0, 1, 2, 3, chart),
+        for spec in (
+            CanonicalTwist({}),
+            LieTwist(0, (0, 0, 1, 0), 0, 1),
+            QuadraticTwist(0, (0, 1, 2, 3)),
         ):
-            assert all(e == ZERO for e in build_table(tw).entries.values())
+            table = build_table(build_linear_twist(spec, chart))
+            assert all(e == ZERO for e in table.entries.values())
     _report(4, "accelerated-chart table and classical limits", started)
 
 

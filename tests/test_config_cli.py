@@ -7,6 +7,7 @@ from click.testing import CliRunner
 
 from starwedge.cli import main
 from starwedge.config import ConfigError, atomic_write_text, load_config
+from starwedge.grammar import to_text
 from starwedge.twists import CanonicalTwist, LieTwist
 
 FULL_CONFIG = """\
@@ -52,14 +53,22 @@ def test_full_config_parses(tmp_path):
     assert cfg.tolerances == {"quadrature_agreement": 1e-6}
 
 
-def _readme_ini() -> str:
+def _readme_block(lang: str) -> str:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    return readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    return readme.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_block_runs():
+    # the "Library in one minute" block runs as printed, and its table
+    # comment shows the entry the engine builds
+    namespace: dict = {}
+    exec(_readme_block("python"), namespace)
+    assert to_text(namespace["table"].entries[(0, 1)]) == "3/7*i/(a*z1)"
 
 
 def test_readme_config_parses_and_rejects_removed_keys(tmp_path):
     # the README's configuration block is valid as printed
-    text = _readme_ini()
+    text = _readme_block("ini")
     cfg = load_config(_write(tmp_path, text))
     assert cfg.spectrum.method == "both"
     assert cfg.spectrum.panel_factor == 1

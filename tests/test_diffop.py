@@ -31,7 +31,8 @@ from starwedge.expr import (
 )
 from starwedge.rindler import standard_map
 
-from test_expr import _to_expr, recipes
+from starwedge.verification import _recipe_to_expr
+from test_expr import recipes
 from test_starprod import _readme_twists
 
 a, z0, z1, z2, z3 = (sym(n) for n in ("a", "z0", "z1", "z2", "z3"))
@@ -299,7 +300,7 @@ def test_pretty_printer_shows_leg_structure():
 
 def _on_chart(chart, recipe):
     # the recipes are written in z0, z1, z2; the flat chart takes them as x0, x1, x2
-    e = _to_expr(recipe)
+    e = _recipe_to_expr(recipe)
     if chart == MINKOWSKI:
         e = substitute(e, {f"z{k}": xs[k] for k in range(3)})
     return e

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from starwedge.expr import (
+    FUNCTIONS,
     ComplexRational,
     Expr,
     I,
@@ -32,6 +33,7 @@ from starwedge.expr import (
     tanh,
 )
 from starwedge.grammar import to_text
+from starwedge.verification import _recipe_eval, _recipe_to_expr
 
 a, z0, z1, z2, z3 = (sym(n) for n in ("a", "z0", "z1", "z2", "z3"))
 x0, x1 = sym("x0"), sym("x1")
@@ -198,7 +200,6 @@ def test_free_symbols():
 # --- hypothesis: random expression recipes -------------------------------------------
 
 _NAMES = ("z0", "z1", "z2", "a", "w")
-_FNS = {"sinh": cmath.sinh, "cosh": cmath.cosh, "exp": cmath.exp, "tanh": cmath.tanh}
 
 _leaf = st.one_of(
     st.tuples(st.just("int"), st.integers(-3, 3)),
@@ -211,41 +212,13 @@ def _branch(children):
         st.tuples(st.just("add"), children, children),
         st.tuples(st.just("mul"), children, children),
         st.tuples(st.just("pow"), children, st.integers(0, 3)),
-        st.tuples(st.just("fn"), st.sampled_from(sorted(_FNS)), children),
+        st.tuples(st.just("fn"), st.sampled_from(sorted(FUNCTIONS)), children),
     )
 
 
+# recipes in the tag format of verification's random expressions, which
+# builds (_recipe_to_expr) and evaluates (_recipe_eval) them
 recipes = st.recursive(_leaf, _branch, max_leaves=24)
-
-
-def _to_expr(r):
-    tag = r[0]
-    if tag == "int":
-        return integer(r[1])
-    if tag == "sym":
-        return sym(r[1])
-    if tag == "add":
-        return _to_expr(r[1]) + _to_expr(r[2])
-    if tag == "mul":
-        return _to_expr(r[1]) * _to_expr(r[2])
-    if tag == "pow":
-        return _to_expr(r[1]) ** r[2]
-    return {"sinh": sinh, "cosh": cosh, "exp": exp, "tanh": tanh}[r[1]](_to_expr(r[2]))
-
-
-def _direct_eval(r, b):
-    tag = r[0]
-    if tag == "int":
-        return complex(r[1])
-    if tag == "sym":
-        return b[r[1]]
-    if tag == "add":
-        return _direct_eval(r[1], b) + _direct_eval(r[2], b)
-    if tag == "mul":
-        return _direct_eval(r[1], b) * _direct_eval(r[2], b)
-    if tag == "pow":
-        return _direct_eval(r[1], b) ** r[2]
-    return _FNS[r[1]](_direct_eval(r[2], b))
 
 
 _BINDINGS = st.fixed_dictionaries({n: st.floats(0.5, 2.0) for n in _NAMES})
@@ -253,9 +226,9 @@ _BINDINGS = st.fixed_dictionaries({n: st.floats(0.5, 2.0) for n in _NAMES})
 
 @given(recipes, _BINDINGS)
 def test_normalization_preserves_value(recipe, bindings):
-    e = _to_expr(recipe)
+    e = _recipe_to_expr(recipe)
     try:
-        direct = _direct_eval(recipe, bindings)
+        direct = _recipe_eval(recipe, bindings)
         canon = eval_numeric(e, bindings)
     except OverflowError:
         return
@@ -266,7 +239,7 @@ def test_normalization_preserves_value(recipe, bindings):
 
 @given(recipes, recipes)
 def test_differentiation_is_linear(r1, r2):
-    f, g = _to_expr(r1), _to_expr(r2)
+    f, g = _recipe_to_expr(r1), _recipe_to_expr(r2)
     lhs = differentiate(3 * f - 2 * g, "z0")
     rhs = 3 * differentiate(f, "z0") - 2 * differentiate(g, "z0")
     assert lhs == rhs
@@ -274,7 +247,7 @@ def test_differentiation_is_linear(r1, r2):
 
 @given(recipes, recipes)
 def test_differentiation_product_rule(r1, r2):
-    f, g = _to_expr(r1), _to_expr(r2)
+    f, g = _recipe_to_expr(r1), _recipe_to_expr(r2)
     lhs = differentiate(f * g, "z1")
     rhs = differentiate(f, "z1") * g + f * differentiate(g, "z1")
     assert lhs == rhs
@@ -282,13 +255,13 @@ def test_differentiation_product_rule(r1, r2):
 
 @given(recipes)
 def test_canonical_form_is_fixed_point(recipe):
-    e = _to_expr(recipe)
+    e = _recipe_to_expr(recipe)
     assert simplify(e) == e
 
 
 @given(recipes)
 def test_construction_order_does_not_matter(recipe):
-    e = _to_expr(recipe)
+    e = _recipe_to_expr(recipe)
     assert e + ZERO == e
     assert (e + e) - e == e
 
@@ -313,7 +286,7 @@ def _walk_nodes(e):
 def test_normal_form_has_no_reducible_cosh_power(r1, r2):
     from starwedge.expr import Fn as F, Pow as P
 
-    e = _to_expr(r1) * _to_expr(r2)
+    e = _recipe_to_expr(r1) * _recipe_to_expr(r2)
     for node in _walk_nodes(e):
         if isinstance(node, P) and isinstance(node.base, F) and node.base.fname == "cosh":
             assert node.exponent < 2
@@ -321,7 +294,7 @@ def test_normal_form_has_no_reducible_cosh_power(r1, r2):
 
 @given(recipes, recipes)
 def test_ring_identities_hold_structurally(r1, r2):
-    f, g = _to_expr(r1), _to_expr(r2)
+    f, g = _recipe_to_expr(r1), _recipe_to_expr(r2)
     assert (f + g) ** 2 - f ** 2 - 2 * f * g - g ** 2 == ZERO
     assert (f * g) ** 2 == f ** 2 * g ** 2
     assert f * (g + 1) == f * g + f
@@ -357,7 +330,7 @@ def test_every_node_class_rejects_assignment():
 
 @given(recipes, recipes)
 def test_equal_nodes_have_equal_hashes(r1, r2):
-    x, y = _to_expr(r1), _to_expr(r2)
+    x, y = _recipe_to_expr(r1), _recipe_to_expr(r2)
     for lhs, rhs in ((add(x, y), add(y, x)), (simplify(x), x), (substitute(x, {}), x)):
         assert lhs == rhs and hash(lhs) == hash(rhs)
     assert (x == y) == (_skey(x) == _skey(y))
@@ -367,7 +340,7 @@ def test_equal_nodes_have_equal_hashes(r1, r2):
 
 @given(recipes)
 def test_stored_key_matches_key_of_rebuilt_tree(recipe):
-    e = _to_expr(recipe)
+    e = _recipe_to_expr(recipe)
     stored = _skey(e)
     assert e._key is stored
     fresh = _rebuild(e)
@@ -389,7 +362,7 @@ def test_pickle_round_trip_with_complex_constant():
 
 @given(recipes)
 def test_pickle_round_trip(recipe):
-    _assert_round_trips(_to_expr(recipe))
+    _assert_round_trips(_recipe_to_expr(recipe))
 
 
 def test_simplify_check_still_catches_a_wrong_canonical_value(monkeypatch):

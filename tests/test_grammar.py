@@ -4,7 +4,8 @@ from hypothesis import given
 from starwedge.expr import I, ONE, cosh, exp, integer, rational, simplify, sinh, sym
 from starwedge.grammar import ParseError, parse, to_text
 
-from test_expr import recipes, _to_expr
+from starwedge.verification import _recipe_to_expr
+from test_expr import recipes
 
 a, z0, z1 = sym("a"), sym("z0"), sym("z1")
 
@@ -64,5 +65,5 @@ def test_pure_reciprocal():
 
 @given(recipes)
 def test_round_trip_on_random_expressions(recipe):
-    e = _to_expr(recipe)
+    e = _recipe_to_expr(recipe)
     assert parse(to_text(e)) == simplify(e)

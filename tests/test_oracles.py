@@ -15,8 +15,9 @@ from hypothesis import given, strategies as st
 from starwedge.expr import Add, Const, Fn, Mul, Pow, Sym, eval_numeric, differentiate, exp, sinh, substitute, sym
 from starwedge.gammafn import complex_gamma
 from starwedge.spectrum import ModeParams, f_closed
+from starwedge.verification import _recipe_to_expr
 
-from test_expr import recipes, _to_expr, _BINDINGS, _NAMES
+from test_expr import recipes, _BINDINGS, _NAMES
 
 _SYMPY_SYMBOLS = {n: sympy.Symbol(n) for n in _NAMES}
 _SYMPY_FNS = {"sinh": sympy.sinh, "cosh": sympy.cosh, "exp": sympy.exp, "tanh": sympy.tanh}
@@ -42,7 +43,7 @@ _POINT = {n: 0.5 + 0.17 * k for k, n in enumerate(_NAMES)}
 
 @given(recipes)
 def test_derivative_against_sympy(recipe):
-    ours = differentiate(_to_expr(recipe), "z0")
+    ours = differentiate(_recipe_to_expr(recipe), "z0")
     theirs = sympy.diff(_to_sympy(recipe), _SYMPY_SYMBOLS["z0"])
     try:
         got = eval_numeric(ours, _POINT)
@@ -56,7 +57,7 @@ def test_derivative_against_sympy(recipe):
 
 @given(recipes, st.sampled_from(_NAMES), _BINDINGS)
 def test_derivative_against_sympy_at_random_bindings(recipe, name, bindings):
-    ours = differentiate(_to_expr(recipe), name)
+    ours = differentiate(_recipe_to_expr(recipe), name)
     theirs = sympy.diff(_to_sympy(recipe), _SYMPY_SYMBOLS[name])
     try:
         got = eval_numeric(ours, bindings)
@@ -70,7 +71,7 @@ def test_derivative_against_sympy_at_random_bindings(recipe, name, bindings):
 
 @given(recipes)
 def test_substitution_against_sympy(recipe):
-    ours = substitute(_to_expr(recipe), {"z0": _to_expr(("fn", "cosh", ("sym", "z1")))})
+    ours = substitute(_recipe_to_expr(recipe), {"z0": _recipe_to_expr(("fn", "cosh", ("sym", "z1")))})
     theirs = _to_sympy(recipe).subs(
         _SYMPY_SYMBOLS["z0"], sympy.cosh(_SYMPY_SYMBOLS["z1"]), simultaneous=True
     )

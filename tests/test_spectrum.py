@@ -26,7 +26,7 @@ from starwedge.spectrum import (
     power_spectrum,
     relative_deviation_closed,
 )
-from starwedge.twists import canonical_twist_linear
+from starwedge.twists import CanonicalTwist, build_linear_twist
 
 
 def _mode(omega: float, a: float = 1.0, wz: float = 1.0) -> ModeParams:
@@ -224,7 +224,7 @@ def test_twist_action_reproduces_correction_integrands():
     the coefficient forms divided by four.
     """
     r = Fraction(3, 7)
-    tw = canonical_twist_linear({(0, 1): r}, RINDLER)
+    tw = build_linear_twist(CanonicalTwist({(0, 1): r}), RINDLER)
     z0, z1, a = sym("z0"), sym("z1"), sym("a")
     w_hat, w = sym("omega_hat"), sym("omega")
     phi = exp(I * w_hat * z1 * exp(-a * z0))

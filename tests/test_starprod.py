@@ -31,11 +31,7 @@ from starwedge.starprod import (
     table_to_text,
     verify_flat_relations,
 )
-from starwedge.twists import (
-    canonical_twist_linear,
-    lie_twist_linear,
-    quadratic_twist_linear,
-)
+from starwedge.twists import CanonicalTwist, LieTwist, QuadraticTwist, build_linear_twist
 
 a, z0, z1, z2, z3 = (sym(n) for n in ("a", "z0", "z1", "z2", "z3"))
 xs = [sym(f"x{k}") for k in range(4)]
@@ -44,16 +40,18 @@ zs = [z0, z1, z2, z3]
 
 def _sample_twists(chart):
     return (
-        canonical_twist_linear({(0, 1): Fraction(3, 7), (0, 2): Fraction(-2, 5)}, chart),
-        lie_twist_linear(Fraction(1, 4), (0, 0, Fraction(2, 3), 0), 0, 1, chart),
-        quadratic_twist_linear(Fraction(1, 6), 0, 1, 2, 3, chart),
+        build_linear_twist(
+            CanonicalTwist({(0, 1): Fraction(3, 7), (0, 2): Fraction(-2, 5)}), chart
+        ),
+        build_linear_twist(LieTwist(Fraction(1, 4), (0, 0, Fraction(2, 3), 0), 0, 1), chart),
+        build_linear_twist(QuadraticTwist(Fraction(1, 6), (0, 1, 2, 3)), chart),
     )
 
 
 # --- star product basics ------------------------------------------------------------
 
 def test_zero_twist_star_is_plain_product():
-    tw = canonical_twist_linear({}, RINDLER)
+    tw = build_linear_twist(CanonicalTwist({}), RINDLER)
     f, g = z0 * z2, sinh(a * z0)
     assert star(f, g, tw) == f * g
 
@@ -66,7 +64,7 @@ def test_one_is_the_star_unit():
 
 
 def test_transverse_commutator_is_flat_value():
-    tw = canonical_twist_linear({(2, 3): Fraction(4, 9)}, RINDLER)
+    tw = build_linear_twist(CanonicalTwist({(2, 3): Fraction(4, 9)}), RINDLER)
     got = star(z2, z3, tw) - star(z3, z2, tw)
     assert got == mul(I, Fraction(4, 9))
 
@@ -90,9 +88,11 @@ def test_first_order_legs_satisfy_leibniz():
 
 def _readme_twists(chart):
     return {
-        "canonical": canonical_twist_linear({(0, 1): Fraction(3, 7), (2, 3): Fraction(1, 3)}, chart),
-        "lie": lie_twist_linear(Fraction(1, 3), (0, 0, Fraction(2, 3), 0), 0, 1, chart),
-        "quadratic": quadratic_twist_linear(Fraction(1, 6), 0, 1, 2, 3, chart),
+        "canonical": build_linear_twist(
+            CanonicalTwist({(0, 1): Fraction(3, 7), (2, 3): Fraction(1, 3)}), chart
+        ),
+        "lie": build_linear_twist(LieTwist(Fraction(1, 3), (0, 0, Fraction(2, 3), 0), 0, 1), chart),
+        "quadratic": build_linear_twist(QuadraticTwist(Fraction(1, 6), (0, 1, 2, 3)), chart),
     }
 
 
@@ -170,7 +170,7 @@ def test_canonical_flat_table_is_constant():
             for mu in range(4)
             for nu in range(mu + 1, 4)
         }
-        table = build_table(canonical_twist_linear(comps, MINKOWSKI))
+        table = build_table(build_linear_twist(CanonicalTwist(comps), MINKOWSKI))
         for (mu, nu), entry in table.entries.items():
             assert entry == mul(I, comps[(mu, nu)])
 
@@ -179,7 +179,7 @@ def test_lie_flat_table_hand_frozen_entries():
     # inv_kappa = 1/3, vector on the 2-axis, generator pair (0, 1):
     # expanding the structure coefficients by hand gives
     # [x0, x2] = (i/3) x1 and [x1, x2] = (i/3) x0, all other pairs zero
-    tw = lie_twist_linear(Fraction(1, 3), (0, 0, 1, 0), 0, 1, MINKOWSKI)
+    tw = build_linear_twist(LieTwist(Fraction(1, 3), (0, 0, 1, 0), 0, 1), MINKOWSKI)
     table = build_table(tw)
     assert table.entries[(0, 2)] == mul(I, Fraction(1, 3), xs[1])
     assert table.entries[(1, 2)] == mul(I, Fraction(1, 3), xs[0])
@@ -190,12 +190,14 @@ def test_lie_flat_table_hand_frozen_entries():
 @pytest.mark.parametrize(
     "twist",
     [
-        lie_twist_linear(Fraction(1, 3), (0, 0, 1, 0), 0, 1, MINKOWSKI),
-        lie_twist_linear(Fraction(2, 5), (0, Fraction(1, 2), 0, Fraction(-3, 4)), 0, 2, MINKOWSKI),
-        lie_twist_linear(Fraction(1, 7), (Fraction(5, 3), 0, 0, 0), 1, 2, MINKOWSKI),
-        quadratic_twist_linear(Fraction(2, 5), 0, 1, 2, 3, MINKOWSKI),
-        quadratic_twist_linear(Fraction(1, 2), 0, 2, 1, 3, MINKOWSKI),
-        quadratic_twist_linear(Fraction(-3, 8), 1, 3, 0, 2, MINKOWSKI),
+        build_linear_twist(LieTwist(Fraction(1, 3), (0, 0, 1, 0), 0, 1), MINKOWSKI),
+        build_linear_twist(
+            LieTwist(Fraction(2, 5), (0, Fraction(1, 2), 0, Fraction(-3, 4)), 0, 2), MINKOWSKI
+        ),
+        build_linear_twist(LieTwist(Fraction(1, 7), (Fraction(5, 3), 0, 0, 0), 1, 2), MINKOWSKI),
+        build_linear_twist(QuadraticTwist(Fraction(2, 5), (0, 1, 2, 3)), MINKOWSKI),
+        build_linear_twist(QuadraticTwist(Fraction(1, 2), (0, 2, 1, 3)), MINKOWSKI),
+        build_linear_twist(QuadraticTwist(Fraction(-3, 8), (1, 3, 0, 2)), MINKOWSKI),
     ],
 )
 def test_flat_tables_match_closed_forms(twist):
@@ -208,7 +210,7 @@ def test_flat_tables_match_closed_forms(twist):
 
 def test_verify_flat_relations_passes_and_reports():
     rep = verify_flat_relations(
-        lie_twist_linear(Fraction(1, 3), (0, 0, 1, 0), 0, 1, MINKOWSKI)
+        build_linear_twist(LieTwist(Fraction(1, 3), (0, 0, 1, 0), 0, 1), MINKOWSKI)
     )
     assert rep.passed
     assert len(rep.entries) == 6
@@ -229,26 +231,26 @@ def test_verify_flat_relations_requires_flat_chart():
     from starwedge.diffop import ChartMismatchError
 
     with pytest.raises(ChartMismatchError):
-        verify_flat_relations(canonical_twist_linear({}, RINDLER))
+        verify_flat_relations(build_linear_twist(CanonicalTwist({}), RINDLER))
 
 
 # --- accelerated-chart tables -----------------------------------------------------------
 
 def test_rindler_canonical_time_radial_entry():
-    tw = canonical_twist_linear({(0, 1): Fraction(3, 7)}, RINDLER)
+    tw = build_linear_twist(CanonicalTwist({(0, 1): Fraction(3, 7)}), RINDLER)
     table = build_table(tw)
     assert table.entries[(0, 1)] == mul(I, Fraction(3, 7)) / (a * z1)
 
 
 def test_rindler_canonical_mixed_entry():
-    tw = canonical_twist_linear({(0, 2): Fraction(1, 2)}, RINDLER)
+    tw = build_linear_twist(CanonicalTwist({(0, 2): Fraction(1, 2)}), RINDLER)
     table = build_table(tw)
     want = mul(I, Fraction(1, 2)) * cosh(a * z0) / (a * z1)
     assert table.entries[(0, 2)] == want
 
 
 def test_table_entry_accessor_antisymmetry():
-    tw = canonical_twist_linear({(0, 1): Fraction(3, 7)}, RINDLER)
+    tw = build_linear_twist(CanonicalTwist({(0, 1): Fraction(3, 7)}), RINDLER)
     table = build_table(tw)
     assert table.entry(1, 0) == -table.entry(0, 1)
     assert table.entry(2, 2) == ZERO
@@ -257,9 +259,9 @@ def test_table_entry_accessor_antisymmetry():
 @pytest.mark.parametrize("chart", [MINKOWSKI, RINDLER])
 def test_classical_limit_tables_vanish(chart):
     for tw in (
-        canonical_twist_linear({}, chart),
-        lie_twist_linear(0, (0, 0, 1, 0), 0, 1, chart),
-        quadratic_twist_linear(0, 0, 1, 2, 3, chart),
+        build_linear_twist(CanonicalTwist({}), chart),
+        build_linear_twist(LieTwist(0, (0, 0, 1, 0), 0, 1), chart),
+        build_linear_twist(QuadraticTwist(0, (0, 1, 2, 3)), chart),
     ):
         assert all(e == ZERO for e in build_table(tw).entries.values())
 
@@ -281,7 +283,7 @@ def test_deformed_product_commutes_with_coordinate_map():
 # --- export ----------------------------------------------------------------------------
 
 def test_table_text_layout():
-    tw = canonical_twist_linear({(0, 1): Fraction(3, 7)}, RINDLER)
+    tw = build_linear_twist(CanonicalTwist({(0, 1): Fraction(3, 7)}), RINDLER)
     text = table_to_text(build_table(tw))
     assert "[z0, z1] = 3/7*i/(a*z1)" in text
     assert "[z2, z3] = 0" in text
@@ -289,7 +291,7 @@ def test_table_text_layout():
 
 
 def test_table_json_round_trip_text():
-    tw = lie_twist_linear(Fraction(1, 4), (0, 0, 1, 0), 0, 1, RINDLER)
+    tw = build_linear_twist(LieTwist(Fraction(1, 4), (0, 0, 1, 0), 0, 1), RINDLER)
     table = build_table(tw)
     payload = json.loads(table_to_json(table))
     assert payload == table_to_json_dict(table)

@@ -1,9 +1,10 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from starwedge import verification
+from starwedge import twists, verification
 from starwedge.diffop import MINKOWSKI, RINDLER, DiffOp, lorentz_generator, momentum_generator
 from starwedge.expr import ComplexRational, ONE, ZERO, cosh, mul, sym
 from starwedge.twists import (
@@ -13,9 +14,6 @@ from starwedge.twists import (
     TwistSpecError,
     WEDGE_NORMALIZATION,
     build_linear_twist,
-    canonical_twist_linear,
-    lie_twist_linear,
-    quadratic_twist_linear,
     spec_from_config,
     spec_to_config,
 )
@@ -61,16 +59,16 @@ def test_quadratic_indices_pairwise_distinct():
 # --- classical limits at the constructor ----------------------------------------
 
 def test_zero_theta_gives_zero_operator():
-    assert canonical_twist_linear({}, MINKOWSKI).operator.is_zero
-    assert canonical_twist_linear({(0, 1): 0}, RINDLER).operator.is_zero
+    assert build_linear_twist(CanonicalTwist({}), MINKOWSKI).operator.is_zero
+    assert build_linear_twist(CanonicalTwist({(0, 1): 0}), RINDLER).operator.is_zero
 
 
 def test_infinite_kappa_gives_zero_operator():
-    assert lie_twist_linear(0, (0, 0, 1, 0), 0, 1, RINDLER).operator.is_zero
+    assert build_linear_twist(LieTwist(0, (0, 0, 1, 0), 0, 1), RINDLER).operator.is_zero
 
 
 def test_zero_xi_gives_zero_operator():
-    assert quadratic_twist_linear(0, 0, 1, 2, 3, MINKOWSKI).operator.is_zero
+    assert build_linear_twist(QuadraticTwist(0, (0, 1, 2, 3)), MINKOWSKI).operator.is_zero
 
 
 # --- operator structure ------------------------------------------------------------
@@ -79,26 +77,26 @@ def test_zero_xi_gives_zero_operator():
 def test_twists_annihilate_constants(chart):
     g = sym(chart.coords[1]) * cosh(sym(chart.coords[0]))
     for tw in (
-        canonical_twist_linear(THETA, chart),
-        lie_twist_linear(Fraction(1, 4), (0, 0, Fraction(2, 3), 0), 0, 1, chart),
-        quadratic_twist_linear(Fraction(1, 6), 0, 1, 2, 3, chart),
+        build_linear_twist(CanonicalTwist(THETA), chart),
+        build_linear_twist(LieTwist(Fraction(1, 4), (0, 0, Fraction(2, 3), 0), 0, 1), chart),
+        build_linear_twist(QuadraticTwist(Fraction(1, 6), (0, 1, 2, 3)), chart),
     ):
         assert tw.operator.apply(ONE, g) == ZERO
         assert tw.operator.apply(g, ONE) == ZERO
 
 
 def test_chart_consistency_canonical():
-    flat = canonical_twist_linear(THETA, MINKOWSKI)
-    curved = canonical_twist_linear(THETA, RINDLER)
+    flat = build_linear_twist(CanonicalTwist(THETA), MINKOWSKI)
+    curved = build_linear_twist(CanonicalTwist(THETA), RINDLER)
     assert flat.operator.pullback() == curved.operator
 
 
 def test_chart_consistency_lie_and_quadratic():
-    flat = lie_twist_linear(Fraction(1, 4), (0, 0, 1, 0), 0, 1, MINKOWSKI)
-    curved = lie_twist_linear(Fraction(1, 4), (0, 0, 1, 0), 0, 1, RINDLER)
+    flat = build_linear_twist(LieTwist(Fraction(1, 4), (0, 0, 1, 0), 0, 1), MINKOWSKI)
+    curved = build_linear_twist(LieTwist(Fraction(1, 4), (0, 0, 1, 0), 0, 1), RINDLER)
     assert flat.operator.pullback() == curved.operator
-    flat_q = quadratic_twist_linear(Fraction(1, 6), 0, 1, 2, 3, MINKOWSKI)
-    curved_q = quadratic_twist_linear(Fraction(1, 6), 0, 1, 2, 3, RINDLER)
+    flat_q = build_linear_twist(QuadraticTwist(Fraction(1, 6), (0, 1, 2, 3)), MINKOWSKI)
+    curved_q = build_linear_twist(QuadraticTwist(Fraction(1, 6), (0, 1, 2, 3)), RINDLER)
     assert flat_q.operator.pullback() == curved_q.operator
 
 
@@ -124,18 +122,37 @@ def test_chart_consistency_check_catches_a_broken_pullback(monkeypatch):
     lorentz_generator.cache_clear()
 
 
+def test_chart_consistency_check_catches_a_pullback_broken_from_the_start(monkeypatch):
+    # with the generator caches empty, the accelerated-chart generators are
+    # built by the broken pullback too, so the twist and the fresh transport
+    # of the flat twist agree; the action on substituted flat functions,
+    # which uses no pullback, must still show the fault
+    momentum_generator.cache_clear()
+    lorentz_generator.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(DiffOp, "pullback", _drop_one_chain_rule_term(DiffOp.pullback))
+            assert not verification._check_twist_chart_consistency(random.Random(0), None).passed
+    finally:
+        momentum_generator.cache_clear()
+        lorentz_generator.cache_clear()
+    assert verification._check_twist_chart_consistency(random.Random(0), None).passed
+
+
 def test_parameter_scaling_is_exact():
     s = Fraction(7, 2)
     f, g = sym("z0") * sym("z2"), sym("z1") ** 2
-    base = lie_twist_linear(Fraction(1, 4), (0, 0, 1, 0), 0, 1, RINDLER)
-    scaled = lie_twist_linear(Fraction(1, 4) * s, (0, 0, 1, 0), 0, 1, RINDLER)
+    base = build_linear_twist(LieTwist(Fraction(1, 4), (0, 0, 1, 0), 0, 1), RINDLER)
+    scaled = build_linear_twist(LieTwist(Fraction(1, 4) * s, (0, 0, 1, 0), 0, 1), RINDLER)
     assert scaled.operator.apply(f, g) == mul(s, base.operator.apply(f, g))
 
 
 def test_lie_sums_over_vector_support():
-    two = lie_twist_linear(Fraction(1, 2), (0, 0, Fraction(1, 3), Fraction(2, 5)), 0, 1, MINKOWSKI)
-    only2 = lie_twist_linear(Fraction(1, 2), (0, 0, Fraction(1, 3), 0), 0, 1, MINKOWSKI)
-    only3 = lie_twist_linear(Fraction(1, 2), (0, 0, 0, Fraction(2, 5)), 0, 1, MINKOWSKI)
+    two = build_linear_twist(
+        LieTwist(Fraction(1, 2), (0, 0, Fraction(1, 3), Fraction(2, 5)), 0, 1), MINKOWSKI
+    )
+    only2 = build_linear_twist(LieTwist(Fraction(1, 2), (0, 0, Fraction(1, 3), 0), 0, 1), MINKOWSKI)
+    only3 = build_linear_twist(LieTwist(Fraction(1, 2), (0, 0, 0, Fraction(2, 5)), 0, 1), MINKOWSKI)
     assert two.operator == only2.operator + only3.operator
 
 
@@ -150,6 +167,24 @@ def test_build_linear_twist_dispatch():
         tw = build_linear_twist(spec, RINDLER)
         assert tw.spec == spec
         assert tw.chart == RINDLER
+
+
+def test_verify_builds_every_twist_with_build_linear_twist(monkeypatch):
+    # rebind build_linear_twist in every starwedge module that holds it, as
+    # the benchmark's tracer does; the suite makes 44 twists, all through it
+    built = []
+    original = twists.build_linear_twist
+
+    def counted(spec, chart):
+        built.append(spec.kind)
+        return original(spec, chart)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("starwedge") and getattr(module, "build_linear_twist", None) is original:
+            monkeypatch.setattr(module, "build_linear_twist", counted)
+    assert all(r.passed for r in verification.run_all_checks(seed=1))
+    assert len(built) == 44
+    assert set(built) == {"canonical", "lie", "quadratic"}
 
 
 @pytest.mark.parametrize(
