@@ -1,3 +1,4 @@
+import hashlib
 import pickle
 import random
 
@@ -280,6 +281,23 @@ def test_lorentz_algebra_on_coordinates():
         lhs = m01.apply(m12.apply(f)) - m12.apply(m01.apply(f))
         rhs = mul(I, m02.apply(f))
         assert lhs == rhs
+
+
+_OPERATOR_TEXT_SHA256 = {
+    "minkowski": "0c2ad1bc59cccb09a9123faf237ce5747ea77c8bc33b46d5067307674b9f5ccf",
+    "rindler": "7ced03d0c3f66dee481d66f70639210c698357bdc8075cef3c891af71fdd98cb",
+}
+
+
+@pytest.mark.parametrize("chart", [MINKOWSKI, RINDLER])
+def test_generator_and_twist_texts_are_pinned(chart):
+    # the 4 + 12 generators and the three README twist operators of the chart;
+    # the text orders the legs of every tensor-leg operator
+    texts = [momentum_generator(chart, mu).pretty() for mu in range(4)]
+    texts += [lorentz_generator(chart, al, be).pretty() for al, be in LORENTZ_PAIRS]
+    texts += [tw.operator.pretty() for tw in _readme_twists(chart).values()]
+    digest = hashlib.sha256("\n".join(texts).encode("utf-8")).hexdigest()
+    assert digest == _OPERATOR_TEXT_SHA256[chart.name]
 
 
 def test_zero_coefficient_terms_are_dropped():
