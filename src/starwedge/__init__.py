@@ -13,7 +13,6 @@ from .diffop import (
     ChartMismatchError,
     DiffOp,
     MINKOWSKI,
-    PullbackOrderError,
     RINDLER,
     lorentz_generator,
     momentum_generator,

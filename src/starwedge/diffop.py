@@ -1,11 +1,11 @@
-"""Differential operators and tensor-leg (bidifferential) operators on a chart.
+"""First-order differential operators and tensor-leg (bidifferential) operators on a chart.
 
-A ``DiffOp`` is a finite sum of terms ``coefficient * d^k``, where the
-derivative part is a mixed partial described by a multi-index over the chart
-coordinates and the coefficient is an expression; coefficients always
-multiply from the left, after the derivatives have acted.  A ``BidiffOp`` is
-a finite sum of ``scalar * (left tensor right)`` legs acting on a pair of
-function slots.
+A ``DiffOp`` is a vector field: one coefficient expression per chart
+coordinate, acting as ``sum_mu coeff_mu * d/d(coord_mu)``; coefficients
+multiply from the left, after the derivative has acted.  Every twist leg is a
+momentum or Lorentz generator, so first order is all the package needs.  A
+``BidiffOp`` is a finite sum of ``scalar * (left tensor right)`` legs acting
+on a pair of function slots.
 
 Operators are immutable values.  The momentum and Lorentz generators of each
 chart, like the chart transport ``rindler.partial_transport`` they are built
@@ -26,6 +26,7 @@ from . import rindler
 from .expr import (
     CR_ONE,
     free_symbols,
+    Add,
     ComplexRational,
     Expr,
     ExprLike,
@@ -48,7 +49,6 @@ __all__ = [
     "MINKOWSKI",
     "RINDLER",
     "ChartMismatchError",
-    "PullbackOrderError",
     "DiffOp",
     "BidiffOp",
     "wedge",
@@ -57,37 +57,21 @@ __all__ = [
     "lowered_coordinate",
 ]
 
-MultiIndex = tuple[int, int, int, int]
-ZERO_MULTI: MultiIndex = (0, 0, 0, 0)
-
-
-def _unit_multi(mu: int) -> MultiIndex:
-    out = [0, 0, 0, 0]
-    out[mu] = 1
-    return (out[0], out[1], out[2], out[3])
+Coeffs = tuple[Expr, Expr, Expr, Expr]
 
 
 class ChartMismatchError(ValueError):
     """Operands live on different charts."""
 
 
-class PullbackOrderError(ValueError):
-    """Only first-order operators can be transported to the accelerated chart."""
-
-
 @dataclass(frozen=True)
 class Chart:
     name: str
     coords: tuple[str, str, str, str]
-    acceleration: str | None = None
-
-    @property
-    def signature(self) -> tuple[int, int, int, int]:
-        return rindler.METRIC_SIGNATURE
 
 
 MINKOWSKI = Chart("minkowski", rindler.MINKOWSKI_COORDS)
-RINDLER = Chart("rindler", rindler.RINDLER_COORDS, rindler.ACCELERATION)
+RINDLER = Chart("rindler", rindler.RINDLER_COORDS)
 
 _FOREIGN_COORDS = {
     MINKOWSKI.name: frozenset(RINDLER.coords),
@@ -110,65 +94,44 @@ def _check_function_chart(chart: Chart, f: Expr) -> None:
 
 @dataclass(frozen=True)
 class DiffOp:
-    """Normalized sum of (coefficient, multi-index) terms on one chart."""
+    """Vector field on one chart: ``coeffs[mu]`` multiplies d/d(coords[mu])."""
 
     chart: Chart
-    terms: tuple[tuple[Expr, MultiIndex], ...]
-
-    @staticmethod
-    def from_terms(chart: Chart, terms: Iterable[tuple[Expr, MultiIndex]]) -> "DiffOp":
-        acc: dict[MultiIndex, Expr] = {}
-        for coeff, multi in terms:
-            if len(multi) != 4 or any(k < 0 for k in multi):
-                raise ValueError(f"bad multi-index {multi}")
-            acc[multi] = acc.get(multi, ZERO) + coeff
-        kept = tuple(
-            (c, m) for m, c in sorted(acc.items()) if c != ZERO
-        )
-        return DiffOp(chart, kept)
-
-    @staticmethod
-    def zero(chart: Chart) -> "DiffOp":
-        return DiffOp(chart, ())
+    coeffs: Coeffs
 
     @staticmethod
     def partial(chart: Chart, mu: int, coeff: ExprLike = 1) -> "DiffOp":
         if mu not in (0, 1, 2, 3):
             raise ValueError(f"coordinate index out of range: {mu}")
-        multi = _unit_multi(mu)
-        return DiffOp.from_terms(chart, [(mul(coeff), multi)])
+        coeffs = [ZERO] * 4
+        coeffs[mu] = mul(coeff)
+        return DiffOp(chart, tuple(coeffs))
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
-    def order(self) -> int:
-        return max((sum(m) for _, m in self.terms), default=0)
+        return all(c == ZERO for c in self.coeffs)
 
     def apply(self, f: Expr) -> Expr:
-        """Act on a function slot: sum of coeff * (mixed partial of f)."""
+        """Act on a function slot: sum of coeff_mu * (d f / d coord_mu)."""
         _check_function_chart(self.chart, f)
         return _from_terms(self._act(_as_terms(f)))
 
     def _act(self, f: TermMap) -> TermMap:
         """The action of :meth:`apply` on the term map of a function."""
         out: TermMap = {}
-        for coeff, multi in self.terms:
-            d = f
-            for idx, order in enumerate(multi):
-                for _ in range(order):
-                    d = _diff_terms(d, self.chart.coords[idx])
-            for mono, c in _mul_terms(_as_terms(coeff), d).items():
+        for coeff, name in zip(self.coeffs, self.chart.coords):
+            if coeff == ZERO:
+                continue
+            for mono, c in _mul_terms(_as_terms(coeff), _diff_terms(f, name)).items():
                 _add_term(out, mono, c)
         return out
 
     def scale(self, factor: ExprLike) -> "DiffOp":
-        return DiffOp.from_terms(self.chart, [(mul(factor, c), m) for c, m in self.terms])
+        return DiffOp(self.chart, tuple(mul(factor, c) for c in self.coeffs))
 
     def __add__(self, other: "DiffOp") -> "DiffOp":
         _check_same_chart(self.chart, other.chart)
-        return DiffOp.from_terms(self.chart, (*self.terms, *other.terms))
+        return DiffOp(self.chart, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "DiffOp") -> "DiffOp":
         return self + other.scale(-1)
@@ -177,68 +140,44 @@ class DiffOp:
         return self.scale(-1)
 
     def pullback(self) -> "DiffOp":
-        """Transport a first-order flat-chart operator to the accelerated chart.
+        """Transport a flat-chart vector field to the accelerated chart.
 
-        Coefficients move through the coordinate map; each first derivative is
-        replaced by its chain-rule image.  Terms of derivative order two or
-        higher are rejected: every generator used here is first order, and the
-        general jet transformation is deliberately out of scope.
+        Each coefficient moves through the coordinate map, and its first
+        derivative is replaced by its chain-rule image.
         """
         if self.chart != MINKOWSKI:
             raise ChartMismatchError("pullback starts from the flat chart")
         coord_map = rindler.standard_map()
-        out: list[tuple[Expr, MultiIndex]] = []
-        for coeff, multi in self.terms:
-            order = sum(multi)
-            if order > 1:
-                raise PullbackOrderError(
-                    f"cannot pull back a term of derivative order {order}"
-                )
-            moved = substitute(coeff, coord_map)
-            if order == 0:
-                out.append((moved, ZERO_MULTI))
+        out = [ZERO] * 4
+        for mu, coeff in enumerate(self.coeffs):
+            if coeff == ZERO:
                 continue
-            mu = multi.index(1)
-            for t_coeff, z_idx in rindler.partial_transport(mu):
-                out.append((mul(moved, t_coeff), _unit_multi(z_idx)))
-        return DiffOp.from_terms(RINDLER, out)
+            moved = substitute(coeff, coord_map)
+            for t_coeff, nu in rindler.partial_transport(mu):
+                out[nu] = out[nu] + mul(moved, t_coeff)
+        return DiffOp(RINDLER, tuple(out))
 
     def pretty(self) -> str:
         return self._text
 
     @cached_property
     def _text(self) -> str:
-        if not self.terms:
-            return "0"
-        from .expr import Add
-
+        # descending coordinate order; BidiffOp.from_terms sorts legs by this text
         chunks = []
-        for coeff, multi in self.terms:
+        for mu in reversed(range(4)):
+            coeff = self.coeffs[mu]
+            if coeff == ZERO:
+                continue
             txt = to_text(coeff)
             if isinstance(coeff, Add):
                 txt = f"({txt})"
-            d = _derivative_text(self.chart, multi)
-            chunks.append(txt if not d else f"{txt}*{d}")
+            chunks.append(f"{txt}*d/d{self.chart.coords[mu]}")
+        if not chunks:
+            return "0"
         out = chunks[0]
         for c in chunks[1:]:
             out += f" - {c[1:]}" if c.startswith("-") else f" + {c}"
         return out
-
-
-def _derivative_text(chart: Chart, multi: MultiIndex) -> str:
-    total = sum(multi)
-    if total == 0:
-        return ""
-    num = "d" if total == 1 else f"d^{total}"
-    parts = []
-    for idx, order in enumerate(multi):
-        if order == 0:
-            continue
-        name = chart.coords[idx]
-        parts.append(f"d{name}" if order == 1 else f"d{name}^{order}")
-    if len(parts) == 1:
-        return f"{num}/{parts[0]}"
-    return f"{num}/(" + " ".join(parts) + ")"
 
 
 @dataclass(frozen=True)
@@ -267,10 +206,6 @@ class BidiffOp:
                 kept.append((scalar, left, right))
         kept.sort(key=lambda t: (t[1].pretty(), t[2].pretty()))
         return BidiffOp(chart, tuple(kept))
-
-    @staticmethod
-    def zero(chart: Chart) -> "BidiffOp":
-        return BidiffOp(chart, ())
 
     @property
     def is_zero(self) -> bool:
@@ -331,7 +266,7 @@ def wedge(a: DiffOp, b: DiffOp) -> BidiffOp:
 
 def lowered_coordinate(chart: Chart, mu: int) -> Expr:
     """Coordinate function with its index lowered by the (-,+,+,+) metric."""
-    return mul(chart.signature[mu], sym(chart.coords[mu]))
+    return mul(rindler.METRIC_SIGNATURE[mu], sym(chart.coords[mu]))
 
 
 @cache

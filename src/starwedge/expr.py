@@ -608,25 +608,13 @@ def tanh(arg: ExprLike) -> Expr:
 # --- operations -------------------------------------------------------------
 
 def simplify(e: Expr) -> Expr:
-    """Re-normalize an expression.
+    """Re-normalize an expression: the substitution walk with nothing to substitute.
 
     Expressions are canonical by construction, so this is a fixed point:
     ``simplify(simplify(e))`` is structurally identical to ``simplify(e)``.
     It remains the entry point for trees assembled from raw node constructors.
     """
-    if isinstance(e, Const):
-        return ZERO if e.value.is_zero else e
-    if isinstance(e, Sym):
-        return e
-    if isinstance(e, Fn):
-        return _fn(e.fname, simplify(e.arg))
-    if isinstance(e, Pow):
-        return _pow_expr(simplify(e.base), e.exponent)
-    if isinstance(e, Mul):
-        return mul(*(simplify(f) for f in e.factors))
-    if isinstance(e, Add):
-        return add(*(simplify(t) for t in e.terms))
-    raise TypeError(type(e))
+    return substitute(e, {})
 
 
 def _atom_derivative(atom: Expr, name: str) -> TermMap:

@@ -91,9 +91,7 @@ class RindlerMap:
     def forward(self, zs: tuple[Expr, Expr, Expr, Expr]) -> tuple[Expr, Expr, Expr, Expr]:
         """Map four accelerated-chart expressions to flat-chart coordinates."""
         subs = dict(zip(RINDLER_COORDS, zs))
-        n = substitute(self.lapse, subs)
-        u = substitute(_A * _Z[0], subs)
-        return (n * sinh(u), n * cosh(u), zs[2], zs[3])
+        return tuple(substitute(x, subs) for x in self.as_substitution().values())
 
     def as_substitution(self) -> dict[str, Expr]:
         u = _A * _Z[0]

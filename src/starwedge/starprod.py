@@ -21,6 +21,7 @@ from fractions import Fraction
 from .diffop import BidiffOp, Chart, ChartMismatchError, MINKOWSKI, lowered_coordinate
 from .expr import Expr, I, ZERO, add, equality_probe, mul, sym
 from .grammar import to_text
+from .rindler import METRIC_SIGNATURE
 from .twists import (
     CanonicalTwist,
     LieTwist,
@@ -42,9 +43,6 @@ __all__ = [
     "table_to_text",
     "table_to_json_dict",
 ]
-
-ETA = (-1, 1, 1, 1)
-
 
 def star(f: Expr, g: Expr, twist: LinearTwist) -> Expr:
     """Deformed product truncated at first order in the deformation parameter."""
@@ -104,18 +102,21 @@ def _expected_canonical(spec: CanonicalTwist) -> dict[tuple[int, int], Expr]:
     }
 
 
+def _eta(k: int, m: int) -> int:
+    """Component eta_km of the flat metric."""
+    return METRIC_SIGNATURE[k] if k == m else 0
+
+
 def _lie_structure_constant(spec: LieTwist, rho: int, mu: int, nu: int) -> Fraction:
     """Structure coefficient of the linear flat-chart relation, all indices low."""
-    zeta_low = [Fraction(ETA[k]) * spec.zeta[k] for k in range(4)]
+    zeta_low = [Fraction(METRIC_SIGNATURE[k]) * spec.zeta[k] for k in range(4)]
     a, b = spec.alpha, spec.beta
     val = Fraction(0)
     val += spec.inv_kappa * zeta_low[mu] * (
-        (ETA[b] if b == nu else 0) * (1 if rho == a else 0)
-        - (ETA[a] if a == nu else 0) * (1 if rho == b else 0)
+        _eta(b, nu) * (1 if rho == a else 0) - _eta(a, nu) * (1 if rho == b else 0)
     )
     val += spec.inv_kappa * zeta_low[nu] * (
-        (ETA[a] if a == mu else 0) * (1 if rho == b else 0)
-        - (ETA[b] if b == mu else 0) * (1 if rho == a else 0)
+        _eta(a, mu) * (1 if rho == b else 0) - _eta(b, mu) * (1 if rho == a else 0)
     )
     return val
 
@@ -133,7 +134,7 @@ def _expected_lie(spec: LieTwist) -> dict[tuple[int, int], Expr]:
             # the closed form is stated for lowered coordinates; raise both
             # free indices with the diagonal metric to compare with the
             # engine table of plain coordinate functions
-            out[(mu, nu)] = mul(I, ETA[mu] * ETA[nu], lowered)
+            out[(mu, nu)] = mul(I, METRIC_SIGNATURE[mu] * METRIC_SIGNATURE[nu], lowered)
     return out
 
 
@@ -145,17 +146,14 @@ def _quadratic_rhs_lowered(spec: QuadraticTwist, mu: int, nu: int) -> Expr:
     """
     a, b, g, d = spec.indices
 
-    def eta_at(k: int, m: int) -> int:
-        return ETA[k] if k == m else 0
-
     def pair(r: int, s: int) -> Expr:
         return mul(2, lowered_coordinate(MINKOWSKI, r), lowered_coordinate(MINKOWSKI, s))
 
     bracket = add(
-        mul(eta_at(a, mu) * eta_at(g, nu), pair(b, d)),
-        mul(-eta_at(a, mu) * eta_at(d, nu), pair(b, g)),
-        mul(-eta_at(b, mu) * eta_at(g, nu), pair(a, d)),
-        mul(eta_at(b, mu) * eta_at(d, nu), pair(a, g)),
+        mul(_eta(a, mu) * _eta(g, nu), pair(b, d)),
+        mul(-_eta(a, mu) * _eta(d, nu), pair(b, g)),
+        mul(-_eta(b, mu) * _eta(g, nu), pair(a, d)),
+        mul(_eta(b, mu) * _eta(d, nu), pair(a, g)),
     )
     return mul(I, Fraction(spec.xi, 2), bracket)
 
@@ -168,7 +166,7 @@ def _expected_quadratic(spec: QuadraticTwist) -> dict[tuple[int, int], Expr]:
             # the first generator pair and nu from the second; the full table
             # is its antisymmetric completion
             lowered = _quadratic_rhs_lowered(spec, mu, nu) - _quadratic_rhs_lowered(spec, nu, mu)
-            out[(mu, nu)] = mul(ETA[mu] * ETA[nu], lowered)
+            out[(mu, nu)] = mul(METRIC_SIGNATURE[mu] * METRIC_SIGNATURE[nu], lowered)
     return out
 
 

@@ -102,8 +102,13 @@ def test_chart_consistency_lie_and_quadratic():
 
 def _drop_one_chain_rule_term(pullback):
     def broken(self):
+        # zero the highest-index nonzero component, the leading term of the text
         moved = pullback(self)
-        return DiffOp(moved.chart, moved.terms[1:])
+        coeffs = list(moved.coeffs)
+        top = max((nu for nu, c in enumerate(coeffs) if c != ZERO), default=None)
+        if top is not None:
+            coeffs[top] = ZERO
+        return DiffOp(moved.chart, tuple(coeffs))
 
     return broken
 
