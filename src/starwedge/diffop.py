@@ -57,8 +57,6 @@ __all__ = [
     "lowered_coordinate",
 ]
 
-Coeffs = tuple[Expr, Expr, Expr, Expr]
-
 
 class ChartMismatchError(ValueError):
     """Operands live on different charts."""
@@ -97,7 +95,7 @@ class DiffOp:
     """Vector field on one chart: ``coeffs[mu]`` multiplies d/d(coords[mu])."""
 
     chart: Chart
-    coeffs: Coeffs
+    coeffs: tuple[Expr, Expr, Expr, Expr]
 
     @staticmethod
     def partial(chart: Chart, mu: int, coeff: ExprLike = 1) -> "DiffOp":
@@ -109,7 +107,7 @@ class DiffOp:
 
     @property
     def is_zero(self) -> bool:
-        return all(c == ZERO for c in self.coeffs)
+        return self.coeffs == (ZERO,) * 4
 
     def apply(self, f: Expr) -> Expr:
         """Act on a function slot: sum of coeff_mu * (d f / d coord_mu)."""
@@ -120,10 +118,10 @@ class DiffOp:
         """The action of :meth:`apply` on the term map of a function."""
         out: TermMap = {}
         for coeff, name in zip(self.coeffs, self.chart.coords):
-            if coeff == ZERO:
-                continue
-            for mono, c in _mul_terms(_as_terms(coeff), _diff_terms(f, name)).items():
-                _add_term(out, mono, c)
+            coeff_terms = _as_terms(coeff)
+            if coeff_terms:
+                for mono, c in _mul_terms(coeff_terms, _diff_terms(f, name)).items():
+                    _add_term(out, mono, c)
         return out
 
     def scale(self, factor: ExprLike) -> "DiffOp":
