@@ -31,7 +31,13 @@ from starwedge.starprod import (
     table_to_text,
     verify_flat_relations,
 )
-from starwedge.twists import CanonicalTwist, LieTwist, QuadraticTwist, build_linear_twist
+from starwedge.twists import (
+    CanonicalTwist,
+    LieTwist,
+    LinearTwist,
+    QuadraticTwist,
+    build_linear_twist,
+)
 
 a, z0, z1, z2, z3 = (sym(n) for n in ("a", "z0", "z1", "z2", "z3"))
 xs = [sym(f"x{k}") for k in range(4)]
@@ -225,6 +231,19 @@ def test_relation_entry_pinpoints_failures():
     )
     assert not bad.passed
     assert bad.residual == I
+
+
+def test_verify_flat_relations_reports_exactly_the_wrong_entries():
+    # the record claims theta01 and theta23; the operator carries theta01 and theta13
+    spec = CanonicalTwist({(0, 1): Fraction(1, 2), (2, 3): Fraction(1, 3)})
+    built = build_linear_twist(
+        CanonicalTwist({(0, 1): Fraction(1, 2), (1, 3): Fraction(1, 5)}), MINKOWSKI
+    )
+    rep = verify_flat_relations(LinearTwist(spec, built.operator))
+    assert not rep.passed
+    assert len(rep.entries) == 6
+    assert [(e.mu, e.nu) for e in rep.failures()] == [(1, 3), (2, 3)]
+    assert [e.residual for e in rep.failures()] == [mul(I, Fraction(1, 5)), mul(I, Fraction(-1, 3))]
 
 
 def test_verify_flat_relations_requires_flat_chart():
