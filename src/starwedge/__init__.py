@@ -46,7 +46,6 @@ from .spectrum import (
     ModeParams,
     PowerSpectrumPoint,
     SpectrumResult,
-    ThetaCorrection,
     compute_spectrum,
     deformed_correction_quadrature,
     deformed_f_theta,

@@ -757,14 +757,12 @@ def equality_probe(
     tol: float = 1e-9,
     *,
     seed: int = 20259,
-    ranges: Mapping[str, tuple[float, float]] | None = None,
 ) -> bool:
     """Numeric equality test at pseudo-random bindings from a fixed-seed box.
 
-    Symbols default to the box ``[0.5, 2]``, which keeps every sampled point
-    away from coordinate singularities such as a vanishing radial coordinate;
-    ``ranges`` overrides the box per symbol (parameters typically use a
-    smaller positive box).  Returns True iff ``|e1 - e2| <= tol * (1 + |e1|)``
+    Every symbol is drawn from the box ``[0.5, 2]``, which keeps every sampled
+    point away from coordinate singularities such as a vanishing radial
+    coordinate.  Returns True iff ``|e1 - e2| <= tol * (1 + |e1|)``
     at every trial.  Sample points where either side overflows or is not
     finite are redrawn, with a retry cap.
     """
@@ -774,10 +772,7 @@ def equality_probe(
     rng = random.Random(seed)
     for _ in range(trials):
         for attempt in range(_PROBE_RETRY_CAP + 1):
-            b = {}
-            for n in names:
-                lo, hi = (ranges or {}).get(n, DEFAULT_SAMPLE_RANGE)
-                b[n] = rng.uniform(lo, hi)
+            b = {n: rng.uniform(*DEFAULT_SAMPLE_RANGE) for n in names}
             try:
                 v1 = eval_numeric(e1, b)
                 v2 = eval_numeric(e2, b)

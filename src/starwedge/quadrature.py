@@ -4,22 +4,17 @@ The object of interest is
 
     J_p(s, w) = int_0^inf u^(p - i s - 1) exp(i w u) du,      s = omega/a, w = omega_hat * z,
 
-reached from the proper-time integral by the substitution u = exp(-a tau).
-It is the h = 0 case of the damped integral
+reached from the proper-time integral by the substitution u = exp(-a tau);
+it converges only conditionally.  Two exact identities reduce every call,
+without the gamma function, to one integral of the form
+int_0^inf x^(c - 1) e^(ix) dx with Re c >= 1, where c = p - i s:
 
-    J_p(s, w; h) = int_0^inf u^(p + h - i s - 1) exp((i w - h) u) du,      h >= 0,
-
-which converges absolutely for h > 0 and only conditionally at h = 0.  Two
-exact identities reduce every call, without the gamma function, to one
-integral of the form int_0^inf x^(c - 1) e^(-(h / w) x) e^(ix) dx with
-Re c >= 1, where c = p + h - i s:
-
-    rescaling                x = w u:   J_p(s, w; h) = w^(-c) int_0^inf x^(c - 1) e^(-(h / w) x) e^(ix) dx
-    integration by parts     (p = 0):   J(c) = ((h - i w) / c) J(c + 1)
+    rescaling                x = w u:   J_p(s, w) = w^(-c) int_0^inf x^(c - 1) e^(ix) dx
+    integration by parts     (p = 0):   J(c) = (-i w / c) J(c + 1)
 
 Rescaling makes the cost independent of w.  Integration by parts removes the
-singularity of u^(c - 1) at u = 0; at h = 0 its factor is w / s, and J_0
-diverges at s = 0, which raises ValueError.
+singularity of u^(c - 1) at u = 0; at c = -i s its factor is w / s, so
+J_0 = (w / s) J_1, and J_0 diverges at s = 0, which raises ValueError.
 
 Each integral is evaluated on the real axis by the double-exponential
 (DE) rule of Ooura and Mori for Fourier integrals (J. Comput. Appl. Math. 38
@@ -32,9 +27,9 @@ e^(ix) is sampled at t = (n - 1/2) pi / M and the sin part at t = n pi / M,
 with weights pi phi'(t).  The nodes approach the zeros of cos and sin, and
 phi' vanishes, double exponentially, so one node set covers (0, inf) with no
 panels and no cut of the range; it depends on M alone and is cached.  The
-oscillating tail needs no damping: at h = 0 the rule sums to the h -> 0+
-limit by itself.  M = 64 panel_factor with the 64 doubled while under 8 s, up
-to 4096, since u^(-i s) turns at the rate |s| / u.  The estimate
+oscillating tail needs no damping factor: the rule sums the conditionally
+convergent integral by itself.  M = 64 panel_factor with the 64 doubled while
+under 8 s, up to 4096, since u^(-i s) turns at the rate |s| / u.  The estimate
 max(|J(M) - J(2M)|, _TAIL_TOL) is exactly that floor once the rule has
 converged to roundoff, so it does not grow under doubling.
 
@@ -52,10 +47,10 @@ So everything runs in extended precision (np.longdouble), s >= 0 included
 - phi' = e^(-v) N / (1 - e^(-v))^2 has an O(t^2) numerator, written without
   cancellation as N = (expm1(v) - v) + alpha e^(-t) (expm1(t) - t) + beta (expm1(t) - t e^t);
 - for p = 0 the rule would meet u^(c - 1) singular at u = 0, so the
-  integral is taken by parts, J(c) = ((h - i w) / c) J(c + 1).
+  integral is taken by parts, J(c) = (-i w / c) J(c + 1).
 
-At h = 0 and |s| near 4 this leaves at most about 4e-12 of J (in plain
-double, about 1.2e-8); the estimate exceeds rtol = 1e-7 from s = -4.8 on.
+At |s| near 4 this leaves at most about 4e-12 of J (in plain double, about
+1.2e-8); the estimate exceeds rtol = 1e-7 from s = -4.8 on.
 """
 
 from __future__ import annotations
@@ -80,12 +75,11 @@ class QuadratureResult:
     value: complex
     error_estimate: float
     converged: bool
-    panel_factor: int
 
 
 @lru_cache(maxsize=8)
-def _de_rule(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes x, their logarithms and the complex weights of the DE rule with mesh pi / m.
+def _de_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Logarithms of the nodes and the complex weights of the DE rule with mesh pi / m.
 
     sum_k f(x_k) weights_k approximates int_0^inf f(x) e^(ix) dx (real weights
     at the cos nodes, imaginary at the sin nodes).  Beyond the kept range of t,
@@ -111,41 +105,36 @@ def _de_rule(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         dphi[zero] = 0.5 + (alpha - _BETA) / (2 * (2 + alpha + _BETA) ** 2)
         nodes.append(x)
         weights.append(unit * _PI * dphi * (-1.0) ** n * np.sin(x * np.exp(-v)))
-    x = np.concatenate(nodes)
-    return x, np.log(x), np.concatenate(weights)
+    return np.log(np.concatenate(nodes)), np.concatenate(weights)
 
 
-def _de_sum(c: complex, rate: float, m: int):
-    """The DE rule with mesh pi / m for int_0^inf x^(c - 1) e^(-rate x) e^(ix) dx."""
-    x, log_x, weights = _de_rule(m)
-    cm1 = np.clongdouble(c - 1)
-    return np.sum(np.exp(cm1 * log_x - np.longdouble(rate) * x) * weights)
+def _de_sum(c: complex, m: int):
+    """The DE rule with mesh pi / m for int_0^inf x^(c - 1) e^(ix) dx."""
+    log_x, weights = _de_rule(m)
+    return np.sum(np.exp(np.clongdouble(c - 1) * log_x) * weights)
 
 
 def damped_mode_integral(
-    s: float, w: float, h: float, power_shift: int = 0, panel_factor: int = 1
+    s: float, w: float, power_shift: int = 0, panel_factor: int = 1
 ) -> tuple[complex, float]:
-    """One integral J_p(s, w; h), h >= 0, and a refinement-based error estimate.
+    """One integral J_p(s, w) and a refinement-based error estimate.
 
     ``power_shift`` is the extra power p of u in the integrand (0 for the
     plain mode amplitude, 1 when an extra exp(-a tau) factor is present).
-    With c = p + h - i s and x = w u the integral is w^(-c) times the DE rule
-    for int_0^inf x^(c - 1) e^(-(h / w) x) e^(ix) dx; for p = 0 it is first
-    taken by parts, J(c) = ((h - i w) / c) J(c + 1), which raises ValueError
-    at c = 0 (p = h = s = 0).  The value is J(2M) and the estimate
-    max(|J(M) - J(2M)|, _TAIL_TOL), with M set by s and ``panel_factor`` as
-    the module docstring says.
+    With c = p - i s and x = w u the integral is w^(-c) times the DE rule
+    for int_0^inf x^(c - 1) e^(ix) dx; for p = 0 it is first taken by parts,
+    J(c) = (-i w / c) J(c + 1), which raises ValueError at c = 0 (p = s = 0).
+    The value is J(2M) and the estimate max(|J(M) - J(2M)|, _TAIL_TOL), with
+    M set by s and ``panel_factor`` as the module docstring says.
     """
-    if h < 0:
-        raise ValueError("damping must be non-negative")
     if w <= 0:
         raise ValueError("w = omega_hat * z must be positive")
-    c = power_shift + h - 1j * s
+    c = power_shift - 1j * s
     scale = 1.0
     if power_shift == 0:
         if c == 0:
             raise ValueError("J_0(s, w) diverges at s = 0 (gamma pole of the amplitude)")
-        scale = (h - 1j * w) / c
+        scale = -1j * w / c
         c += 1
     scale *= cmath.exp(-c * math.log(w))
     # M >= 8 s resolves u^(-i s); see the module docstring
@@ -153,7 +142,7 @@ def damped_mode_integral(
     while m < min(8 * s, 4096):
         m *= 2
     m *= panel_factor
-    coarse, fine = (complex(scale * _de_sum(c, h / w, k)) for k in (m, 2 * m))
+    coarse, fine = (complex(scale * _de_sum(c, k)) for k in (m, 2 * m))
     return fine, max(abs(fine - coarse), _TAIL_TOL)
 
 
@@ -165,17 +154,15 @@ def mode_integral(
     panel_factor: int = 1,
     rtol: float = 1e-7,
 ) -> QuadratureResult:
-    """J_p(s, w) = J_p(s, w; 0) with an error estimate.
+    """J_p(s, w) with an error estimate.
 
-    The value and estimate are those of ``damped_mode_integral`` at h = 0,
-    the estimate floored at 1e-15 (1 + |J|); ``converged`` reports whether
-    it met ``rtol`` relative to the value.  Non-convergence is reported,
-    never raised, so callers can flag partial results.  J_0 diverges at
-    s = 0, which raises ValueError.
+    The value and estimate are those of ``damped_mode_integral``, the
+    estimate floored at 1e-15 (1 + |J|); ``converged`` reports whether it
+    met ``rtol`` relative to the value.  Non-convergence is reported, never
+    raised, so callers can flag partial results.  J_0 diverges at s = 0,
+    which raises ValueError.
     """
-    value, estimate = damped_mode_integral(s, w, 0.0, power_shift, panel_factor)
+    value, estimate = damped_mode_integral(s, w, power_shift, panel_factor)
     estimate = max(estimate, 1e-15 * (1.0 + abs(value)))
     converged = estimate <= rtol * max(abs(value), 1e-300)
-    return QuadratureResult(
-        value=value, error_estimate=estimate, converged=converged, panel_factor=panel_factor
-    )
+    return QuadratureResult(value=value, error_estimate=estimate, converged=converged)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cache
 
-from .expr import Expr, ONE, cosh, differentiate, mul, simplify, sinh, substitute, sym
+from .expr import Expr, ONE, ZERO, cosh, differentiate, sinh, substitute, sym
 
 __all__ = [
     "MINKOWSKI_COORDS",
@@ -105,7 +105,7 @@ class RindlerMap:
     def metric_pullback(self) -> MetricPullback:
         """Pull the flat metric back through the map, from first principles."""
         xs = self.forward(_Z)
-        g = [[simplify(mul(0)) for _ in range(4)] for _ in range(4)]
+        diagonal = []
         for mu in range(4):
             for nu in range(mu, 4):
                 acc = None
@@ -114,16 +114,13 @@ class RindlerMap:
                     d2 = differentiate(xs[rho], RINDLER_COORDS[nu])
                     piece = METRIC_SIGNATURE[rho] * d1 * d2
                     acc = piece if acc is None else acc + piece
-                g[mu][nu] = acc
-        for mu in range(4):
-            for nu in range(mu + 1, 4):
-                if g[mu][nu] != mul(0):
-                    raise AssertionError(
-                        f"metric pullback is not diagonal at ({mu},{nu}): {g[mu][nu]}"
-                    )
-        computed = (g[0][0], g[1][1], g[2][2], g[3][3])
+                if nu == mu:
+                    diagonal.append(acc)
+                elif acc != ZERO:
+                    raise AssertionError(f"metric pullback is not diagonal at ({mu},{nu}): {acc}")
+        computed = tuple(diagonal)
         n_sq = self.lapse * self.lapse
-        printed = (-_A * n_sq, g[1][1], g[2][2], g[3][3])
+        printed = (-_A * n_sq, *diagonal[1:])
         return MetricPullback(computed=computed, printed_alternative=printed)
 
 

@@ -39,7 +39,6 @@ from .quadrature import QuadratureResult, mode_integral
 
 __all__ = [
     "ModeParams",
-    "ThetaCorrection",
     "theta01_from_engine",
     "hawking_temperature",
     "planck_power",
@@ -79,17 +78,6 @@ class ModeParams:
             raise ValueError("z must be positive")
         if not self.a > 0:
             raise ValueError("a must be positive")
-
-
-@dataclass(frozen=True)
-class ThetaCorrection:
-    """Constant-deformation input for the corrected spectrum.
-
-    ``theta01`` is the lowered-index time-radial component; a positive value
-    suppresses the detected spectrum at positive frequency.
-    """
-
-    theta01: float
 
 
 def theta01_from_engine(theta01: Real) -> Real:
@@ -136,21 +124,29 @@ def f_closed(m: ModeParams) -> complex:
     return (1.0 / m.a) * phase * complex_gamma(-1j * s) * math.exp(math.pi * s / 2.0)
 
 
+def _mode_quadrature(
+    m: ModeParams, power_shift: int, panel_factor: int = 1, rtol: float = 1e-7
+) -> QuadratureResult:
+    """(1/a) J_p(omega/a, omega_hat z) by real-axis quadrature, p = ``power_shift``."""
+    res = mode_integral(
+        m.omega / m.a, m.omega_hat * m.z,
+        power_shift=power_shift, panel_factor=panel_factor, rtol=rtol,
+    )
+    return replace(res, value=res.value / m.a)
+
+
 def f_quadrature(
     m: ModeParams,
     *,
     panel_factor: int = 1,
     rtol: float = 1e-7,
 ) -> QuadratureResult:
-    """Fourier amplitude by real-axis quadrature of the undamped mode integral.
+    """Fourier amplitude by real-axis quadrature of the mode integral.
 
     Independent of :func:`f_closed` and of the gamma function; this is the
     numerical oracle for the closed form.
     """
-    s = m.omega / m.a
-    w = m.omega_hat * m.z
-    res = mode_integral(s, w, power_shift=0, panel_factor=panel_factor, rtol=rtol)
-    return replace(res, value=res.value / m.a)
+    return _mode_quadrature(m, 0, panel_factor, rtol)
 
 
 def correction_integral_closed(m: ModeParams) -> complex:
@@ -166,17 +162,9 @@ def correction_integral_closed(m: ModeParams) -> complex:
     return (1.0 / m.a) * complex_gamma(1.0 - 1j * s) * cmath.exp(expo)
 
 
-def correction_integral_quadrature(
-    m: ModeParams,
-    *,
-    panel_factor: int = 1,
-    rtol: float = 1e-7,
-) -> QuadratureResult:
+def correction_integral_quadrature(m: ModeParams) -> QuadratureResult:
     """Quadrature oracle for :func:`correction_integral_closed`."""
-    s = m.omega / m.a
-    w = m.omega_hat * m.z
-    res = mode_integral(s, w, power_shift=1, panel_factor=panel_factor, rtol=rtol)
-    return replace(res, value=res.value / m.a)
+    return _mode_quadrature(m, 1)
 
 
 @dataclass(frozen=True)
@@ -196,24 +184,18 @@ def power_spectrum(m: ModeParams) -> PowerSpectrumPoint:
     return PowerSpectrumPoint(via_amplitude=via, planck=planck_power(m.a, m.omega))
 
 
-def _bracket(m: ModeParams, d: ThetaCorrection) -> complex:
+def _bracket(m: ModeParams, theta01: float) -> complex:
     """First-order amplitude factor 1 - (2 theta01 omega/(a z^2))(i omega/a - 1)."""
     s = m.omega / m.a
-    return 1.0 - (2.0 * d.theta01 * m.omega / (m.a * m.z**2)) * (1j * s - 1.0)
+    return 1.0 - (2.0 * theta01 * m.omega / (m.a * m.z**2)) * (1j * s - 1.0)
 
 
-def deformed_f_theta(m: ModeParams, d: ThetaCorrection) -> complex:
+def deformed_f_theta(m: ModeParams, theta01: float) -> complex:
     """Corrected Fourier amplitude at first order in theta01."""
-    return f_closed(m) * _bracket(m, d)
+    return f_closed(m) * _bracket(m, theta01)
 
 
-def deformed_correction_quadrature(
-    m: ModeParams,
-    d: ThetaCorrection,
-    *,
-    panel_factor: int = 1,
-    rtol: float = 1e-7,
-) -> complex:
+def deformed_correction_quadrature(m: ModeParams, theta01: float) -> complex:
     """First-order amplitude correction assembled from its two mode integrals.
 
     Both correction terms carry the integral with one extra e^{-a tau} factor,
@@ -222,19 +204,19 @@ def deformed_correction_quadrature(
         (2 i theta^{01} omega omega_hat / (a z)) J  -  (2 theta^{01} omega_hat / z) J,
 
     with the raised component theta^{01} = -theta01.  Cross-checks
-    deformed_f_theta(m, d) - f_closed(m).
+    deformed_f_theta(m, theta01) - f_closed(m).
     """
-    theta_upper = -d.theta01
-    j = correction_integral_quadrature(m, panel_factor=panel_factor, rtol=rtol).value
+    theta_upper = -theta01
+    j = correction_integral_quadrature(m).value
     wave_term = (2.0j * theta_upper * m.omega * m.omega_hat / (m.a * m.z)) * j
     argument_term = -(2.0 * theta_upper * m.omega_hat / m.z) * j
     return wave_term + argument_term
 
 
-def relative_deviation_closed(m: ModeParams, d: ThetaCorrection) -> float:
+def relative_deviation_closed(m: ModeParams, theta01: float) -> float:
     """-2 theta01 omega / (pi T z^2): the closed-form spectral deviation."""
     t = hawking_temperature(m.a)
-    return -2.0 * d.theta01 * m.omega / (math.pi * t * m.z**2)
+    return -2.0 * theta01 * m.omega / (math.pi * t * m.z**2)
 
 
 LINEAR_REGIME_BOUND = 0.1
@@ -249,17 +231,17 @@ class DeformedPowerPoint:
     linear_bound_exceeded: bool
 
 
-def deformed_power(m: ModeParams, d: ThetaCorrection) -> DeformedPowerPoint:
+def deformed_power(m: ModeParams, theta01: float) -> DeformedPowerPoint:
     """Corrected detected power at negative frequency, truncated at first order.
 
-    ``closed_form`` scales the Planck form by (1 + deviation); ``via_amplitude``
-    squares the corrected amplitude at -omega and drops the quadratic term.
-    A warning flags points where the first-order regime bound |deviation| > 0.1
-    is violated.
+    A positive ``theta01`` suppresses the power.  ``closed_form`` scales the
+    Planck form by (1 + deviation); ``via_amplitude`` squares the corrected
+    amplitude at -omega and drops the quadratic term.  A warning flags points
+    where the first-order regime bound |deviation| > 0.1 is violated.
     """
     if not m.omega > 0:
         raise ValueError("omega must be positive for the detected spectrum")
-    dev = relative_deviation_closed(m, d)
+    dev = relative_deviation_closed(m, theta01)
     exceeded = abs(dev) > LINEAR_REGIME_BOUND
     if exceeded:
         warnings.warn(
@@ -271,7 +253,7 @@ def deformed_power(m: ModeParams, d: ThetaCorrection) -> DeformedPowerPoint:
     closed = base.planck * (1.0 + dev)
     neg = replace(m, omega=-m.omega)
     # |f (1 + c)|^2 truncated at first order: |f|^2 (1 + 2 Re c)
-    c = _bracket(neg, d) - 1.0
+    c = _bracket(neg, theta01) - 1.0
     via = base.via_amplitude * (1.0 + 2.0 * c.real)
     return DeformedPowerPoint(closed_form=closed, via_amplitude=via, linear_bound_exceeded=exceeded)
 
@@ -374,7 +356,6 @@ def compute_spectrum(
     """
     if method not in ("closed-form", "quadrature", "both"):
         raise ValueError(f"unknown method {method!r}")
-    d = ThetaCorrection(theta01)
     rows: list[SpectrumRow] = []
     for omega in omegas:
         if not omega > 0:
@@ -383,7 +364,7 @@ def compute_spectrum(
         neg = replace(m, omega=-omega)
         try:
             # the closed form first; the rows below repeat its computations
-            dp = deformed_power(m, d)
+            dp = deformed_power(m, theta01)
         except OverflowError as err:
             raise OverflowError(
                 f"omega = {omega!r} (omega / a = {omega / a:.6g}) is out of range: {err}"
@@ -407,7 +388,7 @@ def compute_spectrum(
                     omega=omega,
                     f_value=res.value,
                     power=power,
-                    power_deformed=power * (1.0 + relative_deviation_closed(m, d)),
+                    power_deformed=power * (1.0 + relative_deviation_closed(m, theta01)),
                     method="quadrature",
                     converged=res.converged,
                 )

@@ -9,33 +9,15 @@ from starwedge.quadrature import damped_mode_integral, mode_integral
 _LONGDOUBLE_IS_DOUBLE = np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps
 
 
-def _damped_closed_form(p: int, s: float, w: float, h: float) -> complex:
-    """Independent value of the damped integral from the gamma integral."""
-    c = p + h - 1j * s
-    return complex(scipy_gamma(c)) * (h - 1j * w) ** (-c)
-
-
-@pytest.mark.parametrize("p", [0, 1])
-@pytest.mark.parametrize("s", [0.5, 1.0, 2.0, 5.0])
-@pytest.mark.parametrize("h", [0.25, 0.0625])
-def test_damped_integral_matches_gamma_form(p, s, h):
-    got, est = damped_mode_integral(s, 1.0, h, power_shift=p)
-    want = _damped_closed_form(p, s, 1.0, h)
-    assert abs(got - want) <= 1e-11 * abs(want)
-    assert est >= 0.0
-
-
 def test_damped_integral_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        damped_mode_integral(1.0, 1.0, -0.1)
-    with pytest.raises(ValueError):
-        damped_mode_integral(1.0, -1.0, 0.1)
+        damped_mode_integral(1.0, -1.0)
     with pytest.raises(ValueError):
         mode_integral(1.0, 0.0)
 
 
 def test_extrapolated_value_against_limit_form():
-    # limit h -> 0: Gamma(-is) (w)^{is} e^{pi s/2} for p = 0
+    # Gamma(-is) (w)^{is} e^{pi s/2} for p = 0
     for s in (0.5, 1.0, 2.0):
         w = 1.0
         res = mode_integral(s, w, power_shift=0)
@@ -46,12 +28,11 @@ def test_extrapolated_value_against_limit_form():
 
 
 def test_error_estimate_shrinks_with_panel_doubling():
-    # at fixed damping the refinement residual |J(M) - J(2M)| is the rule's
-    # error; it must not grow under doubling of M (it bottoms out at the floor)
-    for h in (0.05, 0.0):
-        ests = [damped_mode_integral(1.0, 1.0, h, panel_factor=pf)[1] for pf in (1, 2, 4)]
-        assert ests[1] <= ests[0]
-        assert ests[2] <= ests[1]
+    # the refinement residual |J(M) - J(2M)| is the rule's error; it must not
+    # grow under doubling of M (it bottoms out at the floor)
+    ests = [damped_mode_integral(1.0, 1.0, panel_factor=pf)[1] for pf in (1, 2, 4)]
+    assert ests[1] <= ests[0]
+    assert ests[2] <= ests[1]
     full = [mode_integral(1.0, 1.0, panel_factor=pf).error_estimate for pf in (1, 2)]
     assert full[1] <= full[0] * (1.0 + 1e-9)
 
@@ -66,7 +47,7 @@ def test_nonconvergence_is_reported_not_raised():
 @pytest.mark.parametrize("s", [-4.0, -0.04, 0.5, 2.0, 20.0])
 @pytest.mark.parametrize("w", [1.0, 10.0, 100.0])
 def test_mode_integral_matches_gamma_form(p, s, w):
-    # the undamped limit Gamma(p - is) (-iw)^{-(p - is)}, at low frequency,
+    # Gamma(p - is) (-iw)^{-(p - is)}, at low frequency,
     # at large w = omega_hat * z and at large positive s alike
     res = mode_integral(s, w, power_shift=p)
     c = p - 1j * s

@@ -12,7 +12,6 @@ from starwedge.gammafn import GammaPoleError
 from starwedge.spectrum import (
     LinearRegimeWarning,
     ModeParams,
-    ThetaCorrection,
     compute_spectrum,
     correction_integral_closed,
     correction_integral_quadrature,
@@ -144,7 +143,7 @@ def test_correction_integral_gamma_recursion():
 
 def test_zero_deformation_is_exact():
     m = _mode(1.0)
-    assert deformed_f_theta(m, ThetaCorrection(0.0)) == f_closed(m)
+    assert deformed_f_theta(m, 0.0) == f_closed(m)
 
 
 def test_deformed_deviation_closed_form():
@@ -152,10 +151,9 @@ def test_deformed_deviation_closed_form():
     for th in (1e-4, -1e-4):
         for w in (0.5, 1.0, 2.0):
             m = _mode(w, a=a)
-            d = ThetaCorrection(th)
-            dp = deformed_power(m, d)
+            dp = deformed_power(m, th)
             dev = dp.closed_form / planck_power(a, w) - 1.0
-            want = relative_deviation_closed(m, d)
+            want = relative_deviation_closed(m, th)
             assert dev == pytest.approx(want, rel=1e-10)
             assert not dp.linear_bound_exceeded
 
@@ -165,11 +163,10 @@ def test_deformed_deviation_via_amplitude():
     for th in (1e-4, -1e-4):
         for w in (0.5, 1.0, 2.0):
             m = _mode(w, a=a)
-            d = ThetaCorrection(th)
-            dp = deformed_power(m, d)
+            dp = deformed_power(m, th)
             base = power_spectrum(m).via_amplitude
             dev = dp.via_amplitude / base - 1.0
-            assert dev == pytest.approx(relative_deviation_closed(m, d), rel=1e-8)
+            assert dev == pytest.approx(relative_deviation_closed(m, th), rel=1e-8)
 
 
 def test_quadrature_assembled_correction_matches_bracket():
@@ -177,15 +174,14 @@ def test_quadrature_assembled_correction_matches_bracket():
     # weighted sum must reproduce the closed-form first-order bracket
     for s_val in (0.5, 1.0, 2.0):
         m = ModeParams(omega_hat=1.3, z=0.9, a=1.1, omega=1.1 * s_val)
-        d = ThetaCorrection(1e-4)
-        got = deformed_correction_quadrature(m, d)
-        want = deformed_f_theta(m, d) - f_closed(m)
+        got = deformed_correction_quadrature(m, 1e-4)
+        want = deformed_f_theta(m, 1e-4) - f_closed(m)
         assert abs(got - want) <= 1e-6 * abs(want)
 
 
 def test_positive_theta_suppresses_positive_frequencies():
     m = _mode(1.0, a=2.0 * math.pi)
-    dp = deformed_power(m, ThetaCorrection(1e-3))
+    dp = deformed_power(m, 1e-3)
     assert dp.closed_form < planck_power(m.a, m.omega)
     assert dp.via_amplitude < power_spectrum(m).via_amplitude
 
@@ -199,7 +195,7 @@ def test_finite_difference_extraction_matches_slope():
         base = w * abs(f_closed(neg)) ** 2
 
         def dev(th):
-            return w * abs(deformed_f_theta(neg, ThetaCorrection(th))) ** 2 / base - 1.0
+            return w * abs(deformed_f_theta(neg, th)) ** 2 / base - 1.0
 
         slope = (dev(h) - dev(-h)) / (2.0 * h)
         want = -2.0 * w / (math.pi * hawking_temperature(a))
@@ -209,7 +205,7 @@ def test_finite_difference_extraction_matches_slope():
 def test_linear_regime_warning():
     m = _mode(10.0, a=1.0)
     with pytest.warns(LinearRegimeWarning):
-        dp = deformed_power(m, ThetaCorrection(0.5))
+        dp = deformed_power(m, 0.5)
     assert dp.linear_bound_exceeded
 
 

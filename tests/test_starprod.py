@@ -225,12 +225,10 @@ def test_verify_flat_relations_passes_and_reports():
 
 
 def test_relation_entry_pinpoints_failures():
-    bad = RelationEntry(
-        mu=0, nu=1, expected=mul(I, 1), got=mul(I, 2),
-        structural_equal=False, numeric_equal=False,
-    )
+    bad = RelationEntry(mu=0, nu=1, expected=mul(I, 1), got=mul(I, 2))
     assert not bad.passed
     assert bad.residual == I
+    assert RelationEntry(mu=0, nu=1, expected=I, got=mul(I, 1)).passed
 
 
 def test_verify_flat_relations_reports_exactly_the_wrong_entries():
