@@ -11,7 +11,8 @@ Operators are immutable values.  The momentum and Lorentz generators of each
 chart, like the chart transport ``rindler.partial_transport`` they are built
 from, are shared values built once: each is cached on its (chart, indices)
 arguments, a domain of at most 4 + 12 operators per chart.  ``DiffOp.pretty``
-computes its text, the sort key of tensor legs, once per operator.
+computes its text, the sort key of tensor legs, once per operator, and a
+``DiffOp`` hashes its fields once, since legs key the dicts of ``BidiffOp``.
 ``pullback`` itself is not cached, so transporting a flat operator always
 recomputes the chain rule.
 """
@@ -33,7 +34,6 @@ from .expr import (
     I,
     TermMap,
     ZERO,
-    _add_term,
     _as_terms,
     _diff_terms,
     _from_terms,
@@ -120,8 +120,7 @@ class DiffOp:
         for coeff, name in zip(self.coeffs, self.chart.coords):
             coeff_terms = _as_terms(coeff)
             if coeff_terms:
-                for mono, c in _mul_terms(coeff_terms, _diff_terms(f, name)).items():
-                    _add_term(out, mono, c)
+                _mul_terms(coeff_terms, _diff_terms(f, name), out)
         return out
 
     def scale(self, factor: ExprLike) -> "DiffOp":
@@ -154,6 +153,19 @@ class DiffOp:
             for t_coeff, nu in rindler.partial_transport(mu):
                 out[nu] = out[nu] + mul(moved, t_coeff)
         return DiffOp(RINDLER, tuple(out))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # legs key the dicts of BidiffOp; see __reduce__ for why it is not pickled
+        return hash((self.chart, self.coeffs))
+
+    def __reduce__(self) -> tuple:
+        # by the fields alone: a stored hash of strings is only valid in the
+        # interpreter that computed it, and the text is cheap to rebuild
+        return DiffOp, (self.chart, self.coeffs)
 
     def pretty(self) -> str:
         return self._text
@@ -214,8 +226,9 @@ class BidiffOp:
 
         f and g become term maps once.  Each distinct left leg acts on f once
         and each distinct right leg on g once; terms that share a leg reuse
-        its result.  Every scalar * left(f) * right(g) accumulates into one
-        term map, and the expression is built once, at the end.
+        its result.  The scalar multiplies into the left leg's term map, and
+        every scalar * left(f) * right(g) accumulates in place into one term
+        map; the expression is built once, at the end.
         """
         _check_function_chart(self.chart, f)
         _check_function_chart(self.chart, g)
@@ -228,8 +241,8 @@ class BidiffOp:
                 on_f[left] = left._act(f_terms)
             if right not in on_g:
                 on_g[right] = right._act(g_terms)
-            for mono, c in _mul_terms(on_f[left], on_g[right]).items():
-                _add_term(out, mono, scalar * c)
+            scaled = {mono: scalar * c for mono, c in on_f[left].items()}
+            _mul_terms(scaled, on_g[right], out)
         return _from_terms(out)
 
     def scale(self, scalar: ComplexRational) -> "BidiffOp":

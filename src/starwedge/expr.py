@@ -18,9 +18,19 @@ triple (see :class:`ComplexRational`); floating point enters only through
 :func:`eval_numeric`.
 
 Nodes are immutable.  Each stores its structural sort key, the one source of
-canonical order, and the hash of that key, both computed on first use, so
-hashing and comparing nodes costs no walk over subtrees already keyed.
-Nodes pickle by their fields.
+canonical order, computed on first use.  The atoms, ``Sym`` and ``Fn``, are
+interned (hash-consed): each class keeps its live nodes in a weak table, so
+structurally equal atoms are one object, and atoms compare and hash by
+identity, in C.  Monomials are tuples of (atom, exponent) pairs, so hashing
+one for a term-map lookup runs no Python code.  Composite nodes (``Const``,
+``Add``, ``Mul``, ``Pow``) are not interned: each is built once per result
+and is never part of a monomial, so a table lookup would only add a
+structural hash to its construction.  They store the hash of their key on
+first use instead, so hashing and comparing them costs no walk over subtrees
+already keyed.  The tables rely on one node per atom structure while it
+lives, which holds as long as one thread at a time builds nodes, as every
+caller in the package does.  Nodes pickle by their fields, so unpickled atoms
+are interned too.
 
 The working form is the term map, which maps each monomial to its
 coefficient; ``_add_term``, ``_mul_terms`` and ``_reduce_cosh`` are the one
@@ -34,6 +44,7 @@ from __future__ import annotations
 
 import cmath
 import random
+import weakref
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Mapping, Union
@@ -221,7 +232,9 @@ class Expr:
     The fields, named by ``__match_args__``, are set once by the positional
     constructor; assigning or deleting any attribute raises.  The slots
     ``_key`` and ``_hash`` stay unset until :func:`_skey` and ``hash`` first
-    fill them.
+    fill them.  ``Sym`` and ``Fn`` constructors return the live atom of equal
+    fields, if there is one, and those atoms compare and hash by identity;
+    composite nodes compare by their stored key (see the module docstring).
     """
 
     __slots__ = ("_key", "_hash")
@@ -297,10 +310,21 @@ class Const(Expr):
 
 
 class Sym(Expr):
-    __slots__ = __match_args__ = ("name",)
+    __slots__ = ("name", "__weakref__")
+    __match_args__ = ("name",)
+    _live: "weakref.WeakValueDictionary[str, Sym]" = weakref.WeakValueDictionary()
 
-    def __init__(self, name: str) -> None:
-        _setattr(self, "name", name)
+    def __new__(cls, name: str) -> "Sym":
+        node = cls._live.get(name)
+        if node is None:
+            node = object.__new__(cls)
+            _setattr(node, "name", name)
+            cls._live[name] = node
+        return node
+
+    # interned: equal atoms are one object
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
 
 class Add(Expr):
@@ -326,11 +350,22 @@ class Pow(Expr):
 
 
 class Fn(Expr):
-    __slots__ = __match_args__ = ("fname", "arg")
+    __slots__ = ("fname", "arg", "__weakref__")
+    __match_args__ = ("fname", "arg")
+    _live: "weakref.WeakValueDictionary[tuple[str, Expr], Fn]" = weakref.WeakValueDictionary()
 
-    def __init__(self, fname: str, arg: Expr) -> None:
-        _setattr(self, "fname", fname)
-        _setattr(self, "arg", arg)
+    def __new__(cls, fname: str, arg: Expr) -> "Fn":
+        node = cls._live.get((fname, arg))
+        if node is None:
+            node = object.__new__(cls)
+            _setattr(node, "fname", fname)
+            _setattr(node, "arg", arg)
+            cls._live[fname, arg] = node
+        return node
+
+    # interned: equal atoms are one object
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
 
 FUNCTIONS = ("sinh", "cosh", "exp", "tanh")
@@ -457,7 +492,7 @@ def _reduce_cosh(mono_atoms: dict[Expr, int], coeff: ComplexRational, out: TermM
                 sub = dict(rest)
                 if j:
                     sub[s_atom] = sub.get(s_atom, 0) + 2 * j
-                _reduce_cosh(sub, coeff * ComplexRational(binom), out)
+                _reduce_cosh(sub, coeff if binom == 1 else coeff * ComplexRational(binom), out)
                 binom = binom * (k - j) // (j + 1)
             return
     _add_term(out, _freeze(mono_atoms), coeff)
@@ -512,11 +547,14 @@ def _from_terms(terms: TermMap) -> Expr:
     return Add(tuple(exprs))
 
 
-def _mul_terms(t1: TermMap, t2: TermMap) -> TermMap:
-    out: TermMap = {}
+def _mul_terms(t1: TermMap, t2: TermMap, out: TermMap | None = None) -> TermMap:
+    """Add the product of two term maps into ``out`` (a new map by default) and return it."""
+    if out is None:
+        out = {}
     for m1, c1 in t1.items():
+        left = dict(m1)
         for m2, c2 in t2.items():
-            atoms = {a: e for a, e in m1}
+            atoms = left.copy()
             for a, e in m2:
                 atoms[a] = atoms.get(a, 0) + e
             _reduce_cosh(atoms, c1 * c2, out)

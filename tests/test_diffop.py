@@ -1,6 +1,9 @@
 import hashlib
+import os
 import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -247,6 +250,27 @@ def test_operator_text_survives_pickle_and_leaves_equality_alone():
             assert back.pretty() == text
             assert back == shown and hash(back) == hash(shown)
     assert unshown.pretty() == text
+
+
+def test_pickled_operator_keys_a_dict_in_an_interpreter_with_other_string_hashes(tmp_path):
+    op = lorentz_generator(RINDLER, 0, 2)
+    hash(op), op.pretty()  # store the hash and the text before pickling
+    path = tmp_path / "op.pickle"
+    path.write_bytes(pickle.dumps(op))
+    seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+    script = (
+        "import pickle, sys\n"
+        "from starwedge.diffop import RINDLER, lorentz_generator\n"
+        "loaded = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+        "table = {loaded: 'hit'}\n"
+        "sys.exit(0 if table.get(lorentz_generator(RINDLER, 0, 2)) == 'hit' else 1)\n"
+    )
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(sys.path)}
+    run = subprocess.run(
+        [sys.executable, "-c", script, str(path)], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
 
 
 # --- structure ---------------------------------------------------------------------

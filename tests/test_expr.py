@@ -1,4 +1,5 @@
 import cmath
+import gc
 import math
 import pickle
 from fractions import Fraction
@@ -10,10 +11,12 @@ from starwedge.expr import (
     FUNCTIONS,
     ComplexRational,
     Expr,
+    Fn,
     I,
     ONE,
     ZERO,
     NonMonomialDivisionError,
+    Sym,
     UnboundSymbolError,
     _skey,
     add,
@@ -32,7 +35,7 @@ from starwedge.expr import (
     sym,
     tanh,
 )
-from starwedge.grammar import to_text
+from starwedge.grammar import parse, to_text
 from starwedge.verification import _recipe_eval, _recipe_to_expr
 
 a, z0, z1, z2, z3 = (sym(n) for n in ("a", "z0", "z1", "z2", "z3"))
@@ -344,7 +347,8 @@ def test_stored_key_matches_key_of_rebuilt_tree(recipe):
     stored = _skey(e)
     assert e._key is stored
     fresh = _rebuild(e)
-    assert fresh is not e and _skey(fresh) == stored
+    # atoms are interned, so rebuilding one returns the live node itself
+    assert (fresh is e) == isinstance(e, (Sym, Fn)) and _skey(fresh) == stored
     assert fresh == e and hash(fresh) == hash(e)
 
 
@@ -363,6 +367,42 @@ def test_pickle_round_trip_with_complex_constant():
 @given(recipes)
 def test_pickle_round_trip(recipe):
     _assert_round_trips(_recipe_to_expr(recipe))
+
+
+def _atoms_of(e):
+    return [n for n in _walk_nodes(e) if isinstance(n, (Sym, Fn))]
+
+
+def test_atoms_reached_by_every_route_are_one_object():
+    s = sinh(u)
+    assert isinstance(s, Fn)
+    for atom, text in ((z0, "z0"), (s, "sinh(a*z0)")):
+        assert sym("z0") is z0 and parse(text) is atom and _rebuild(atom) is atom
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(atom, protocol)) is atom
+            back = pickle.loads(pickle.dumps(3 * atom + z1, protocol))
+            assert {id(n) for n in _atoms_of(back)} >= {id(atom), id(z1)}
+    # the sinh that differentiating cosh returns, and the one the cosh^2 reduction inserts
+    derived = [n for n in _atoms_of(differentiate(cosh(u), "z0")) if isinstance(n, Fn)]
+    reduced = [n for n in _atoms_of(cosh(u) ** 2) if isinstance(n, Fn)]
+    assert derived and reduced and all(n is s for n in derived + reduced)
+
+
+def test_an_unreferenced_atom_leaves_its_table():
+    name = "interning_probe"
+    w = sym(name)
+    f = sinh(w)
+    assert Sym._live[name] is w and Fn._live["sinh", w] is f
+    del w, f
+    gc.collect()
+    assert name not in Sym._live
+    assert all(getattr(arg, "name", None) != name for _, arg in list(Fn._live.keys()))
+
+
+def test_composite_nodes_are_not_interned():
+    for build in (lambda: z0 + 1, lambda: 2 * z0, lambda: z0 ** 2, lambda: integer(2)):
+        first, second = build(), build()
+        assert first == second and hash(first) == hash(second) and first is not second
 
 
 def test_simplify_check_still_catches_a_wrong_canonical_value(monkeypatch):
