@@ -27,6 +27,8 @@ e^(ix) is sampled at t = (n - 1/2) pi / M and the sin part at t = n pi / M,
 with weights pi phi'(t).  The nodes approach the zeros of cos and sin, and
 phi' vanishes, double exponentially, so one node set covers (0, inf) with no
 panels and no cut of the range; it depends on M alone and is cached.  The
+extended-precision constants pi and beta are built inside that cached rule,
+and numpy is imported on first use, so the symbolic layer never loads it.  The
 oscillating tail needs no damping factor: the rule sums the conditionally
 convergent integral by itself.  M = 64 panel_factor with the 64 doubled while
 under 8 s, up to 4096, since u^(-i s) turns at the rate |s| / u.  The estimate
@@ -59,15 +61,15 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["QuadratureResult", "damped_mode_integral", "mode_integral"]
 
 # floor of the refinement estimate
 _TAIL_TOL = 1e-14
-_PI = np.longdouble("3.14159265358979323846264338327950288")
-_BETA = np.longdouble(0.25)
 
 
 @dataclass(frozen=True)
@@ -85,31 +87,37 @@ def _de_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     at the cos nodes, imaginary at the sin nodes).  Beyond the kept range of t,
     [-ln(64 / alpha), ln 256], the weights are below 1e-28.
     """
-    alpha = _BETA / np.sqrt(1 + m * np.log1p(np.longdouble(m)) / (4 * _PI))
+    import numpy as np
+
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    beta = np.longdouble(0.25)
+    alpha = beta / np.sqrt(1 + m * np.log1p(np.longdouble(m)) / (4 * pi))
     lo, hi = -math.log(64 / float(alpha)), math.log(256)
     n = np.arange(math.floor(lo * m / math.pi), math.ceil(hi * m / math.pi) + 1)
     nodes, weights = [], []
     # the cos part at t = (n - 1/2) pi / m, the sin part at t = n pi / m
     for shift, unit in ((0.5, 1), (0.0, 1j)):
-        t = (n - shift) * _PI / m
+        t = (n - shift) * pi / m
         et, emt = np.exp(t), np.exp(-t)
-        v = 2 * t + alpha * (1 - emt) + _BETA * (et - 1)
+        v = 2 * t + alpha * (1 - emt) + beta * (et - 1)
         with np.errstate(invalid="ignore"):
             x = m * t / -np.expm1(-v)
             num = np.expm1(v) - v + alpha * emt * (np.expm1(t) - t)
-            num += _BETA * (np.expm1(t) - t * et)
+            num += beta * (np.expm1(t) - t * et)
             dphi = np.exp(-v) * num / np.expm1(-v) ** 2
         # the limits of phi and phi' at t = 0
         zero = t == 0
-        x[zero] = m / (2 + alpha + _BETA)
-        dphi[zero] = 0.5 + (alpha - _BETA) / (2 * (2 + alpha + _BETA) ** 2)
+        x[zero] = m / (2 + alpha + beta)
+        dphi[zero] = 0.5 + (alpha - beta) / (2 * (2 + alpha + beta) ** 2)
         nodes.append(x)
-        weights.append(unit * _PI * dphi * (-1.0) ** n * np.sin(x * np.exp(-v)))
+        weights.append(unit * pi * dphi * (-1.0) ** n * np.sin(x * np.exp(-v)))
     return np.log(np.concatenate(nodes)), np.concatenate(weights)
 
 
 def _de_sum(c: complex, m: int):
     """The DE rule with mesh pi / m for int_0^inf x^(c - 1) e^(ix) dx."""
+    import numpy as np
+
     log_x, weights = _de_rule(m)
     return np.sum(np.exp(np.clongdouble(c - 1) * log_x) * weights)
 

@@ -350,9 +350,10 @@ def compute_spectrum(
     """Evaluate the detected spectrum over a grid of positive frequencies.
 
     ``method`` is "closed-form", "quadrature" or "both"; quadrature rows are
-    evaluated undamped (``eps`` 0.0) and report convergence per point.  A value
-    that overflows (the gamma reflection, past omega / a of about 226) raises
-    OverflowError naming its omega.
+    evaluated undamped (``eps`` 0.0) and report convergence per point.  A
+    closed form that overflows (the gamma reflection, past omega / a of about
+    226) or is not finite (a subnormal omega / a) raises OverflowError naming
+    its omega.
     """
     if method not in ("closed-form", "quadrature", "both"):
         raise ValueError(f"unknown method {method!r}")
@@ -365,6 +366,9 @@ def compute_spectrum(
         try:
             # the closed form first; the rows below repeat its computations
             dp = deformed_power(m, theta01)
+            if not (math.isfinite(dp.closed_form) and math.isfinite(dp.via_amplitude)):
+                # a subnormal omega / a: Gamma(i omega / a) is inf, the power inf or nan
+                raise OverflowError("the closed form is not finite")
         except OverflowError as err:
             raise OverflowError(
                 f"omega = {omega!r} (omega / a = {omega / a:.6g}) is out of range: {err}"

@@ -12,9 +12,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from . import rindler
 from .diffop import (
@@ -65,6 +63,9 @@ from .spectrum import (
 )
 from .starprod import build_table, commutator, star, verify_flat_relations
 from .twists import CanonicalTwist, LieTwist, QuadraticTwist, build_linear_twist
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["CheckResult", "DEFAULT_TOLERANCES", "run_all_checks", "report_dict"]
 
@@ -498,6 +499,10 @@ def _check_rindler_flat_functoriality(rng: random.Random, tol: float | None) -> 
 # --- spectrum checks ---------------------------------------------------------------
 
 def _grid() -> np.ndarray:
+    import numpy as np
+
+    # not 10 ** (log10(0.1) + i * step) in math: one of the 20 points would
+    # differ by an ulp, and the checks' reported residuals with it
     return np.geomspace(0.1, 5.0, 20)
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -238,6 +241,48 @@ def test_spectrum_out_of_range_frequency_exits_2_naming_omega(tmp_path):
     assert result.exit_code == 2
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert "omega = 400.0" in result.stderr
+
+
+@pytest.mark.parametrize("method", ["closed-form", "both"])
+@pytest.mark.parametrize("omega", ["1e-309", "1e-320", "5e-324"])
+def test_spectrum_subnormal_frequency_exits_2_naming_omega(tmp_path, method, omega):
+    # a subnormal omega / a: Gamma(i omega / a) overflows to inf, which once
+    # wrote nan rows (closed-form) or a "converged" closed-form row beside an
+    # unconverged quadrature row (both)
+    text = f"[spectrum]\na = 1\nomega_hat = 1\nz = 1\nomega_grid = 1 {omega}\nmethod = {method}\n"
+    cfg = _write(tmp_path, text)
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["spectrum", "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert f"omega = {float(omega)!r}" in result.stderr
+    assert "out of range" in result.stderr
+    assert not out.exists()
+
+
+def test_commutator_never_imports_numpy(tmp_path):
+    # a fresh interpreter, since other test modules have imported numpy here:
+    # the exact algebra loads no numpy, and the first quadrature call loads it
+    cfg = _write(tmp_path, _readme_block("ini"))
+    script = (
+        "import sys\n"
+        "import starwedge.cli\n"
+        "cfg, out = sys.argv[1:]\n"
+        "starwedge.cli.main(['commutator', '--config', cfg, '--out', out + '/c'], standalone_mode=False)\n"
+        "assert 'numpy' not in sys.modules, 'commutator imported numpy'\n"
+        "try:\n"
+        "    starwedge.cli.main(['spectrum', '--config', cfg, '--out', out + '/s'], standalone_mode=False)\n"
+        "except SystemExit as exit:\n"
+        "    assert exit.code in (0, 4), exit.code\n"
+        "assert 'numpy' in sys.modules, 'spectrum did not import numpy'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    run = subprocess.run(
+        [sys.executable, "-c", script, str(cfg), str(tmp_path)], env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "c" / "table.json").exists()
+    assert (tmp_path / "s" / "spectrum.json").exists()
 
 
 def test_verify_passes_and_is_deterministic(tmp_path):

@@ -1,23 +1,29 @@
 """Cross-checks against independent engines: sympy for calculus on random
-expressions, mpmath (30 significant digits) for the gamma function and the
-closed-form amplitude.  These back up the in-package dual routes with
-third-party oracles.
+expressions and for the accelerated-chart commutator tables, mpmath (30
+significant digits) for the gamma function and the closed-form amplitude.
+These back up the in-package dual routes with third-party oracles.
 """
 
 import cmath
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
 import sympy
 from hypothesis import given, strategies as st
 
+from starwedge.diffop import MINKOWSKI, RINDLER
 from starwedge.expr import Add, Const, Fn, Mul, Pow, Sym, eval_numeric, differentiate, exp, sinh, substitute, sym
 from starwedge.gammafn import complex_gamma
+from starwedge.grammar import to_text
 from starwedge.spectrum import ModeParams, f_closed
+from starwedge.starprod import build_table
+from starwedge.twists import LieTwist, QuadraticTwist, build_linear_twist
 from starwedge.verification import _recipe_to_expr
 
 from test_expr import recipes, _BINDINGS, _NAMES
+from test_starprod import _readme_twists
 
 _SYMPY_SYMBOLS = {n: sympy.Symbol(n) for n in _NAMES}
 _SYMPY_FNS = {"sinh": sympy.sinh, "cosh": sympy.cosh, "exp": sympy.exp, "tanh": sympy.tanh}
@@ -171,3 +177,57 @@ def test_canonical_form_is_exact_where_its_double_evaluation_cancels():
     scale = sum(abs(v) for v in values)
     assert scale > 1e4 * abs(want)
     assert abs(sum(values) - complex(want)) <= 1e-15 * scale
+
+
+# --- the accelerated chart by sympy's own Jacobian ----------------------------------
+
+_X = sympy.symbols("x0 x1 x2 x3", real=True)
+# positive z1 lets sqrt(z1^2 (cosh^2 - sinh^2)) reduce to z1, not |z1|
+_Z = sympy.symbols("z0 z1 z2 z3", positive=True)
+_A = sympy.Symbol("a", positive=True)
+_SYMPY_LOCALS = {"i": sympy.I, "a": _A, **{str(s): s for s in (*_X, *_Z)}}
+
+
+# beside the README twists, the two whose Rindler tables carry z2 and z3
+_TRANSVERSE_TWISTS = {
+    "lie_zeta1_pair02": LieTwist(Fraction(1, 3), (0, Fraction(2, 3), 0, 0), 0, 2),
+    "quadratic_0213": QuadraticTwist(Fraction(1, 6), (0, 2, 1, 3)),
+}
+
+
+def _sympy_table(kind, chart):
+    if kind in _TRANSVERSE_TWISTS:
+        twist = build_linear_twist(_TRANSVERSE_TWISTS[kind], chart)
+    else:
+        twist = _readme_twists(chart)[kind]
+    table = build_table(twist)
+    return {ij: sympy.sympify(to_text(e), locals=_SYMPY_LOCALS) for ij, e in table.entries.items()}
+
+
+@pytest.mark.parametrize("kind", ["canonical", "lie", "quadratic", *_TRANSVERSE_TWISTS])
+def test_rindler_table_is_the_flat_table_transported_by_sympy(kind):
+    # at first order the commutator is a bivector, so
+    # [z^a, z^b] = (dz^a/dx^mu)(dz^b/dx^nu) [x^mu, x^nu]; the Jacobian is
+    # sympy's, from the inverse map z0 = atanh(x0/x1)/a, z1 = sqrt(x1^2 - x0^2),
+    # and shares nothing with rindler.partial_transport
+    flat = _sympy_table(kind, MINKOWSKI)
+    bivector = [[sympy.Integer(0)] * 4 for _ in range(4)]
+    for (mu, nu), entry in flat.items():
+        bivector[mu][nu], bivector[nu][mu] = entry, -entry
+    inverse = (sympy.atanh(_X[0] / _X[1]) / _A, sympy.sqrt(_X[1] ** 2 - _X[0] ** 2), _X[2], _X[3])
+    jacobian = [[sympy.diff(zc, xc) for xc in _X] for zc in inverse]
+    forward = {
+        _X[0]: _Z[1] * sympy.sinh(_A * _Z[0]),
+        _X[1]: _Z[1] * sympy.cosh(_A * _Z[0]),
+        _X[2]: _Z[2],
+        _X[3]: _Z[3],
+    }
+    rindler = _sympy_table(kind, RINDLER)
+    assert len(rindler) == 6
+    for (i, j), entry in rindler.items():
+        transported = sum(
+            jacobian[i][mu] * jacobian[j][nu] * bivector[mu][nu]
+            for mu in range(4) for nu in range(4)
+        )
+        difference = sympy.simplify(transported.subs(forward) - entry)
+        assert difference == 0, (kind, (i, j), entry)
