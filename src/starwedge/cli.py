@@ -14,9 +14,9 @@ from pathlib import Path
 import click
 
 from .config import ConfigError, RunConfig, atomic_write_text, dump_json, load_config
-from .diffop import ChartMismatchError, MINKOWSKI, RINDLER
+from .diffop import CHARTS, ChartMismatchError
 from .spectrum import compute_spectrum
-from .starprod import build_table, table_to_json, table_to_text
+from .starprod import build_table, table_to_json_dict, table_to_text
 from .twists import TwistSpecError, build_linear_twist
 from .verification import report_dict, run_all_checks
 
@@ -25,8 +25,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_SPEC = 3
 EXIT_NONCONVERGED = 4
-
-_CHART_BY_NAME = {"minkowski": MINKOWSKI, "rindler": RINDLER}
 
 
 def _fail(code: int, message: str) -> None:
@@ -83,12 +81,12 @@ def commutator(config_path, out, seed, fmt) -> None:
         _fail(EXIT_CONFIG, "config has no [twist] section")
     out_dir, _, fmt_val = _resolve(cfg, out, seed, fmt)
     try:
-        twist = build_linear_twist(cfg.twist, _CHART_BY_NAME[cfg.chart])
+        twist = build_linear_twist(cfg.twist, CHARTS[cfg.chart])
         table = build_table(twist)
     except (TwistSpecError, ChartMismatchError) as err:
         _fail(EXIT_SPEC, str(err))
     text = table_to_text(table)
-    js = table_to_json(table)
+    js = dump_json(table_to_json_dict(table))
     atomic_write_text(out_dir / "table.json", js)
     atomic_write_text(out_dir / "table.txt", text)
     click.echo(js if fmt_val == "json" else text, nl=False)
@@ -117,7 +115,7 @@ def spectrum(config_path, out, seed, fmt) -> None:
     except OverflowError as err:
         _fail(EXIT_CONFIG, f"grid frequency {err}")
     csv_text = result.to_csv()
-    json_text = result.to_json(seed=seed_val, tolerances=cfg.tolerances)
+    json_text = dump_json(result.to_json_dict(seed=seed_val, tolerances=cfg.tolerances))
     atomic_write_text(out_dir / "spectrum.csv", csv_text)
     atomic_write_text(out_dir / "spectrum.json", json_text)
     click.echo(json_text if fmt_val == "json" else csv_text, nl=False)

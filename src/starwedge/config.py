@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
+from .diffop import CHARTS
 from .twists import CONFIG_KEYS, TwistSpec, TwistSpecError, spec_from_config
 from .verification import DEFAULT_TOLERANCES
 
@@ -39,7 +40,6 @@ _SPECTRUM_KEYS = {
     "rtol",
 }
 _FORMATS = ("text", "json", "csv")
-_CHARTS = ("minkowski", "rindler")
 _METHODS = ("closed-form", "quadrature", "both")
 
 
@@ -154,8 +154,8 @@ def load_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"twist kind must be one of {sorted(CONFIG_KEYS)}")
         _check_keys("twist", set(items), _TWIST_COMMON_KEYS | CONFIG_KEYS[kind])
         chart = items.pop("chart", "minkowski").strip()
-        if chart not in _CHARTS:
-            raise ConfigError(f"chart must be one of {_CHARTS}")
+        if chart not in CHARTS:
+            raise ConfigError(f"chart must be one of {tuple(CHARTS)}")
         try:
             twist = spec_from_config(items)
         except (ValueError, ZeroDivisionError) as err:
@@ -223,4 +223,5 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 
 def dump_json(obj) -> str:
+    """The text of every JSON artifact: two-space indent, sorted keys, a final newline."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"

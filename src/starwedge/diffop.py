@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
+from types import MappingProxyType
 from typing import Iterable
 
 from . import rindler
@@ -48,6 +49,7 @@ __all__ = [
     "Chart",
     "MINKOWSKI",
     "RINDLER",
+    "CHARTS",
     "ChartMismatchError",
     "DiffOp",
     "BidiffOp",
@@ -70,6 +72,7 @@ class Chart:
 
 MINKOWSKI = Chart("minkowski", rindler.MINKOWSKI_COORDS)
 RINDLER = Chart("rindler", rindler.RINDLER_COORDS)
+CHARTS = MappingProxyType({chart.name: chart for chart in (MINKOWSKI, RINDLER)})
 
 _FOREIGN_COORDS = {
     MINKOWSKI.name: frozenset(RINDLER.coords),
@@ -144,12 +147,11 @@ class DiffOp:
         """
         if self.chart != MINKOWSKI:
             raise ChartMismatchError("pullback starts from the flat chart")
-        coord_map = rindler.standard_map()
         out = [ZERO] * 4
         for mu, coeff in enumerate(self.coeffs):
             if coeff == ZERO:
                 continue
-            moved = substitute(coeff, coord_map)
+            moved = substitute(coeff, rindler.STANDARD_MAP)
             for t_coeff, nu in rindler.partial_transport(mu):
                 out[nu] = out[nu] + mul(moved, t_coeff)
         return DiffOp(RINDLER, tuple(out))
@@ -280,15 +282,19 @@ def lowered_coordinate(chart: Chart, mu: int) -> Expr:
     return mul(rindler.METRIC_SIGNATURE[mu], sym(chart.coords[mu]))
 
 
-@cache
-def momentum_generator(chart: Chart, mu: int) -> DiffOp:
-    """Translation generator i d/dx_mu; transported if the chart is accelerated."""
-    flat = DiffOp.partial(MINKOWSKI, mu, I)
+def _on_chart(chart: Chart, flat: DiffOp) -> DiffOp:
+    """A flat-chart generator as it acts on ``chart``."""
     if chart == MINKOWSKI:
         return flat
     if chart == RINDLER:
         return flat.pullback()
     raise ChartMismatchError(f"unknown chart {chart.name}")
+
+
+@cache
+def momentum_generator(chart: Chart, mu: int) -> DiffOp:
+    """Translation generator i d/dx_mu; transported if the chart is accelerated."""
+    return _on_chart(chart, DiffOp.partial(MINKOWSKI, mu, I))
 
 
 @cache
@@ -306,8 +312,4 @@ def lorentz_generator(chart: Chart, alpha: int, beta: int) -> DiffOp:
     flat = DiffOp.partial(MINKOWSKI, beta, mul(I, x_a)) + DiffOp.partial(
         MINKOWSKI, alpha, mul(-1, I, x_b)
     )
-    if chart == MINKOWSKI:
-        return flat
-    if chart == RINDLER:
-        return flat.pullback()
-    raise ChartMismatchError(f"unknown chart {chart.name}")
+    return _on_chart(chart, flat)

@@ -4,25 +4,26 @@ The flat chart carries coordinates ``x0..x3`` with signature (-,+,+,+); the
 accelerated chart carries ``z0..z3`` and an acceleration parameter ``a``.
 The right-wedge map is
 
-    x0 = N(z1) sinh(a z0),  x1 = N(z1) cosh(a z0),  x2 = z2,  x3 = z3,
+    x0 = z1 sinh(a z0),  x1 = z1 cosh(a z0),  x2 = z2,  x3 = z3,
 
-with a positive lapse profile N; the standard profile is N(z1) = z1.
+stated once, as the read-only substitution table ``STANDARD_MAP``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
+from types import MappingProxyType
 
-from .expr import Expr, ONE, ZERO, cosh, differentiate, sinh, substitute, sym
+from .expr import Expr, ONE, ZERO, cosh, differentiate, sinh, sym
 
 __all__ = [
     "MINKOWSKI_COORDS",
     "RINDLER_COORDS",
     "ACCELERATION",
     "METRIC_SIGNATURE",
-    "standard_map",
+    "STANDARD_MAP",
     "partial_transport",
     "RindlerMap",
     "MetricPullback",
@@ -36,16 +37,20 @@ METRIC_SIGNATURE = (-1, 1, 1, 1)
 
 _A = sym(ACCELERATION)
 _Z = tuple(sym(n) for n in RINDLER_COORDS)
+_U = _A * _Z[0]
 
-
-def standard_map() -> dict[str, Expr]:
-    """Coordinate map of the standard profile N(z1) = z1, as a substitution table."""
-    return RindlerMap().as_substitution()
+# the flat coordinates as functions of the accelerated ones
+STANDARD_MAP = MappingProxyType({
+    "x0": _Z[1] * sinh(_U),
+    "x1": _Z[1] * cosh(_U),
+    "x2": _Z[2],
+    "x3": _Z[3],
+})
 
 
 @cache
 def partial_transport(mu: int) -> tuple[tuple[Expr, int], ...]:
-    """Chain-rule image of d/dx_mu on the accelerated chart (standard profile).
+    """Chain-rule image of d/dx_mu on the accelerated chart.
 
     Returns (coefficient, z-index) pairs.  The time and radial directions mix:
 
@@ -56,12 +61,11 @@ def partial_transport(mu: int) -> tuple[tuple[Expr, int], ...]:
     against the coordinate map is enforced by the chain-rule property tests.
     The four images are built once and shared.
     """
-    u = _A * _Z[0]
     inv = ONE / (_A * _Z[1])
     if mu == 0:
-        return ((-sinh(u), 1), (cosh(u) * inv, 0))
+        return ((-sinh(_U), 1), (cosh(_U) * inv, 0))
     if mu == 1:
-        return ((cosh(u), 1), (-sinh(u) * inv, 0))
+        return ((cosh(_U), 1), (-sinh(_U) * inv, 0))
     if mu in (2, 3):
         return ((ONE, mu),)
     raise ValueError(f"coordinate index out of range: {mu}")
@@ -72,7 +76,7 @@ class MetricPullback:
     """Diagonal metric on the accelerated chart.
 
     ``computed`` is the first-principles pullback of the flat metric through
-    the coordinate map: (-a^2 N^2, (N')^2, 1, 1).  ``printed_alternative``
+    the coordinate map: (-a^2 z1^2, 1, 1, 1).  ``printed_alternative``
     replaces the leading a^2 by a single power of a; the two differ and only
     the computed form is dimensionally consistent, so the computed form is
     normative for every check in this package.  Both are reported.
@@ -84,27 +88,14 @@ class MetricPullback:
 
 @dataclass(frozen=True)
 class RindlerMap:
-    """Right-wedge coordinate map with lapse profile ``lapse`` (an Expr in z1)."""
+    """The right-wedge coordinate map ``STANDARD_MAP`` and its metric pullback."""
 
-    lapse: Expr = field(default_factory=lambda: _Z[1])
-
-    def forward(self, zs: tuple[Expr, Expr, Expr, Expr]) -> tuple[Expr, Expr, Expr, Expr]:
-        """Map four accelerated-chart expressions to flat-chart coordinates."""
-        subs = dict(zip(RINDLER_COORDS, zs))
-        return tuple(substitute(x, subs) for x in self.as_substitution().values())
-
-    def as_substitution(self) -> dict[str, Expr]:
-        u = _A * _Z[0]
-        return {
-            "x0": self.lapse * sinh(u),
-            "x1": self.lapse * cosh(u),
-            "x2": _Z[2],
-            "x3": _Z[3],
-        }
+    def as_substitution(self) -> MappingProxyType[str, Expr]:
+        return STANDARD_MAP
 
     def metric_pullback(self) -> MetricPullback:
         """Pull the flat metric back through the map, from first principles."""
-        xs = self.forward(_Z)
+        xs = tuple(STANDARD_MAP.values())
         diagonal = []
         for mu in range(4):
             for nu in range(mu, 4):
@@ -119,8 +110,7 @@ class RindlerMap:
                 elif acc != ZERO:
                     raise AssertionError(f"metric pullback is not diagonal at ({mu},{nu}): {acc}")
         computed = tuple(diagonal)
-        n_sq = self.lapse * self.lapse
-        printed = (-_A * n_sq, *diagonal[1:])
+        printed = (-_A * _Z[1] ** 2, *diagonal[1:])
         return MetricPullback(computed=computed, printed_alternative=printed)
 
 

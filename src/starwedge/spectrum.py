@@ -28,7 +28,6 @@ amount -2 theta01 omega / (pi T z^2).
 from __future__ import annotations
 
 import cmath
-import json
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -271,7 +270,10 @@ class SpectrumRow:
 
     @property
     def eps(self) -> float | None:
-        """0.0 on quadrature rows, which are evaluated undamped; None on closed-form rows."""
+        """The exports' ``eps`` column: 0.0 on quadrature rows, None on closed-form rows.
+
+        No amplitude is damped; the column is kept so the file formats stay as they are.
+        """
         return 0.0 if self.method == "quadrature" else None
 
 
@@ -281,9 +283,9 @@ class SpectrumResult:
 
     Per row: the amplitude f(-omega), the detected power omega * |f(-omega)|^2,
     its first-order deformed counterpart, and whether the amplitude came from
-    the closed form or from the quadrature oracle.  ``eps`` is the damping
-    the amplitude was computed at: 0.0 on quadrature rows, None on
-    closed-form rows.
+    the closed form or from the quadrature oracle.  ``eps`` is a column kept
+    in the exports, 0.0 on quadrature rows and None on closed-form rows; no
+    amplitude is damped.
     """
 
     a: float
@@ -332,9 +334,6 @@ class SpectrumResult:
             ],
         }
 
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_json_dict(**kw), indent=2, sort_keys=True) + "\n"
-
 
 def compute_spectrum(
     omegas: "list[float]",
@@ -349,8 +348,8 @@ def compute_spectrum(
 ) -> SpectrumResult:
     """Evaluate the detected spectrum over a grid of positive frequencies.
 
-    ``method`` is "closed-form", "quadrature" or "both"; quadrature rows are
-    evaluated undamped (``eps`` 0.0) and report convergence per point.  A
+    ``method`` is "closed-form", "quadrature" or "both"; quadrature rows
+    report convergence per point (and ``eps`` 0.0).  A
     closed form that overflows (the gamma reflection, past omega / a of about
     226) or is not finite (a subnormal omega / a) raises OverflowError naming
     its omega.

@@ -14,7 +14,6 @@ kinds.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -252,6 +251,3 @@ def table_to_json_dict(table: CommutatorTable) -> dict:
         },
     }
 
-
-def table_to_json(table: CommutatorTable) -> str:
-    return json.dumps(table_to_json_dict(table), indent=2, sort_keys=True) + "\n"

@@ -1,8 +1,9 @@
 """Named invariant suite covering every module, runnable as one report.
 
-Each check returns a :class:`CheckResult`; the suite is deterministic for a
-given seed, and tolerances can be overridden per check name.  The report is
-designed to serialize byte-identically across runs with identical inputs.
+Each check returns what it found, ``(passed, measured, detail)``, and
+``run_all_checks`` names each finding and attaches its tolerance.  The suite
+is deterministic for a given seed, and the report serializes byte-identically
+across runs with identical inputs.
 """
 
 from __future__ import annotations
@@ -10,9 +11,9 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from . import rindler
 from .diffop import (
@@ -77,6 +78,9 @@ class CheckResult:
     measured: float | None
     tolerance: float | None
     detail: str
+
+
+Finding = tuple[bool, float | None, str]  # (passed, measured, detail)
 
 
 DEFAULT_TOLERANCES: dict[str, float] = {
@@ -155,7 +159,7 @@ def _random_bindings(rng: random.Random) -> dict[str, complex]:
 
 # --- expression checks -----------------------------------------------------------
 
-def _check_simplify_preserves_eval(rng: random.Random, tol: float) -> CheckResult:
+def _check_simplify_preserves_eval(rng: random.Random, tol: float) -> Finding:
     """The canonical form evaluates to the recipe, relative to its rounding scale.
 
     The canonical form is a sum of expanded terms that can cancel: it is exact,
@@ -179,13 +183,13 @@ def _check_simplify_preserves_eval(rng: random.Random, tol: float) -> CheckResul
                 continue
             scale = 1.0 + sum(abs(v) for v in values)
             worst = max(worst, abs(direct - canon) / scale)
-    return CheckResult(
-        "expr_simplify_preserves_eval", worst <= tol, worst, tol,
+    return (
+        worst <= tol, worst,
         "canonical form agrees with direct recipe evaluation, relative to 1 + sum |term|",
     )
 
 
-def _check_differentiate_rules(rng: random.Random, tol: float) -> CheckResult:
+def _check_differentiate_rules(rng: random.Random, tol: float) -> Finding:
     worst = 0.0
     structural_ok = True
     for _ in range(40):
@@ -202,33 +206,26 @@ def _check_differentiate_rules(rng: random.Random, tol: float) -> CheckResult:
                     worst = max(worst, abs(eval_numeric(resid, b)))
                 except (OverflowError, ZeroDivisionError):
                     worst = max(worst, math.inf)
-    passed = structural_ok and worst <= tol
-    return CheckResult(
-        "expr_differentiate_rules", passed, worst, tol,
-        "linearity and product rule hold structurally",
-    )
+    return structural_ok and worst <= tol, worst, "linearity and product rule hold structurally"
 
 
-def _check_canonical_idempotent(rng: random.Random, tol: float | None) -> CheckResult:
+def _check_canonical_idempotent(rng: random.Random, tol: float | None) -> Finding:
     ok = True
     for _ in range(60):
         e = _recipe_to_expr(_random_recipe(rng, 5))
         ok = ok and simplify(e) == e and parse(to_text(e)) == e
-    return CheckResult(
-        "expr_canonical_idempotent", ok, None, None,
-        "simplify is a fixed point and the grammar round-trips",
-    )
+    return ok, None, "simplify is a fixed point and the grammar round-trips"
 
 
 # --- operator checks -------------------------------------------------------------
 
-def _check_chain_rule(rng: random.Random, tol: float) -> CheckResult:
+def _check_chain_rule(rng: random.Random, tol: float) -> Finding:
     """Transported operators on substituted polynomials, against the flat action.
 
     Both sides are canonical forms, so the comparison is structural and
     ``tol`` is only reported.
     """
-    coord_map = rindler.standard_map()
+    coord_map = rindler.STANDARD_MAP
     xs = [sym(n) for n in rindler.MINKOWSKI_COORDS]
     ok = True
     flat = [momentum_generator(MINKOWSKI, mu) for mu in range(4)] + [
@@ -244,13 +241,10 @@ def _check_chain_rule(rng: random.Random, tol: float) -> CheckResult:
         lhs = d.pullback().apply(substitute(f, coord_map))
         rhs = substitute(d.apply(f), coord_map)
         ok = ok and lhs == rhs
-    return CheckResult(
-        "diffop_chain_rule", ok, None, tol,
-        "transported operators act as the substituted flat action",
-    )
+    return ok, None, "transported operators act as the substituted flat action"
 
 
-def _check_apply_linearity(rng: random.Random, tol: float | None) -> CheckResult:
+def _check_apply_linearity(rng: random.Random, tol: float | None) -> Finding:
     xs = [sym(n) for n in rindler.MINKOWSKI_COORDS]
     p0 = momentum_generator(MINKOWSKI, 0)
     m01 = lorentz_generator(MINKOWSKI, 0, 1)
@@ -260,13 +254,10 @@ def _check_apply_linearity(rng: random.Random, tol: float | None) -> CheckResult
         g = xs[rng.randrange(4)] * xs[rng.randrange(4)]
         ok = ok and (p0 + m01).apply(f) == p0.apply(f) + m01.apply(f)
         ok = ok and p0.apply(3 * f - 2 * g) == 3 * p0.apply(f) - 2 * p0.apply(g)
-    return CheckResult(
-        "diffop_apply_linearity", ok, None, None,
-        "operator action is linear in the operator and in the function",
-    )
+    return ok, None, "operator action is linear in the operator and in the function"
 
 
-def _check_wedge_antisymmetry(rng: random.Random, tol: float | None) -> CheckResult:
+def _check_wedge_antisymmetry(rng: random.Random, tol: float | None) -> Finding:
     xs = [sym(n) for n in rindler.MINKOWSKI_COORDS]
     p0 = momentum_generator(MINKOWSKI, 0)
     p1 = momentum_generator(MINKOWSKI, 1)
@@ -280,10 +271,7 @@ def _check_wedge_antisymmetry(rng: random.Random, tol: float | None) -> CheckRes
         wedge(p0, m12).apply(f, g) + wedge(p1, m12).apply(f, g)
     )
     ok = ok and bilinear
-    return CheckResult(
-        "diffop_wedge_antisymmetry", ok, None, None,
-        "wedge is antisymmetric, vanishes on the diagonal and is bilinear",
-    )
+    return ok, None, "wedge is antisymmetric, vanishes on the diagonal and is bilinear"
 
 
 _SAMPLE_SPECS = (
@@ -298,19 +286,16 @@ def _sample_twists(chart):
         yield build_linear_twist(spec, chart)
 
 
-def _check_twist_annihilates_constants(rng: random.Random, tol: float | None) -> CheckResult:
+def _check_twist_annihilates_constants(rng: random.Random, tol: float | None) -> Finding:
     ok = True
     for chart in (MINKOWSKI, RINDLER):
         g = sym(chart.coords[1]) * sinh(sym(chart.coords[0]))
         for tw in _sample_twists(chart):
             ok = ok and tw.operator.apply(ONE, g) == ZERO and tw.operator.apply(g, ONE) == ZERO
-    return CheckResult(
-        "twist_annihilates_constants", ok, None, None,
-        "every twist leg differentiates, so constants are annihilated",
-    )
+    return ok, None, "every twist leg differentiates, so constants are annihilated"
 
 
-def _check_twist_chart_consistency(rng: random.Random, tol: float | None) -> CheckResult:
+def _check_twist_chart_consistency(rng: random.Random, tol: float | None) -> Finding:
     """The accelerated-chart twist against the flat twist, by two routes.
 
     The flat twist transported afresh by ``pullback`` must equal the twist
@@ -319,7 +304,7 @@ def _check_twist_chart_consistency(rng: random.Random, tol: float | None) -> Che
     functions must also equal the substituted flat action: that comparison
     uses no ``pullback`` and fails when the transport is wrong from the start.
     """
-    coord_map = rindler.standard_map()
+    coord_map = rindler.STANDARD_MAP
     x0, x1, x2, x3 = (sym(n) for n in rindler.MINKOWSKI_COORDS)
     f, g = x0 * x2 + x1**2, x1 * x3 + x0
     f_moved, g_moved = substitute(f, coord_map), substitute(g, coord_map)
@@ -329,13 +314,10 @@ def _check_twist_chart_consistency(rng: random.Random, tol: float | None) -> Che
         ok = ok and curved.operator.apply(f_moved, g_moved) == substitute(
             flat.operator.apply(f, g), coord_map
         )
-    return CheckResult(
-        "twist_chart_consistency", ok, None, None,
-        "building on the accelerated chart equals transporting the flat twist",
-    )
+    return ok, None, "building on the accelerated chart equals transporting the flat twist"
 
 
-def _check_twist_parameter_linearity(rng: random.Random, tol: float | None) -> CheckResult:
+def _check_twist_parameter_linearity(rng: random.Random, tol: float | None) -> Finding:
     s = Fraction(5, 3)
     f = sym("z0") * sym("z1")
     g = sym("z2") ** 2
@@ -350,23 +332,20 @@ def _check_twist_parameter_linearity(rng: random.Random, tol: float | None) -> C
     ):
         want = mul(s, build_linear_twist(base, RINDLER).operator.apply(f, g))
         ok = ok and build_linear_twist(scaled, RINDLER).operator.apply(f, g) == want
-    return CheckResult(
-        "twist_parameter_linearity", ok, None, None,
-        "scaling the deformation parameter scales the twist action exactly",
-    )
+    return ok, None, "scaling the deformation parameter scales the twist action exactly"
 
 
 # --- star product checks ----------------------------------------------------------
 
-def _check_star_unit(rng: random.Random, tol: float | None) -> CheckResult:
+def _check_star_unit(rng: random.Random, tol: float | None) -> Finding:
     ok = True
     for tw in _sample_twists(RINDLER):
         g = sym("z1") * cosh(sym("a") * sym("z0"))
         ok = ok and star(ONE, g, tw) == g and star(g, ONE, tw) == g
-    return CheckResult("star_unit", ok, None, None, "1 is the unit of the deformed product")
+    return ok, None, "1 is the unit of the deformed product"
 
 
-def _check_commutator_antisymmetry(rng: random.Random, tol: float | None) -> CheckResult:
+def _check_commutator_antisymmetry(rng: random.Random, tol: float | None) -> Finding:
     ok = True
     for tw in _sample_twists(RINDLER):
         f = sym("z0") * sym("z2")
@@ -375,12 +354,10 @@ def _check_commutator_antisymmetry(rng: random.Random, tol: float | None) -> Che
         ok = ok and commutator(f, f, tw) == ZERO
         # the definition, by the independent route of two star products
         ok = ok and commutator(f, g, tw) == star(f, g, tw) - star(g, f, tw)
-    return CheckResult(
-        "commutator_antisymmetry", ok, None, None, "commutators are antisymmetric"
-    )
+    return ok, None, "commutators are antisymmetric"
 
 
-def _check_commutator_leibniz(rng: random.Random, tol: float | None) -> CheckResult:
+def _check_commutator_leibniz(rng: random.Random, tol: float | None) -> Finding:
     ok = True
     z = [sym(n) for n in rindler.RINDLER_COORDS]
     for tw in _sample_twists(RINDLER):
@@ -388,13 +365,10 @@ def _check_commutator_leibniz(rng: random.Random, tol: float | None) -> CheckRes
         lhs = commutator(f * g, h, tw)
         rhs = f * commutator(g, h, tw) + commutator(f, h, tw) * g
         ok = ok and lhs == rhs
-    return CheckResult(
-        "commutator_leibniz", ok, None, None,
-        "first-order twist legs are derivations on products",
-    )
+    return ok, None, "first-order twist legs are derivations on products"
 
 
-def _check_classical_limits(rng: random.Random, tol: float | None) -> CheckResult:
+def _check_classical_limits(rng: random.Random, tol: float | None) -> Finding:
     ok = True
     for chart in (MINKOWSKI, RINDLER):
         for spec in (
@@ -404,13 +378,11 @@ def _check_classical_limits(rng: random.Random, tol: float | None) -> CheckResul
         ):
             table = build_table(build_linear_twist(spec, chart))
             ok = ok and all(e == ZERO for e in table.entries.values())
-    return CheckResult(
-        "classical_limits", ok, None, None,
-        "vanishing deformation parameters give identically zero tables",
-    )
+    return ok, None, "vanishing deformation parameters give identically zero tables"
 
 
-def _check_flat_relations(rng: random.Random, tol: float | None) -> list[CheckResult]:
+def _check_flat_relations(rng: random.Random) -> list[tuple[str, Finding]]:
+    """One named finding per twist kind; the runner puts them after ``classical_limits``."""
     out = []
     for name, spec in (
         ("flat_relations_canonical", CanonicalTwist(
@@ -423,11 +395,11 @@ def _check_flat_relations(rng: random.Random, tol: float | None) -> list[CheckRe
     ):
         rep = verify_flat_relations(build_linear_twist(spec, MINKOWSKI))
         fails = ", ".join(f"({e.mu},{e.nu})" for e in rep.failures())
-        out.append(CheckResult(
-            name, rep.passed, None, None,
+        out.append((name, (
+            rep.passed, None,
             "engine table equals the closed-form relations" if rep.passed
             else f"failing entries: {fails}",
-        ))
+        )))
     return out
 
 
@@ -466,21 +438,18 @@ def hand_canonical_rindler_table(theta: CanonicalTwist) -> dict[tuple[int, int],
     return out
 
 
-def _check_rindler_canonical_structural(rng: random.Random, tol: float | None) -> CheckResult:
+def _check_rindler_canonical_structural(rng: random.Random, tol: float | None) -> Finding:
     spec = CanonicalTwist({(0, 1): Fraction(3, 7), (0, 2): Fraction(-2, 5),
                            (1, 3): Fraction(1, 2), (2, 3): Fraction(5, 6)})
     engine = build_table(build_linear_twist(spec, RINDLER))
     hand = hand_canonical_rindler_table(spec)
     ok = all(engine.entries[k] == hand[k] for k in hand)
     ok = ok and engine.entries[(2, 3)] == mul(I, Fraction(5, 6))
-    return CheckResult(
-        "rindler_canonical_structural", ok, None, None,
-        "accelerated-chart table equals the hand-applied leg formula",
-    )
+    return ok, None, "accelerated-chart table equals the hand-applied leg formula"
 
 
-def _check_rindler_flat_functoriality(rng: random.Random, tol: float | None) -> CheckResult:
-    coord_map = rindler.standard_map()
+def _check_rindler_flat_functoriality(rng: random.Random, tol: float | None) -> Finding:
+    coord_map = rindler.STANDARD_MAP
     gs = [coord_map[n] for n in rindler.MINKOWSKI_COORDS]
     xs = [sym(n) for n in rindler.MINKOWSKI_COORDS]
     ok = True
@@ -490,9 +459,8 @@ def _check_rindler_flat_functoriality(rng: random.Random, tol: float | None) -> 
                 lhs = commutator(gs[mu], gs[nu], curved)
                 rhs = substitute(commutator(xs[mu], xs[nu], flat), coord_map)
                 ok = ok and lhs == rhs
-    return CheckResult(
-        "rindler_flat_functoriality", ok, None, None,
-        "deformed products commute with the coordinate map on mapped functions",
+    return (
+        ok, None, "deformed products commute with the coordinate map on mapped functions"
     )
 
 
@@ -506,86 +474,74 @@ def _grid() -> np.ndarray:
     return np.geomspace(0.1, 5.0, 20)
 
 
-def _check_gamma_identity(rng: random.Random, tol: float) -> CheckResult:
+def _two_routes(pairs: Iterable[tuple[complex, complex]], tol: float, detail: str) -> Finding:
+    """The finding of the worst |got - want| / |want| over values computed by two routes."""
     worst = 0.0
-    for y in _grid():
-        lhs = abs(complex_gamma(1j * y)) ** 2
-        rhs = gamma_modulus_sq_imag_axis(float(y))
-        worst = max(worst, abs(lhs - rhs) / rhs)
-    return CheckResult(
-        "gamma_modulus_identity", worst <= tol, worst, tol,
-        "|Gamma(iy)|^2 equals pi/(y sinh(pi y)) on the grid",
+    for got, want in pairs:
+        worst = max(worst, abs(got - want) / abs(want))
+    return worst <= tol, worst, detail
+
+
+def _check_gamma_identity(rng: random.Random, tol: float) -> Finding:
+    return _two_routes(
+        ((abs(complex_gamma(1j * y)) ** 2, gamma_modulus_sq_imag_axis(float(y))) for y in _grid()),
+        tol, "|Gamma(iy)|^2 equals pi/(y sinh(pi y)) on the grid",
     )
 
 
-def _check_planck_equivalence(rng: random.Random, tol: float) -> CheckResult:
-    worst = 0.0
-    for y in _grid():
-        for wz in (0.5, 1.0, 3.0):
-            m = ModeParams(omega_hat=wz, z=1.0, a=1.0, omega=float(y))
-            p = power_spectrum(m)
-            worst = max(worst, abs(p.via_amplitude - p.planck) / p.planck)
-    return CheckResult(
-        "planck_equivalence", worst <= tol, worst, tol,
-        "omega |f(-omega)|^2 matches the Planck form, independent of omega_hat z",
+def _check_planck_equivalence(rng: random.Random, tol: float) -> Finding:
+    points = (
+        power_spectrum(ModeParams(omega_hat=wz, z=1.0, a=1.0, omega=float(y)))
+        for y in _grid()
+        for wz in (0.5, 1.0, 3.0)
+    )
+    return _two_routes(
+        ((p.via_amplitude, p.planck) for p in points),
+        tol, "omega |f(-omega)|^2 matches the Planck form, independent of omega_hat z",
     )
 
 
 # the oracle's frequencies s = omega / a: the spectrum evaluates f(-omega),
 # where rounding is amplified by about e^(pi |s|)
 _ORACLE_S = (0.5, 1.0, 2.0, -0.5, -2.0, -4.0)
+_ORACLE_MODES = tuple(ModeParams(omega_hat=1.0, z=1.0, a=1.0, omega=s) for s in _ORACLE_S)
 
 
-def _check_quadrature_agreement(rng: random.Random, tol: float) -> CheckResult:
-    worst = 0.0
-    for s in _ORACLE_S:
-        m = ModeParams(omega_hat=1.0, z=1.0, a=1.0, omega=s)
-        q = f_quadrature(m)
-        c = f_closed(m)
-        worst = max(worst, abs(q.value - c) / abs(c))
-    return CheckResult(
-        "quadrature_agreement", worst <= tol, worst, tol,
-        "real-axis quadrature amplitude matches the closed form",
+def _check_quadrature_agreement(rng: random.Random, tol: float) -> Finding:
+    return _two_routes(
+        ((f_quadrature(m).value, f_closed(m)) for m in _ORACLE_MODES),
+        tol, "real-axis quadrature amplitude matches the closed form",
     )
 
 
-def _check_correction_integral(rng: random.Random, tol: float) -> CheckResult:
-    worst = 0.0
-    for s in _ORACLE_S:
-        m = ModeParams(omega_hat=1.0, z=1.0, a=1.0, omega=s)
-        q = correction_integral_quadrature(m)
-        c = correction_integral_closed(m)
-        worst = max(worst, abs(q.value - c) / abs(c))
-    return CheckResult(
-        "correction_integral_agreement", worst <= tol, worst, tol,
-        "the extra-damping-factor integral matches its one-step gamma recursion",
+def _check_correction_integral(rng: random.Random, tol: float) -> Finding:
+    return _two_routes(
+        ((correction_integral_quadrature(m).value, correction_integral_closed(m)) for m in _ORACLE_MODES),
+        tol, "the extra-damping-factor integral matches its one-step gamma recursion",
     )
 
 
-def _check_correction_assembly(rng: random.Random, tol: float) -> CheckResult:
-    worst = 0.0
-    for s in _ORACLE_S:
-        m = ModeParams(omega_hat=1.3, z=0.9, a=1.1, omega=1.1 * s)
-        got = deformed_correction_quadrature(m, 1e-4)
-        want = deformed_f_theta(m, 1e-4) - f_closed(m)
-        worst = max(worst, abs(got - want) / abs(want))
-    return CheckResult(
-        "deformed_correction_assembly", worst <= tol, worst, tol,
-        "the two quadrature correction terms reassemble the first-order bracket",
+def _check_correction_assembly(rng: random.Random, tol: float) -> Finding:
+    modes = (ModeParams(omega_hat=1.3, z=0.9, a=1.1, omega=1.1 * s) for s in _ORACLE_S)
+    return _two_routes(
+        (
+            (deformed_correction_quadrature(m, 1e-4), deformed_f_theta(m, 1e-4) - f_closed(m))
+            for m in modes
+        ),
+        tol, "the two quadrature correction terms reassemble the first-order bracket",
     )
 
 
-def _check_quadrature_refinement(rng: random.Random, tol: float | None) -> CheckResult:
+def _check_quadrature_refinement(rng: random.Random, tol: float | None) -> Finding:
     ests = [damped_mode_integral(1.0, 1.0, panel_factor=pf)[1] for pf in (1, 2, 4)]
     ok = ests[1] <= ests[0] and ests[2] <= ests[1]
-    return CheckResult(
-        "quadrature_refinement", ok, None, None,
+    return ok, None, (
         f"undamped refinement residual non-increasing under doubling of the rule's M: "
-        f"{ests[0]:.3e} -> {ests[1]:.3e} -> {ests[2]:.3e}",
+        f"{ests[0]:.3e} -> {ests[1]:.3e} -> {ests[2]:.3e}"
     )
 
 
-def _check_deformed_closed(rng: random.Random, tol: float) -> CheckResult:
+def _check_deformed_closed(rng: random.Random, tol: float) -> Finding:
     a = 2.0 * math.pi
     worst = 0.0
     for th in (1e-4, -1e-4):
@@ -595,13 +551,13 @@ def _check_deformed_closed(rng: random.Random, tol: float) -> CheckResult:
             dev = dp.closed_form / planck_power(a, w) - 1.0
             want = relative_deviation_closed(m, th)
             worst = max(worst, abs(dev - want) / max(abs(want), 1e-300))
-    return CheckResult(
-        "deformed_deviation_closed", worst <= tol, worst, tol,
+    return (
+        worst <= tol, worst,
         "closed-form corrected spectrum deviates by -2 theta01 omega/(pi T z^2)",
     )
 
 
-def _check_deformed_fd(rng: random.Random, tol: float) -> CheckResult:
+def _check_deformed_fd(rng: random.Random, tol: float) -> Finding:
     a = 2.0 * math.pi
     worst = 0.0
     h = 1e-4
@@ -616,13 +572,13 @@ def _check_deformed_fd(rng: random.Random, tol: float) -> CheckResult:
         slope = (dev(h) - dev(-h)) / (2.0 * h)
         want_slope = -2.0 * w / (math.pi * hawking_temperature(a) * 1.0)
         worst = max(worst, abs(slope - want_slope) / abs(want_slope))
-    return CheckResult(
-        "deformed_deviation_finite_difference", worst <= tol, worst, tol,
+    return (
+        worst <= tol, worst,
         "finite-difference slope of the squared corrected amplitude matches",
     )
 
 
-def _check_integrand_consistency(rng: random.Random, tol: float) -> CheckResult:
+def _check_integrand_consistency(rng: random.Random, tol: float) -> Finding:
     """Tie the spectrum-module correction coefficients to the twist engine.
 
     The engine action of a canonical twist with parameter r on the two mode
@@ -642,48 +598,38 @@ def _check_integrand_consistency(rng: random.Random, tol: float) -> CheckResult:
     lhs2 = tw.operator.apply(I * w_hat * z1, exp(-a * z0))
     want2 = mul(-2 * theta_upper * w_hat / z1, exp(-a * z0))
     ok = lhs1 == want1 and lhs2 == want2
-    return CheckResult(
-        "twist_spectrum_integrand_consistency", ok, None, tol,
-        "engine twist action reproduces the amplitude-correction integrands",
-    )
+    return ok, None, "engine twist action reproduces the amplitude-correction integrands"
 
 
 # --- geometry checks ----------------------------------------------------------------
 
-def _check_geometry_roundtrip(rng: random.Random, tol: float) -> CheckResult:
-    m = rindler.RindlerMap()
-    zs = tuple(sym(n) for n in rindler.RINDLER_COORDS)
-    xs = m.forward(zs)
+def _check_geometry_roundtrip(rng: random.Random, tol: float) -> Finding:
     worst = 0.0
     for _ in range(50):
         a = rng.uniform(0.5, 2.0)
         z = (rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
         b = {"a": a, "z0": z[0], "z1": z[1], "z2": z[2], "z3": z[3]}
-        x_num = tuple(eval_numeric(x, b).real for x in xs)
+        x_num = tuple(eval_numeric(x, b).real for x in rindler.STANDARD_MAP.values())
         back = rindler.inverse_map_numeric(x_num, a)
         worst = max(worst, max(abs(p - q) for p, q in zip(z, back)))
-    return CheckResult(
-        "geometry_roundtrip", worst <= tol, worst, tol,
-        "forward map composed with the wedge inverse is the identity",
-    )
+    return worst <= tol, worst, "forward map composed with the wedge inverse is the identity"
 
 
-def _check_metric_pullback(rng: random.Random, tol: float | None) -> CheckResult:
+def _check_metric_pullback(rng: random.Random, tol: float | None) -> Finding:
     mp = rindler.RindlerMap().metric_pullback()
     a, z1 = sym("a"), sym("z1")
     expected = (-(a**2) * z1**2, ONE, ONE, ONE)
     ok = mp.computed == expected
     printed = ", ".join(to_text(g) for g in mp.printed_alternative)
-    return CheckResult(
-        "metric_pullback", ok, None, None,
+    return ok, None, (
         f"first-principles diagonal matches (-a^2 z1^2, 1, 1, 1); "
-        f"single-power-of-a alternative reported as [{printed}]",
+        f"single-power-of-a alternative reported as [{printed}]"
     )
 
 
 # --- suite -----------------------------------------------------------------------
 
-_CHECKS: list[tuple[str, Callable[[random.Random, float | None], CheckResult]]] = [
+_CHECKS: list[tuple[str, Callable[[random.Random, float | None], Finding]]] = [
     ("expr_simplify_preserves_eval", _check_simplify_preserves_eval),
     ("expr_differentiate_rules", _check_differentiate_rules),
     ("expr_canonical_idempotent", _check_canonical_idempotent),
@@ -716,21 +662,25 @@ _CHECKS: list[tuple[str, Callable[[random.Random, float | None], CheckResult]]] 
 def run_all_checks(
     seed: int = 1, tolerances: dict[str, float] | None = None
 ) -> list[CheckResult]:
-    """Run every named invariant check with one seeded generator."""
-    tols = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        unknown = set(tolerances) - set(n for n, _ in _CHECKS) - set(DEFAULT_TOLERANCES)
-        if unknown:
-            raise ValueError(f"unknown tolerance names: {sorted(unknown)}")
-        tols.update(tolerances)
+    """Run every named invariant check with one seeded generator.
+
+    ``tolerances`` overrides entries of ``DEFAULT_TOLERANCES``, and only those.
+    """
+    unknown = set(tolerances or ()) - set(DEFAULT_TOLERANCES)
+    if unknown:
+        raise ValueError(f"unknown tolerance names: {sorted(unknown)}")
+    tols = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     rng = random.Random(seed)
-    results: list[CheckResult] = []
+    findings: list[tuple[str, Finding]] = []
     for name, fn in _CHECKS:
-        sub_rng = random.Random(rng.randrange(2**62))
-        results.append(fn(sub_rng, tols.get(name)))
+        findings.append((name, fn(random.Random(rng.randrange(2**62)), tols.get(name))))
         if name == "classical_limits":
-            results.extend(_check_flat_relations(random.Random(rng.randrange(2**62)), None))
-    return results
+            # through the module global, which perfbench/tracing.py rebinds
+            findings.extend(_check_flat_relations(random.Random(rng.randrange(2**62))))
+    return [
+        CheckResult(name, passed, measured, tols.get(name), detail)
+        for name, (passed, measured, detail) in findings
+    ]
 
 
 def report_dict(
@@ -740,14 +690,5 @@ def report_dict(
         "seed": seed,
         "tolerance_overrides": dict(sorted((tolerances or {}).items())),
         "all_passed": all(r.passed for r in results),
-        "checks": [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "measured": r.measured,
-                "tolerance": r.tolerance,
-                "detail": r.detail,
-            }
-            for r in results
-        ],
+        "checks": [asdict(r) for r in results],
     }

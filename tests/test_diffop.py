@@ -32,7 +32,7 @@ from starwedge.expr import (
     substitute,
     sym,
 )
-from starwedge.rindler import standard_map
+from starwedge.rindler import STANDARD_MAP
 
 from starwedge.verification import _recipe_to_expr
 from test_expr import recipes
@@ -193,7 +193,7 @@ def test_pullback_requires_flat_chart():
 )
 def test_chain_rule_property(generator):
     d = generator()
-    coord_map = standard_map()
+    coord_map = STANDARD_MAP
     rng = random.Random(11)
     f = add(
         *(

@@ -1,10 +1,16 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import gamma as scipy_gamma
 
 from starwedge.gammafn import GammaPoleError, complex_gamma, gamma_modulus_sq_imag_axis
+
+
+def _reference_gamma(s: complex) -> complex:
+    """Gamma at 30 digits, rounded to a double; the global precision is left alone."""
+    with mpmath.workdps(30):
+        return complex(mpmath.gamma(s))
 
 
 def test_gamma_one():
@@ -40,14 +46,14 @@ def test_modulus_identity_on_log_grid():
         assert abs(lhs - rhs) <= 1e-12 * rhs
 
 
-def test_against_scipy_on_strip():
+def test_against_mpmath_on_strip():
     for re in (-6.3, -2.1, -0.4, 0.2, 1.0, 3.7, 9.5):
         for im in (-49.0, -7.3, -0.5, 0.0, 0.5, 7.3, 49.0):
             s = complex(re, im)
             if im == 0.0 and re <= 0 and re == int(re):
                 continue
             got = complex_gamma(s)
-            want = complex(scipy_gamma(s))
+            want = _reference_gamma(s)
             assert abs(got - want) <= 1e-12 * abs(want)
 
 

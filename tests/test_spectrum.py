@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from starwedge.config import dump_json
 from starwedge.diffop import RINDLER
 from starwedge.expr import I, equality_probe, exp, mul, sym
 from starwedge.gammafn import GammaPoleError
@@ -293,7 +294,7 @@ def test_csv_schema():
 
 def test_json_metadata():
     res = compute_spectrum([1.0], a=1.0, omega_hat=1.0, z=1.0, theta01=1e-5)
-    payload = json.loads(res.to_json(seed=7, tolerances={"x": 1e-9}))
+    payload = json.loads(dump_json(res.to_json_dict(seed=7, tolerances={"x": 1e-9})))
     assert payload["parameters"]["temperature"] == pytest.approx(1.0 / (2 * math.pi))
     assert payload["seed"] == 7
     assert payload["rows"][0]["method"] == "closed-form"

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from starwedge import diffop, expr
+from starwedge.config import dump_json
 from starwedge.diffop import MINKOWSKI, RINDLER, DiffOp
 from starwedge.expr import (
     I,
@@ -19,14 +20,13 @@ from starwedge.expr import (
     sym,
 )
 from starwedge.grammar import to_text
-from starwedge.rindler import standard_map
+from starwedge.rindler import STANDARD_MAP
 from starwedge.starprod import (
     RelationEntry,
     build_table,
     commutator,
     expected_flat_table,
     star,
-    table_to_json,
     table_to_json_dict,
     table_to_text,
     verify_flat_relations,
@@ -287,7 +287,7 @@ def test_deformed_product_commutes_with_coordinate_map():
     # commutators of mapped flat coordinates, taken on the accelerated chart,
     # equal the substituted flat commutators; for the constant deformation the
     # right side is constant, which pins the transverse pair in particular
-    coord_map = standard_map()
+    coord_map = STANDARD_MAP
     gs = [coord_map[n] for n in ("x0", "x1", "x2", "x3")]
     for flat, curved in zip(_sample_twists(MINKOWSKI), _sample_twists(RINDLER)):
         for mu in range(4):
@@ -310,7 +310,7 @@ def test_table_text_layout():
 def test_table_json_round_trip_text():
     tw = build_linear_twist(LieTwist(Fraction(1, 4), (0, 0, 1, 0), 0, 1), RINDLER)
     table = build_table(tw)
-    payload = json.loads(table_to_json(table))
+    payload = json.loads(dump_json(table_to_json_dict(table)))
     assert payload == table_to_json_dict(table)
     assert payload["chart"] == "rindler"
     assert payload["twist"]["kind"] == "lie"

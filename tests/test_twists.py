@@ -118,11 +118,14 @@ def test_chart_consistency_check_catches_a_broken_pullback(monkeypatch):
     # pullback; the flat twist must still be transported afresh, so a pullback
     # broken afterwards shows as a difference, not as a value equal to itself
     rng = random.Random(0)
-    assert verification._check_twist_chart_consistency(rng, None).passed
+    passed, _, _ = verification._check_twist_chart_consistency(rng, None)
+    assert passed
     with monkeypatch.context() as m:
         m.setattr(DiffOp, "pullback", _drop_one_chain_rule_term(DiffOp.pullback))
-        assert not verification._check_twist_chart_consistency(rng, None).passed
-        assert not verification._check_chain_rule(rng, 1e-9).passed
+        passed, _, _ = verification._check_twist_chart_consistency(rng, None)
+        assert not passed
+        passed, _, _ = verification._check_chain_rule(rng, 1e-9)
+        assert not passed
     momentum_generator.cache_clear()
     lorentz_generator.cache_clear()
 
@@ -137,11 +140,13 @@ def test_chart_consistency_check_catches_a_pullback_broken_from_the_start(monkey
     try:
         with monkeypatch.context() as m:
             m.setattr(DiffOp, "pullback", _drop_one_chain_rule_term(DiffOp.pullback))
-            assert not verification._check_twist_chart_consistency(random.Random(0), None).passed
+            passed, _, _ = verification._check_twist_chart_consistency(random.Random(0), None)
+            assert not passed
     finally:
         momentum_generator.cache_clear()
         lorentz_generator.cache_clear()
-    assert verification._check_twist_chart_consistency(random.Random(0), None).passed
+    passed, _, _ = verification._check_twist_chart_consistency(random.Random(0), None)
+    assert passed
 
 
 def test_parameter_scaling_is_exact():

@@ -1,0 +1,42 @@
+"""The contract of the invariant suite's runner: row names, order and tolerances."""
+
+import pytest
+
+from starwedge import verification
+from starwedge.verification import DEFAULT_TOLERANCES, run_all_checks
+
+FLAT_RELATIONS = ["flat_relations_canonical", "flat_relations_lie", "flat_relations_quadratic"]
+
+
+@pytest.fixture(scope="module")
+def default_rows():
+    return run_all_checks(seed=1)
+
+
+def test_rows_are_the_suite_names_with_the_flat_relations_after_classical_limits(default_rows):
+    names = [name for name, _ in verification._CHECKS]
+    cut = names.index("classical_limits") + 1
+    assert [r.name for r in default_rows] == names[:cut] + FLAT_RELATIONS + names[cut:]
+
+
+def test_each_row_carries_its_default_tolerance(default_rows):
+    assert set(DEFAULT_TOLERANCES) <= {r.name for r in default_rows}
+    for r in default_rows:
+        assert r.tolerance == DEFAULT_TOLERANCES.get(r.name), r.name
+
+
+def test_an_override_moves_only_its_own_row(default_rows):
+    # a tolerance below the measured residual: the row must fail by it, not only report it
+    rows = run_all_checks(seed=1, tolerances={"gamma_modulus_identity": 1e-16})
+    moved = [(old, new) for old, new in zip(default_rows, rows) if old != new]
+    assert [new.name for _, new in moved] == ["gamma_modulus_identity"]
+    [(old, new)] = moved
+    assert old.passed and not new.passed
+    assert new.tolerance == 1e-16
+    assert new.measured == old.measured > 1e-16
+
+
+@pytest.mark.parametrize("name", ["star_unit", "flat_relations_lie", "no_such_check"])
+def test_only_tolerance_names_can_be_overridden(name):
+    with pytest.raises(ValueError, match="unknown tolerance names"):
+        run_all_checks(tolerances={name: 1.0})
