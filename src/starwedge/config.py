@@ -183,9 +183,16 @@ def load_config(path: str | Path) -> RunConfig:
             panel_factor=_int(items.get("panel_factor", "1"), "panel_factor"),
             rtol=_number(items.get("rtol", "1e-7"), "rtol"),
         )
-        for name, val in (("a", spectrum.a), ("omega_hat", spectrum.omega_hat), ("z", spectrum.z)):
+        for name in ("a", "omega_hat", "z", "rtol"):
+            val = getattr(spectrum, name)
             if not (val > 0 and math.isfinite(val)):
                 raise ConfigError(f"spectrum {name} must be positive and finite")
+        if not math.isfinite(spectrum.theta01):
+            raise ConfigError("spectrum theta01 must be finite")
+        if not all(map(math.isfinite, spectrum.omegas)):
+            raise ConfigError(f"spectrum omega_grid frequencies must be finite: {spectrum.omegas}")
+        if spectrum.panel_factor < 1:
+            raise ConfigError("spectrum panel_factor must be at least 1")
 
     tolerances: dict[str, float] = {}
     if "tolerances" in sections:

@@ -8,10 +8,18 @@ even power of cosh is rewritten through cosh(u)^2 = 1 + sinh(u)^2 so that a
 canonical monomial carries a cosh exponent of at most one.
 
 Structurally equal canonical forms are semantically equal.  The converse
-holds on Laurent polynomials in coordinates and in sinh/cosh of one common
-argument, but not once exp or tanh appear: those atoms are opaque, so
-``exp(x)*exp(-x)`` and ``exp(x)^2`` stay as they are, and ``tanh(x)*cosh(x)``
-is not rewritten to ``sinh(x)``.
+holds on Laurent polynomials in coordinates and in sinh of one common
+argument, times cosh of that argument to the power 0 or 1.  It fails once a
+cosh power is negative, since only positive powers are rewritten: with
+``m = 2*cosh(u)/z1``, ``m**-3 * m**3`` stays
+``1/cosh(u)^2 + sinh(u)^2/cosh(u)^2``.  It fails too once exp or tanh
+appear: those atoms are opaque, so ``exp(x)*exp(-x)`` and ``exp(x)^2`` stay
+as they are, and ``tanh(x)*cosh(x)`` is not rewritten to ``sinh(x)``.
+
+Each function's rules (IEEE value, value at an exact zero argument,
+derivative) are one entry of the table ``_FN_RULES``.  ``a / b`` is
+``a * b**-1``, and ``**`` takes a monomial to any integer power, a sum only
+to a nonnegative one.
 
 Constants are exact complex rationals, each stored as one reduced integer
 triple (see :class:`ComplexRational`); floating point enters only through
@@ -47,7 +55,7 @@ import random
 import weakref
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping, NamedTuple, Union
 
 __all__ = [
     "ComplexRational",
@@ -288,10 +296,10 @@ class Expr:
         return mul(integer(-1), self)
 
     def __truediv__(self, other: "ExprLike") -> "Expr":
-        return mul(self, _invert(_coerce(other)))
+        return mul(self, _pow_expr(_coerce(other), -1))
 
     def __rtruediv__(self, other: "ExprLike") -> "Expr":
-        return mul(other, _invert(self))
+        return mul(other, _pow_expr(self, -1))
 
     def __pow__(self, n: int) -> "Expr":
         if not isinstance(n, int):
@@ -368,17 +376,23 @@ class Fn(Expr):
     __hash__ = object.__hash__
 
 
-FUNCTIONS = ("sinh", "cosh", "exp", "tanh")
+class _FnRule(NamedTuple):
+    """One function f: its IEEE value, f(0), and f'(u) as a term map in the atom f(u)."""
 
-# value of f(0) for each supported function, used to fold exact zero arguments
-_FN_AT_ZERO = {"sinh": CR_ZERO, "cosh": CR_ONE, "exp": CR_ONE, "tanh": CR_ZERO}
+    value: Callable[[complex], complex]
+    at_zero: ComplexRational
+    derivative: Callable[[Fn], TermMap]
 
-_FN_NUMERIC: dict[str, Callable[[complex], complex]] = {
-    "sinh": cmath.sinh,
-    "cosh": cmath.cosh,
-    "exp": cmath.exp,
-    "tanh": cmath.tanh,
+
+# the one table of function rules, read by every operation on an Fn atom
+_FN_RULES = {
+    "sinh": _FnRule(cmath.sinh, CR_ZERO, lambda f: {((Fn("cosh", f.arg), 1),): CR_ONE}),
+    "cosh": _FnRule(cmath.cosh, CR_ONE, lambda f: {((Fn("sinh", f.arg), 1),): CR_ONE}),
+    "exp": _FnRule(cmath.exp, CR_ONE, lambda f: {((f, 1),): CR_ONE}),
+    "tanh": _FnRule(cmath.tanh, CR_ZERO, lambda f: {(): CR_ONE, ((f, 2),): -CR_ONE}),
 }
+
+FUNCTIONS = tuple(_FN_RULES)
 
 ZERO = Const(CR_ZERO)
 ONE = Const(CR_ONE)
@@ -578,53 +592,34 @@ def mul(*parts: ExprLike) -> Expr:
     return _from_terms(terms)
 
 
-def _invert(e: Expr) -> Expr:
-    terms = _as_terms(e)
-    if not terms:
-        raise ZeroDivisionError("division by exact zero expression")
-    if len(terms) > 1:
-        raise NonMonomialDivisionError(
-            "can only divide by a single-term (monomial) expression"
-        )
-    (mono, coeff), = terms.items()
-    atoms = {a: -x for a, x in mono}
-    out: TermMap = {}
-    _reduce_cosh(atoms, coeff.inverse(), out)
-    return _from_terms(out)
-
-
 def _pow_expr(e: Expr, n: int) -> Expr:
-    if n == 0:
-        return ONE
-    if n < 0:
-        return _pow_expr(_invert(e), -n)
+    """``e ** n``, the one power rule; ``a / b`` is ``a * b ** -1``."""
     terms = _as_terms(e)
     if len(terms) == 1:
         (mono, coeff), = terms.items()
-        atoms = {a: x * n for a, x in mono}
         out: TermMap = {}
-        _reduce_cosh(atoms, coeff.power(n), out)
+        _reduce_cosh({a: x * n for a, x in mono}, coeff.power(n), out)
         return _from_terms(out)
-    # expand positive powers of sums by binary exponentiation
+    if n < 0:
+        if not terms:
+            raise ZeroDivisionError("division by exact zero expression")
+        raise NonMonomialDivisionError("can only divide by a single-term (monomial) expression")
+    # expand nonnegative powers of sums (and of zero) by binary exponentiation
     acc: TermMap = {(): CR_ONE}
-    base = terms
-    k = n
-    while k:
-        if k & 1:
-            acc = _mul_terms(acc, base)
-        k >>= 1
-        if k:
-            base = _mul_terms(base, base)
+    while n:
+        if n & 1:
+            acc = _mul_terms(acc, terms)
+        n >>= 1
+        if n:
+            terms = _mul_terms(terms, terms)
     return _from_terms(acc)
 
 
 def _fn(name: str, arg: ExprLike) -> Expr:
     a = _coerce(arg)
     if isinstance(a, Const) and a.value.is_zero:
-        return Const(_FN_AT_ZERO[name])
-    out: TermMap = {}
-    _reduce_cosh({Fn(name, a): 1}, CR_ONE, out)
-    return _from_terms(out)
+        return Const(_FN_RULES[name].at_zero)
+    return Fn(name, a)
 
 
 def sinh(arg: ExprLike) -> Expr:
@@ -662,16 +657,7 @@ def _atom_derivative(atom: Expr, name: str) -> TermMap:
         inner = _diff_terms(_as_terms(atom.arg), name)
         if not inner:
             return {}
-        u = atom.arg
-        if atom.fname == "sinh":
-            outer = {((Fn("cosh", u), 1),): CR_ONE}
-        elif atom.fname == "cosh":
-            outer = {((Fn("sinh", u), 1),): CR_ONE}
-        elif atom.fname == "exp":
-            outer = {((atom, 1),): CR_ONE}
-        else:  # tanh
-            outer = {(): CR_ONE, ((atom, 2),): -CR_ONE}
-        return _mul_terms(outer, inner)
+        return _mul_terms(_FN_RULES[atom.fname].derivative(atom), inner)
     raise TypeError(type(atom))
 
 
@@ -771,7 +757,7 @@ def eval_numeric(e: Expr, bindings: Bindings) -> complex:
         except KeyError:
             raise UnboundSymbolError(e.name) from None
     if isinstance(e, Fn):
-        return _FN_NUMERIC[e.fname](eval_numeric(e.arg, bindings))
+        return _FN_RULES[e.fname].value(eval_numeric(e.arg, bindings))
     if isinstance(e, Pow):
         return eval_numeric(e.base, bindings) ** e.exponent
     if isinstance(e, Mul):

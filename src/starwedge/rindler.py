@@ -6,7 +6,8 @@ The right-wedge map is
 
     x0 = z1 sinh(a z0),  x1 = z1 cosh(a z0),  x2 = z2,  x3 = z3,
 
-stated once, as the read-only substitution table ``STANDARD_MAP``.
+stated once, as the read-only substitution table ``STANDARD_MAP``.  Its
+Jacobian, the metric pullback and the chain-rule transport are derived from it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from functools import cache
 from types import MappingProxyType
 
-from .expr import Expr, ONE, ZERO, cosh, differentiate, sinh, sym
+from .expr import Expr, ZERO, add, cosh, differentiate, sinh, sym
 
 __all__ = [
     "MINKOWSKI_COORDS",
@@ -49,26 +50,38 @@ STANDARD_MAP = MappingProxyType({
 
 
 @cache
+def _jacobian() -> tuple[tuple[Expr, ...], ...]:
+    """J[rho][nu] = dx_rho/dz_nu of ``STANDARD_MAP``, built once."""
+    return tuple(tuple(differentiate(x, z) for z in RINDLER_COORDS) for x in STANDARD_MAP.values())
+
+
+def _pullback_entry(mu: int, nu: int) -> Expr:
+    """g[mu][nu] = sum_rho eta_rho J[rho][mu] J[rho][nu], the flat metric pulled back."""
+    j = _jacobian()
+    return add(*(METRIC_SIGNATURE[rho] * j[rho][mu] * j[rho][nu] for rho in range(4)))
+
+
+@cache
 def partial_transport(mu: int) -> tuple[tuple[Expr, int], ...]:
     """Chain-rule image of d/dx_mu on the accelerated chart.
 
-    Returns (coefficient, z-index) pairs.  The time and radial directions mix:
+    Returns the (coefficient, z-index) pairs of d/dx_mu = sum_nu dz_nu/dx_mu
+    d/dz_nu with nonzero coefficients.  With J the Jacobian of ``STANDARD_MAP``
+    and g = J^T eta J its metric pullback, J^-1 = g^-1 J^T eta exactly; g is
+    diagonal, (-a^2 z1^2, 1, 1, 1), with monomial entries, so
 
-        d/dx0 = -sinh(a z0) d/dz1 + (cosh(a z0)/(a z1)) d/dz0
-        d/dx1 =  cosh(a z0) d/dz1 - (sinh(a z0)/(a z1)) d/dz0
+        dz_nu/dx_mu = eta_mu J[mu][nu] / g[nu][nu]
 
-    while the transverse directions pass through unchanged.  Correctness
-    against the coordinate map is enforced by the chain-rule property tests.
-    The four images are built once and shared.
+    divides exactly.  The four images are built once and shared.
     """
-    inv = ONE / (_A * _Z[1])
-    if mu == 0:
-        return ((-sinh(_U), 1), (cosh(_U) * inv, 0))
-    if mu == 1:
-        return ((cosh(_U), 1), (-sinh(_U) * inv, 0))
-    if mu in (2, 3):
-        return ((ONE, mu),)
-    raise ValueError(f"coordinate index out of range: {mu}")
+    if mu not in range(4):
+        raise ValueError(f"coordinate index out of range: {mu}")
+    row = _jacobian()[mu]
+    return tuple(
+        (METRIC_SIGNATURE[mu] * row[nu] / _pullback_entry(nu, nu), nu)
+        for nu in range(4)
+        if row[nu] != ZERO
+    )
 
 
 @dataclass(frozen=True)
@@ -94,23 +107,13 @@ class RindlerMap:
         return STANDARD_MAP
 
     def metric_pullback(self) -> MetricPullback:
-        """Pull the flat metric back through the map, from first principles."""
-        xs = tuple(STANDARD_MAP.values())
-        diagonal = []
+        """Pull the flat metric back through the map's Jacobian, from first principles."""
         for mu in range(4):
-            for nu in range(mu, 4):
-                acc = None
-                for rho in range(4):
-                    d1 = differentiate(xs[rho], RINDLER_COORDS[mu])
-                    d2 = differentiate(xs[rho], RINDLER_COORDS[nu])
-                    piece = METRIC_SIGNATURE[rho] * d1 * d2
-                    acc = piece if acc is None else acc + piece
-                if nu == mu:
-                    diagonal.append(acc)
-                elif acc != ZERO:
+            for nu in range(mu + 1, 4):
+                if (acc := _pullback_entry(mu, nu)) != ZERO:
                     raise AssertionError(f"metric pullback is not diagonal at ({mu},{nu}): {acc}")
-        computed = tuple(diagonal)
-        printed = (-_A * _Z[1] ** 2, *diagonal[1:])
+        computed = tuple(_pullback_entry(mu, mu) for mu in range(4))
+        printed = (-_A * _Z[1] ** 2, *computed[1:])
         return MetricPullback(computed=computed, printed_alternative=printed)
 
 

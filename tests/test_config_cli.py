@@ -259,6 +259,32 @@ def test_spectrum_subnormal_frequency_exits_2_naming_omega(tmp_path, method, ome
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("panel_factor", "-1"),
+        ("panel_factor", "0"),
+        ("omega_grid", "nan"),
+        ("omega_grid", "1 nan"),
+        ("omega_grid", "lin 0.5 nan 3"),
+        ("rtol", "0"),
+        ("rtol", "nan"),
+        ("theta01", "nan"),
+        ("theta01", "inf"),
+    ],
+)
+def test_spectrum_rejects_bad_numbers_at_load_time(tmp_path, key, value):
+    # each once escaped as a traceback (exit 1), wrote nan or unconverged rows
+    # (exit 4), or exited 2 blaming omega
+    keys = {"a": "1", "omega_hat": "1", "z": "1", "omega_grid": "1 2", "method": "both", key: value}
+    cfg = _write(tmp_path, "[spectrum]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["spectrum", "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert key in result.stderr
+    assert not out.exists()
+
+
 def test_commutator_never_imports_numpy(tmp_path):
     # a fresh interpreter, since other test modules have imported numpy here:
     # the exact algebra loads no numpy, and the first quadrature call loads it

@@ -180,6 +180,37 @@ def test_division_by_monomial():
     assert (cosh(u) / (a * z1)) * (a * z1) == cosh(u)
 
 
+def test_negative_power_of_sum_rejected():
+    with pytest.raises(NonMonomialDivisionError):
+        (z0 + z1) ** -2
+
+
+def test_inverse_of_exact_zero_raises():
+    with pytest.raises(ZeroDivisionError, match="exact zero"):
+        ZERO ** -1
+    with pytest.raises(ZeroDivisionError, match="exact zero"):
+        ONE / ZERO
+
+
+@pytest.mark.parametrize("e", [2 * sinh(u) / z1, z0 + z1, ZERO], ids=["monomial", "sum", "zero"])
+def test_zeroth_power_is_one(e):
+    assert e ** 0 == ONE
+
+
+def test_negative_power_of_monomial_cancels_its_positive_power():
+    m = 2 * sinh(u) / z1
+    assert m ** -3 * m ** 3 == ONE
+
+
+def test_negative_cosh_powers_are_outside_the_unique_normal_form():
+    # cosh(u)^2 = 1 + sinh(u)^2 rewrites positive cosh powers only, so a
+    # negative cosh power can stand beside an equal form it is not rewritten to
+    m = 2 * cosh(u) / z1
+    e = m ** -3 * m ** 3
+    assert e != ONE
+    assert equality_probe(e, ONE)
+
+
 def test_integer_exponent_required():
     with pytest.raises(TypeError):
         z0 ** 0.5

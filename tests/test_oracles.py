@@ -92,13 +92,13 @@ def test_substitution_against_sympy(recipe):
 
 
 def test_gamma_against_mpmath_high_precision():
-    mpmath.mp.dps = 30
-    pts = [0.5, 1.0, 3.7, 0.5 + 10j, 1j, 0.3 - 2.4j, -1.5 + 0.25j, 2.0 + 49j,
-           -0.4 - 49j, 12.0 - 31j]
-    for s in pts:
-        got = complex_gamma(s)
-        want = complex(mpmath.gamma(s))
-        assert abs(got - want) <= 1e-12 * abs(want), f"gamma mismatch at {s}"
+    with mpmath.workdps(30):
+        pts = [0.5, 1.0, 3.7, 0.5 + 10j, 1j, 0.3 - 2.4j, -1.5 + 0.25j, 2.0 + 49j,
+               -0.4 - 49j, 12.0 - 31j]
+        for s in pts:
+            got = complex_gamma(s)
+            want = complex(mpmath.gamma(s))
+            assert abs(got - want) <= 1e-12 * abs(want), f"gamma mismatch at {s}"
 
 
 def test_damped_integral_against_mpmath_closed_form():
@@ -107,32 +107,32 @@ def test_damped_integral_against_mpmath_closed_form():
     # rule, also at s < 0, where rounding is amplified by about e^(pi |s|)
     from starwedge.quadrature import damped_mode_integral
 
-    mpmath.mp.dps = 30
-    for p in (0, 1):
-        for s in (-4.0, -0.5, 0.5, 2.0):
-            got, _ = damped_mode_integral(s, 1.0, power_shift=p)
-            c = p - 1j * s
-            want = complex(mpmath.gamma(c) * (-1j) ** (-c))
-            assert abs(got - want) <= 1e-11 * abs(want), (p, s)
+    with mpmath.workdps(30):
+        for p in (0, 1):
+            for s in (-4.0, -0.5, 0.5, 2.0):
+                got, _ = damped_mode_integral(s, 1.0, power_shift=p)
+                c = p - 1j * s
+                want = complex(mpmath.gamma(c) * (-1j) ** (-c))
+                assert abs(got - want) <= 1e-11 * abs(want), (p, s)
 
 
 def test_amplitude_limit_against_mpmath():
     # the amplitude in closed form: (1/a) Gamma(-is) w^{is} e^{pi s/2}
-    mpmath.mp.dps = 30
-    for s in (0.5, 1.0, 2.0):
-        m = ModeParams(omega_hat=1.0, z=1.0, a=1.0, omega=s)
-        got = f_closed(m)
-        want = complex(mpmath.gamma(-1j * s) * mpmath.exp(mpmath.pi * s / 2))
-        assert abs(got - want) <= 1e-12 * abs(want)
+    with mpmath.workdps(30):
+        for s in (0.5, 1.0, 2.0):
+            m = ModeParams(omega_hat=1.0, z=1.0, a=1.0, omega=s)
+            got = f_closed(m)
+            want = complex(mpmath.gamma(-1j * s) * mpmath.exp(mpmath.pi * s / 2))
+            assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_planck_form_against_mpmath():
-    mpmath.mp.dps = 30
-    for y in (0.1, 0.7, 2.9):
-        m = ModeParams(omega_hat=1.0, z=1.0, a=1.0, omega=y)
-        got = m.omega * abs(f_closed(ModeParams(1.0, 1.0, 1.0, -y))) ** 2
-        want = float(2 * mpmath.pi / mpmath.expm1(2 * mpmath.pi * y))
-        assert got == pytest.approx(want, rel=1e-12)
+    with mpmath.workdps(30):
+        for y in (0.1, 0.7, 2.9):
+            m = ModeParams(omega_hat=1.0, z=1.0, a=1.0, omega=y)
+            got = m.omega * abs(f_closed(ModeParams(1.0, 1.0, 1.0, -y))) ** 2
+            want = float(2 * mpmath.pi / mpmath.expm1(2 * mpmath.pi * y))
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 def _mp_eval(e, b):
@@ -155,28 +155,28 @@ def _mp_eval(e, b):
 def test_canonical_form_is_exact_where_its_double_evaluation_cancels():
     # the worst case of `starwedge verify --seed 12` before the
     # expr_simplify_preserves_eval residual was scaled by the terms' size
-    mpmath.mp.dps = 30
-    b = {
-        "z0": 1.5876353208101734,
-        "z1": 1.155216350721351,
-        "z2": 1.862761198685051,
-        "z3": 1.261152957672253,
-        "a": 0.6430645938722681,
-    }
-    z0, z1, z2, z3, a = (sym(n) for n in ("z0", "z1", "z2", "z3", "a"))
-    e = ((z2 * z1 - 2 * z0 + z3) * ((exp(a) - 5) * sinh(z0))) ** 3
-    x = mpmath.mpf
-    want = ((x(b["z2"]) * x(b["z1"]) - 2 * x(b["z0"]) + x(b["z3"]))
-            * (mpmath.exp(x(b["a"])) - 5) * mpmath.sinh(x(b["z0"]))) ** 3
-    assert isinstance(e, Add)
-    # the canonical form itself is exact ...
-    assert abs(_mp_eval(e, b) - want) <= mpmath.mpf(10) ** -25 * abs(want)
-    # ... but its terms are about 1e5 times the value, so in double it rounds
-    # at their size (4e-12 of the value here), within 1e-15 of the terms
-    values = [eval_numeric(t, b) for t in e.terms]
-    scale = sum(abs(v) for v in values)
-    assert scale > 1e4 * abs(want)
-    assert abs(sum(values) - complex(want)) <= 1e-15 * scale
+    with mpmath.workdps(30):
+        b = {
+            "z0": 1.5876353208101734,
+            "z1": 1.155216350721351,
+            "z2": 1.862761198685051,
+            "z3": 1.261152957672253,
+            "a": 0.6430645938722681,
+        }
+        z0, z1, z2, z3, a = (sym(n) for n in ("z0", "z1", "z2", "z3", "a"))
+        e = ((z2 * z1 - 2 * z0 + z3) * ((exp(a) - 5) * sinh(z0))) ** 3
+        x = mpmath.mpf
+        want = ((x(b["z2"]) * x(b["z1"]) - 2 * x(b["z0"]) + x(b["z3"]))
+                * (mpmath.exp(x(b["a"])) - 5) * mpmath.sinh(x(b["z0"]))) ** 3
+        assert isinstance(e, Add)
+        # the canonical form itself is exact ...
+        assert abs(_mp_eval(e, b) - want) <= mpmath.mpf(10) ** -25 * abs(want)
+        # ... but its terms are about 1e5 times the value, so in double it rounds
+        # at their size (4e-12 of the value here), within 1e-15 of the terms
+        values = [eval_numeric(t, b) for t in e.terms]
+        scale = sum(abs(v) for v in values)
+        assert scale > 1e4 * abs(want)
+        assert abs(sum(values) - complex(want)) <= 1e-15 * scale
 
 
 # --- the accelerated chart by sympy's own Jacobian ----------------------------------

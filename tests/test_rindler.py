@@ -62,7 +62,7 @@ def test_inverse_rejects_points_outside_wedge():
 
 
 def test_transport_is_consistent_with_map():
-    # numeric Jacobian check of the hand-written derivative transport
+    # numeric Jacobian check of the transport derived from the map
     rng = random.Random(9)
     for mu in range(4):
         rules = partial_transport(mu)

@@ -1,8 +1,12 @@
 """The contract of the invariant suite's runner: row names, order and tolerances."""
 
+import math
+import random
+from types import SimpleNamespace
+
 import pytest
 
-from starwedge import verification
+from starwedge import rindler, verification
 from starwedge.verification import DEFAULT_TOLERANCES, run_all_checks
 
 FLAT_RELATIONS = ["flat_relations_canonical", "flat_relations_lie", "flat_relations_quadratic"]
@@ -40,3 +44,31 @@ def test_an_override_moves_only_its_own_row(default_rows):
 def test_only_tolerance_names_can_be_overridden(name):
     with pytest.raises(ValueError, match="unknown tolerance names"):
         run_all_checks(tolerances={name: 1.0})
+
+
+_inverse_map = rindler.inverse_map_numeric
+
+# for each numeric check, a patch that makes one route return NaN
+_NAN_ROUTES = {
+    "quadrature_agreement": (verification, "f_quadrature", lambda m: SimpleNamespace(value=math.nan)),
+    "deformed_deviation_closed": (
+        verification, "deformed_power", lambda m, th: SimpleNamespace(closed_form=math.nan)
+    ),
+    "deformed_deviation_finite_difference": (
+        verification, "deformed_f_theta", lambda m, th: complex(math.nan)
+    ),
+    # only the last coordinate: a NaN among finite residuals must not drop out
+    "geometry_roundtrip": (
+        rindler, "inverse_map_numeric", lambda x, a: (*_inverse_map(x, a)[:3], math.nan)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NAN_ROUTES))
+def test_a_nan_residual_fails_its_check_and_is_measured(monkeypatch, name):
+    owner, attr, nan_route = _NAN_ROUTES[name]
+    monkeypatch.setattr(owner, attr, nan_route)
+    check = dict(verification._CHECKS)[name]
+    passed, measured, _ = check(random.Random(1), DEFAULT_TOLERANCES[name])
+    assert passed is False
+    assert math.isnan(measured)
