@@ -200,7 +200,10 @@ def load_config(path: str | Path) -> RunConfig:
         for key, val in items.items():
             if key not in DEFAULT_TOLERANCES:
                 raise ConfigError(f"unknown tolerance name: {key}")
-            tolerances[key] = _number(val, key)
+            tol = _number(val, key)
+            if not (tol >= 0 and math.isfinite(tol)):
+                raise ConfigError(f"tolerance {key} must be nonnegative and finite")
+            tolerances[key] = tol
 
     return RunConfig(
         seed=seed,
@@ -229,6 +232,18 @@ def atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
+def _finite_or_null(obj):
+    """``obj`` with every non-finite float, at any depth, replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def dump_json(obj) -> str:
-    """The text of every JSON artifact: two-space indent, sorted keys, a final newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """The text of every JSON artifact: strict JSON (a non-finite float is null),
+    two-space indent, sorted keys, a final newline."""
+    return json.dumps(_finite_or_null(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"

@@ -1,11 +1,11 @@
 """Immutable symbolic expressions over coordinates, parameters and hyperbolic factors.
 
-Every ``Expr`` is kept in a canonical normal form by construction: a sum of
-Laurent monomials in "atoms" (symbols and function applications), with one
-exact complex-rational coefficient per monomial.  Products of sums are always
-expanded, children are kept in a fixed deterministic order, and any positive
-even power of cosh is rewritten through cosh(u)^2 = 1 + sinh(u)^2 so that a
-canonical monomial carries a cosh exponent of at most one.
+Every ``Expr`` is canonical, by contract: a sum of Laurent monomials in
+"atoms" (symbols and function applications), with one exact complex-rational
+coefficient per monomial.  Products of sums are always expanded, children are
+kept in a fixed deterministic order, and any positive even power of cosh is
+rewritten through cosh(u)^2 = 1 + sinh(u)^2 so that a canonical monomial
+carries a cosh exponent of at most one.
 
 Structurally equal canonical forms are semantically equal.  The converse
 holds on Laurent polynomials in coordinates and in sinh of one common
@@ -42,10 +42,17 @@ are interned too.
 
 The working form is the term map, which maps each monomial to its
 coefficient; ``_add_term``, ``_mul_terms`` and ``_reduce_cosh`` are the one
-definition of the normal form on it.  Each public operation takes its
-operands apart into term maps once, works on the maps, and builds its result
-node once, at the end; ``differentiate`` and the operators of ``diffop``
-chain whole computations on term maps the same way.
+definition of the normal form on it.  ``_from_terms`` is the one writer of
+the node layout (a sum of terms, each an optional leading coefficient and
+then atom powers in monomial order) and ``_parts`` its one reader:
+``_as_terms``, ``substitute``, ``free_symbols`` and the printer of
+``grammar`` all take an expression apart through it.  ``Add``, ``Mul`` and
+``Pow`` nodes are built only by the writer (and by unpickling, which rebuilds
+a written tree); a ``Const`` or an atom alone is a one-term expression.
+Each public operation takes its operands apart into term maps once, works on
+the maps, and builds its result node once, at the end; ``differentiate`` and
+the operators of ``diffop`` chain whole computations on term maps the same
+way.
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ import random
 import weakref
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Mapping, NamedTuple, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Union
 
 __all__ = [
     "ComplexRational",
@@ -512,32 +519,27 @@ def _reduce_cosh(mono_atoms: dict[Expr, int], coeff: ComplexRational, out: TermM
     _add_term(out, _freeze(mono_atoms), coeff)
 
 
-def _as_terms(e: Expr) -> TermMap:
-    """Decompose a canonical expression into its term map."""
-    if isinstance(e, Const):
-        return {} if e.value.is_zero else {(): e.value}
-    if isinstance(e, (Sym, Fn)):
-        return {((e, 1),): CR_ONE}
-    if isinstance(e, Pow):
-        return {((e.base, e.exponent),): CR_ONE}
-    if isinstance(e, Mul):
+def _parts(e: Expr) -> Iterator[tuple[Monomial, ComplexRational]]:
+    """The (monomial, coefficient) terms of a canonical expression, in stored order.
+
+    The one reader of the layout that ``_term_to_expr`` and ``_from_terms``
+    write: a sum of terms, each an optional leading coefficient followed by
+    atom powers in monomial order.  Exact zero has no terms.
+    """
+    for t in e.terms if isinstance(e, Add) else (e,):
+        factors = t.factors if isinstance(t, Mul) else (t,)
         coeff = CR_ONE
-        atoms: dict[Expr, int] = {}
-        for f in e.factors:
-            if isinstance(f, Const):
-                coeff = coeff * f.value
-            elif isinstance(f, Pow):
-                atoms[f.base] = atoms.get(f.base, 0) + f.exponent
-            else:
-                atoms[f] = atoms.get(f, 0) + 1
-        return {_freeze(atoms): coeff}
-    if isinstance(e, Add):
-        out: TermMap = {}
-        for t in e.terms:
-            for mono, c in _as_terms(t).items():
-                _add_term(out, mono, c)
-        return out
-    raise TypeError(type(e))
+        if isinstance(factors[0], Const):
+            coeff = factors[0].value
+            if coeff.is_zero:
+                return
+            factors = factors[1:]
+        yield tuple([(f.base, f.exponent) if isinstance(f, Pow) else (f, 1) for f in factors]), coeff
+
+
+def _as_terms(e: Expr) -> TermMap:
+    """The term map of a canonical expression; its terms are already distinct and nonzero."""
+    return dict(_parts(e))
 
 
 def _term_to_expr(mono: Monomial, coeff: ComplexRational) -> Expr:
@@ -592,14 +594,13 @@ def mul(*parts: ExprLike) -> Expr:
     return _from_terms(terms)
 
 
-def _pow_expr(e: Expr, n: int) -> Expr:
-    """``e ** n``, the one power rule; ``a / b`` is ``a * b ** -1``."""
-    terms = _as_terms(e)
+def _pow_terms(terms: TermMap, n: int) -> TermMap:
+    """The term map of ``e ** n`` for ``e`` of term map ``terms``: the one power rule."""
     if len(terms) == 1:
         (mono, coeff), = terms.items()
         out: TermMap = {}
         _reduce_cosh({a: x * n for a, x in mono}, coeff.power(n), out)
-        return _from_terms(out)
+        return out
     if n < 0:
         if not terms:
             raise ZeroDivisionError("division by exact zero expression")
@@ -612,12 +613,17 @@ def _pow_expr(e: Expr, n: int) -> Expr:
         n >>= 1
         if n:
             terms = _mul_terms(terms, terms)
-    return _from_terms(acc)
+    return acc
+
+
+def _pow_expr(e: Expr, n: int) -> Expr:
+    """``e ** n``; ``a / b`` is ``a * b ** -1``."""
+    return _from_terms(_pow_terms(_as_terms(e), n))
 
 
 def _fn(name: str, arg: ExprLike) -> Expr:
     a = _coerce(arg)
-    if isinstance(a, Const) and a.value.is_zero:
+    if a == ZERO:
         return Const(_FN_RULES[name].at_zero)
     return Fn(name, a)
 
@@ -641,11 +647,10 @@ def tanh(arg: ExprLike) -> Expr:
 # --- operations -------------------------------------------------------------
 
 def simplify(e: Expr) -> Expr:
-    """Re-normalize an expression: the substitution walk with nothing to substitute.
+    """The substitution walk with nothing to substitute.
 
-    Expressions are canonical by construction, so this is a fixed point:
-    ``simplify(simplify(e))`` is structurally identical to ``simplify(e)``.
-    It remains the entry point for trees assembled from raw node constructors.
+    Every expression is canonical, so this rebuilds ``e`` unchanged:
+    ``simplify(e) == e``.
     """
     return substitute(e, {})
 
@@ -702,43 +707,38 @@ def differentiate(e: Expr, v: Union[str, Expr]) -> Expr:
 
 
 def substitute(e: Expr, mapping: Mapping[str, ExprLike]) -> Expr:
-    """Simultaneous substitution of symbols, followed by normalization."""
-    table = {n: _coerce(x) for n, x in mapping.items()}
+    """Simultaneous substitution of symbols; the result is canonical."""
+    table = {n: _as_terms(_coerce(x)) for n, x in mapping.items()}
 
-    def walk(node: Expr) -> Expr:
-        if isinstance(node, Const):
-            return node
-        if isinstance(node, Sym):
-            return table.get(node.name, node)
-        if isinstance(node, Fn):
-            return _fn(node.fname, walk(node.arg))
-        if isinstance(node, Pow):
-            return _pow_expr(walk(node.base), node.exponent)
-        if isinstance(node, Mul):
-            return mul(*(walk(f) for f in node.factors))
-        if isinstance(node, Add):
-            return add(*(walk(t) for t in node.terms))
-        raise TypeError(type(node))
+    def walk(node: Expr) -> TermMap:
+        out: TermMap = {}
+        for mono, coeff in _parts(node):
+            acc: TermMap = {(): coeff}
+            for atom, k in mono:
+                if isinstance(atom, Sym):
+                    x = table.get(atom.name)
+                    if x is None:
+                        x = {((atom, 1),): CR_ONE}
+                else:
+                    x = _as_terms(_fn(atom.fname, _from_terms(walk(atom.arg))))
+                acc = _mul_terms(acc, x if k == 1 else _pow_terms(x, k))
+            for m, c in acc.items():
+                _add_term(out, m, c)
+        return out
 
-    return walk(e)
+    return _from_terms(walk(e))
 
 
 def free_symbols(e: Expr) -> frozenset[str]:
     names: set[str] = set()
 
     def walk(node: Expr) -> None:
-        if isinstance(node, Sym):
-            names.add(node.name)
-        elif isinstance(node, Fn):
-            walk(node.arg)
-        elif isinstance(node, Pow):
-            walk(node.base)
-        elif isinstance(node, Mul):
-            for f in node.factors:
-                walk(f)
-        elif isinstance(node, Add):
-            for t in node.terms:
-                walk(t)
+        for mono, _ in _parts(node):
+            for atom, _ in mono:
+                if isinstance(atom, Sym):
+                    names.add(atom.name)
+                else:
+                    walk(atom.arg)
 
     walk(e)
     return frozenset(names)

@@ -1,23 +1,22 @@
 """Plain-text grammar for expressions: infix operators, ``^`` powers,
 ``sinh/cosh/exp/tanh`` calls and ``i`` for the imaginary unit.
 
-The printer emits canonical expressions deterministically and the parser
-inverts it: ``parse(to_text(e))`` is structurally equal to ``simplify(e)``.
+The printer emits canonical expressions deterministically, term by term as
+``expr._parts`` reads them, and the parser inverts it: ``parse(to_text(e))``
+is structurally equal to ``e``.
 """
 
 from __future__ import annotations
 
 from .expr import (
     FUNCTIONS,
-    Add,
     ComplexRational,
-    Const,
     Expr,
     Fn,
-    Mul,
-    Pow,
+    Monomial,
     Sym,
     _fn,
+    _parts,
     const,
     integer,
     sym,
@@ -185,57 +184,31 @@ def _atom_text(a: Expr) -> str:
     raise TypeError(f"not an atom: {type(a).__name__}")
 
 
-def _term_text(t: Expr) -> tuple[str, str]:
+def _term_text(mono: Monomial, coeff: ComplexRational) -> tuple[str, str]:
     """Return (sign, body) for one canonical term."""
-    coeff = None
     num: list[str] = []
     den: list[str] = []
-
-    def push(atom: Expr, e: int) -> None:
+    for atom, e in mono:
         target, p = (num, e) if e > 0 else (den, -e)
         target.append(_atom_text(atom) if p == 1 else f"{_atom_text(atom)}^{p}")
 
-    if isinstance(t, Const):
-        coeff = t.value
-    elif isinstance(t, (Sym, Fn)):
-        push(t, 1)
-    elif isinstance(t, Pow):
-        push(t.base, t.exponent)
-    elif isinstance(t, Mul):
-        for f in t.factors:
-            if isinstance(f, Const):
-                coeff = f.value
-            elif isinstance(f, Pow):
-                push(f.base, f.exponent)
-            else:
-                push(f, 1)
-    else:
-        raise TypeError(f"not a term: {type(t).__name__}")
-
     sign = ""
-    if coeff is not None and _is_negative_leading(coeff):
+    if _is_negative_leading(coeff):
         coeff = -coeff
         sign = "-"
-    parts: list[str] = []
-    if coeff is not None and not (coeff.is_one and num):
-        parts.append(coeff_text(coeff))
-    parts.extend(num)
-    body = "*".join(parts) if parts else "1"
+    body = "*".join(num if coeff.is_one and num else [coeff_text(coeff), *num])
     if den:
         body += f"/{den[0]}" if len(den) == 1 else "/(" + "*".join(den) + ")"
     return sign, body
 
 
 def to_text(e: Expr) -> str:
-    """Deterministic text form; inverse of :func:`parse` up to normalization."""
-    if isinstance(e, Add):
-        out: list[str] = []
-        for t in e.terms:
-            sign, body = _term_text(t)
-            if not out:
-                out.append(f"{sign}{body}")
-            else:
-                out.append(f" {'-' if sign else '+'} {body}")
-        return "".join(out)
-    sign, body = _term_text(e)
-    return f"{sign}{body}"
+    """Deterministic text form; inverse of :func:`parse`."""
+    out: list[str] = []
+    for mono, coeff in _parts(e):
+        sign, body = _term_text(mono, coeff)
+        if not out:
+            out.append(f"{sign}{body}")
+        else:
+            out.append(f" {'-' if sign else '+'} {body}")
+    return "".join(out) or "0"

@@ -679,10 +679,13 @@ def run_all_checks(
         if name == "classical_limits":
             # through the module global, which perfbench/tracing.py rebinds
             findings.extend(_check_flat_relations(random.Random(rng.randrange(2**62))))
-    return [
-        CheckResult(name, passed, measured, tols.get(name), detail)
-        for name, (passed, measured, detail) in findings
-    ]
+    rows = []
+    for name, (passed, measured, detail) in findings:
+        if measured is not None and not math.isfinite(measured):
+            # artifacts write a non-finite number as null; the detail keeps its value
+            detail = f"{detail}; measured = {measured}"
+        rows.append(CheckResult(name, passed, measured, tols.get(name), detail))
+    return rows
 
 
 def report_dict(

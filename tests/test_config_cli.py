@@ -349,3 +349,15 @@ def test_verify_unattainable_tolerance_fails_controlled(tmp_path):
     failing = [c for c in report["checks"] if not c["passed"]]
     assert [c["name"] for c in failing] == ["quadrature_agreement"]
     assert failing[0]["measured"] > failing[0]["tolerance"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_verify_rejects_bad_tolerances_at_load_time(tmp_path, value):
+    # each once ran the suite and exited 1, a verification failure; nan also
+    # wrote "tolerance": NaN
+    cfg = _write(tmp_path, f"[tolerances]\nquadrature_agreement = {value}\n")
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["verify", "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "quadrature_agreement" in result.stderr
+    assert not (out / "report.json").exists()

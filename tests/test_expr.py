@@ -18,6 +18,9 @@ from starwedge.expr import (
     NonMonomialDivisionError,
     Sym,
     UnboundSymbolError,
+    _as_terms,
+    _from_terms,
+    _parts,
     _skey,
     add,
     const,
@@ -290,7 +293,15 @@ def test_differentiation_product_rule(r1, r2):
 @given(recipes)
 def test_canonical_form_is_fixed_point(recipe):
     e = _recipe_to_expr(recipe)
-    assert simplify(e) == e
+    for x in (e, differentiate(e, "z0"), substitute(e, {"z1": z0 * sinh(z2)})):
+        assert simplify(x) == x
+        # _parts reads what _from_terms wrote: each monomial in _skey order with
+        # nonzero exponents, each coefficient nonzero; so _as_terms need not sort
+        for mono, coeff in _parts(x):
+            keys = [_skey(atom) for atom, _ in mono]
+            assert keys == sorted(set(keys)) and all(k != 0 for _, k in mono)
+            assert not coeff.is_zero
+        assert _from_terms(_as_terms(x)) == x
 
 
 @given(recipes)

@@ -1,5 +1,6 @@
 """The contract of the invariant suite's runner: row names, order and tolerances."""
 
+import json
 import math
 import random
 from types import SimpleNamespace
@@ -7,7 +8,8 @@ from types import SimpleNamespace
 import pytest
 
 from starwedge import rindler, verification
-from starwedge.verification import DEFAULT_TOLERANCES, run_all_checks
+from starwedge.config import dump_json
+from starwedge.verification import DEFAULT_TOLERANCES, report_dict, run_all_checks
 
 FLAT_RELATIONS = ["flat_relations_canonical", "flat_relations_lie", "flat_relations_quadratic"]
 
@@ -72,3 +74,18 @@ def test_a_nan_residual_fails_its_check_and_is_measured(monkeypatch, name):
     passed, measured, _ = check(random.Random(1), DEFAULT_TOLERANCES[name])
     assert passed is False
     assert math.isnan(measured)
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-JSON constant {token}")
+
+
+def test_a_non_finite_measured_value_is_null_in_strict_json(monkeypatch):
+    owner, attr, nan_route = _NAN_ROUTES["quadrature_agreement"]
+    monkeypatch.setattr(owner, attr, nan_route)
+    rows = run_all_checks(seed=1)
+    report = json.loads(dump_json(report_dict(1, rows)), parse_constant=_reject_constant)
+    [row] = [c for c in report["checks"] if c["name"] == "quadrature_agreement"]
+    assert row["passed"] is False and row["measured"] is None
+    assert row["detail"].endswith("; measured = nan")
+    assert report["all_passed"] is False
