@@ -148,6 +148,51 @@ def test_atomic_write(tmp_path):
 
 # --- CLI ---------------------------------------------------------------------------
 
+def _cli(capsys, *argv):
+    """Run the command line in process: (exit code, stdout, stderr)."""
+    with pytest.raises(SystemExit) as exit:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    return exit.value.code, out, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bogus"],
+        ["commutator", "--format", "xml"],
+        ["verify", "--seed", "x"],
+    ],
+)
+def test_usage_errors_exit_2(capsys, argv):
+    code, out, err = _cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "usage" in err.lower()
+
+
+def test_abbreviated_option_is_a_usage_error(tmp_path, capsys):
+    # a prefix of --config is not --config: the run exits 2 and writes nothing
+    cfg = _write(tmp_path, FULL_CONFIG)
+    out = tmp_path / "out"
+    code, _, err = _cli(capsys, "commutator", "--conf", str(cfg), "--out", str(out))
+    assert code == 2
+    assert "--conf" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", [None, "commutator", "spectrum", "verify"])
+def test_help_exits_0_and_names_the_options(capsys, subcommand):
+    argv = ["--help"] if subcommand is None else [subcommand, "--help"]
+    code, out, _ = _cli(capsys, *argv)
+    assert code == 0
+    if subcommand is None:
+        assert all(name in out for name in ("commutator", "spectrum", "verify"))
+    else:
+        assert all(opt in out for opt in ("--config", "--out", "--seed", "--format"))
+
+
 def test_commutator_command_writes_table(tmp_path):
     cfg = _write(tmp_path, FULL_CONFIG)
     out = tmp_path / "out"
