@@ -8,10 +8,10 @@ Exit codes: 0 success; 1 verification failure; 2 configuration problem
 
 from __future__ import annotations
 
+import argparse
 import sys
 from pathlib import Path
-
-import click
+from typing import NoReturn
 
 from .config import ConfigError, RunConfig, atomic_write_text, dump_json, load_config
 from .diffop import CHARTS, ChartMismatchError
@@ -27,8 +27,8 @@ EXIT_SPEC = 3
 EXIT_NONCONVERGED = 4
 
 
-def _fail(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
+def _fail(code: int, message: str) -> NoReturn:
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
 
 
@@ -43,7 +43,6 @@ def _load(config_path: str | None, required: bool) -> RunConfig:
         _fail(EXIT_SPEC, f"twist parameters: {err}")
     except ConfigError as err:
         _fail(EXIT_CONFIG, str(err))
-    raise AssertionError("unreachable")
 
 
 def _resolve(cfg: RunConfig, out: str | None, seed: int | None, fmt: str | None):
@@ -53,27 +52,6 @@ def _resolve(cfg: RunConfig, out: str | None, seed: int | None, fmt: str | None)
     return out_dir, seed_val, fmt_val
 
 
-_common_options = [
-    click.option("--config", "config_path", type=click.Path(), default=None, help="Run configuration file."),
-    click.option("--out", type=click.Path(), default=None, help="Output directory."),
-    click.option("--seed", type=int, default=None, help="Seed override."),
-    click.option("--format", "fmt", type=click.Choice(["csv", "json", "text"]), default=None, help="Stdout format."),
-]
-
-
-def _with_common(fn):
-    for opt in reversed(_common_options):
-        fn = opt(fn)
-    return fn
-
-
-@click.group()
-def main() -> None:
-    """Twist-deformed coordinate algebras on the accelerated wedge and their spectra."""
-
-
-@main.command()
-@_with_common
 def commutator(config_path, out, seed, fmt) -> None:
     """Build the coordinate commutator table of the configured twist."""
     cfg = _load(config_path, required=True)
@@ -89,11 +67,9 @@ def commutator(config_path, out, seed, fmt) -> None:
     js = dump_json(table_to_json_dict(table))
     atomic_write_text(out_dir / "table.json", js)
     atomic_write_text(out_dir / "table.txt", text)
-    click.echo(js if fmt_val == "json" else text, nl=False)
+    sys.stdout.write(js if fmt_val == "json" else text)
 
 
-@main.command()
-@_with_common
 def spectrum(config_path, out, seed, fmt) -> None:
     """Evaluate the detected thermal spectrum on the configured grid."""
     cfg = _load(config_path, required=True)
@@ -118,16 +94,14 @@ def spectrum(config_path, out, seed, fmt) -> None:
     json_text = dump_json(result.to_json_dict(seed=seed_val, tolerances=cfg.tolerances))
     atomic_write_text(out_dir / "spectrum.csv", csv_text)
     atomic_write_text(out_dir / "spectrum.json", json_text)
-    click.echo(json_text if fmt_val == "json" else csv_text, nl=False)
+    sys.stdout.write(json_text if fmt_val == "json" else csv_text)
     unconverged = [r.omega for r in result.rows if not r.converged]
     if unconverged:
         listed = ", ".join(repr(o) for o in unconverged)
-        click.echo(f"warning: quadrature did not converge at omega = {listed}", err=True)
+        print(f"warning: quadrature did not converge at omega = {listed}", file=sys.stderr)
         sys.exit(EXIT_NONCONVERGED)
 
 
-@main.command()
-@_with_common
 def verify(config_path, out, seed, fmt) -> None:
     """Run every named invariant check and write a machine-readable report."""
     cfg = _load(config_path, required=False)
@@ -140,19 +114,54 @@ def verify(config_path, out, seed, fmt) -> None:
     json_text = dump_json(report)
     atomic_write_text(out_dir / "report.json", json_text)
     if fmt_val == "json":
-        click.echo(json_text, nl=False)
+        sys.stdout.write(json_text)
     else:
         for r in results:
             mark = "PASS" if r.passed else "FAIL"
             extra = ""
             if r.measured is not None and r.tolerance is not None:
                 extra = f"  ({r.measured:.3e} <= {r.tolerance:.1e})"
-            click.echo(f"{mark}  {r.name}{extra}")
-        click.echo("all passed" if report["all_passed"] else "FAILURES present")
+            print(f"{mark}  {r.name}{extra}")
+        print("all passed" if report["all_passed"] else "FAILURES present")
     if not report["all_passed"]:
         failing = [r.name for r in results if not r.passed]
-        click.echo(f"failing checks: {', '.join(failing)}", err=True)
+        print(f"failing checks: {', '.join(failing)}", file=sys.stderr)
         sys.exit(EXIT_VERIFY_FAILED)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False: a prefix such as --conf is a usage error, not --config
+    parser = argparse.ArgumentParser(
+        prog="starwedge",
+        description="Twist-deformed coordinate algebras on the accelerated wedge and their spectra.",
+        allow_abbrev=False,
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command in (commutator, spectrum, verify):
+        sub = commands.add_parser(
+            command.__name__, help=command.__doc__, description=command.__doc__, allow_abbrev=False
+        )
+        sub.add_argument("--config", dest="config_path", metavar="PATH", help="Run configuration file.")
+        sub.add_argument("--out", metavar="PATH", help="Output directory.")
+        sub.add_argument("--seed", type=int, metavar="INTEGER", help="Seed override.")
+        sub.add_argument("--format", dest="fmt", choices=["csv", "json", "text"], help="Stdout format.")
+        sub.set_defaults(run=command)
+    return parser
+
+
+_PARSER = _build_parser()
+
+
+def main(args: list[str] | None = None, prog_name: str | None = None) -> NoReturn:
+    """Run the subcommand named in ``args`` (default ``sys.argv[1:]``) and exit with its code.
+
+    Always raises SystemExit: 2 on a usage error, the subcommand's code otherwise.
+    ``prog_name`` is ignored; it is accepted because the benchmark harness passes it
+    by keyword.
+    """
+    ns = _PARSER.parse_args(args)
+    ns.run(ns.config_path, ns.out, ns.seed, ns.fmt)
+    sys.exit(EXIT_OK)
 
 
 if __name__ == "__main__":

@@ -158,9 +158,9 @@ def load_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"chart must be one of {tuple(CHARTS)}")
         try:
             twist = spec_from_config(items)
-        except (ValueError, ZeroDivisionError) as err:
-            if isinstance(err, TwistSpecError):
-                raise
+        except TwistSpecError:
+            raise
+        except ValueError as err:
             raise ConfigError(f"bad twist parameter: {err}") from None
 
     spectrum = None

@@ -213,9 +213,14 @@ def deformed_correction_quadrature(m: ModeParams, theta01: float) -> complex:
 
 
 def relative_deviation_closed(m: ModeParams, theta01: float) -> float:
-    """-2 theta01 omega / (pi T z^2): the closed-form spectral deviation."""
-    t = hawking_temperature(m.a)
-    return -2.0 * theta01 * m.omega / (math.pi * t * m.z**2)
+    """-2 theta01 omega / (pi T z^2): the closed-form spectral deviation.
+
+    Raises OverflowError when pi T z^2 underflows to zero (a tiny ``a`` or ``z``).
+    """
+    scale = math.pi * hawking_temperature(m.a) * m.z**2
+    if scale == 0.0:
+        raise OverflowError(f"pi T z^2 underflows to 0 at a = {m.a!r}, z = {m.z!r}")
+    return -2.0 * theta01 * m.omega / scale
 
 
 LINEAR_REGIME_BOUND = 0.1

@@ -231,11 +231,20 @@ def spec_to_config(spec: TwistSpec) -> dict[str, str]:
     raise TypeError(f"not a twist parameter record: {type(spec).__name__}")
 
 
+def _parse(parse: type, key: str, text: str):
+    """``parse(text)``; a value it rejects raises ValueError naming ``key``."""
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"cannot parse {key}: {text!r}") from None
+
+
 def spec_from_config(items: dict[str, str]) -> TwistSpec:
     """Inverse of :func:`spec_to_config`; raises TwistSpecError on unknown keys.
 
     The canonical kind takes any subset of its keys (absent components are
-    zero); the other kinds need every key of theirs.
+    zero); the other kinds need every key of theirs.  A value that does not
+    parse raises ValueError naming its key.
     """
     data = dict(items)
     kind = data.pop("kind", None)
@@ -245,13 +254,13 @@ def spec_from_config(items: dict[str, str]) -> TwistSpec:
     if unknown:
         raise TwistSpecError(f"unknown {kind} keys: {sorted(unknown)}")
     if kind == CanonicalTwist.kind:
-        return CanonicalTwist({(int(k[5]), int(k[6])): Fraction(v) for k, v in data.items()})
+        return CanonicalTwist({(int(k[5]), int(k[6])): _parse(Fraction, k, v) for k, v in data.items()})
     missing = CONFIG_KEYS[kind] - set(data)
     if missing:
         raise TwistSpecError(f"missing {kind} keys: {sorted(missing)}")
     if kind == LieTwist.kind:
-        zeta = tuple(Fraction(v) for v in data["zeta"].split())
-        alpha, beta = int(data["alpha"]), int(data["beta"])
-        return LieTwist(Fraction(data["inv_kappa"]), zeta, alpha, beta)  # type: ignore[arg-type]
-    indices = tuple(int(k) for k in data["indices"].split())
-    return QuadraticTwist(Fraction(data["xi"]), indices)  # type: ignore[arg-type]
+        zeta = tuple(_parse(Fraction, "zeta", v) for v in data["zeta"].split())
+        alpha, beta = _parse(int, "alpha", data["alpha"]), _parse(int, "beta", data["beta"])
+        return LieTwist(_parse(Fraction, "inv_kappa", data["inv_kappa"]), zeta, alpha, beta)  # type: ignore[arg-type]
+    indices = tuple(_parse(int, "indices", k) for k in data["indices"].split())
+    return QuadraticTwist(_parse(Fraction, "xi", data["xi"]), indices)  # type: ignore[arg-type]

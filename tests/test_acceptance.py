@@ -4,15 +4,17 @@ Each test prints a single PASS line (run with -s to see them); tolerances and
 runtime budgets are pinned here, not configurable.
 """
 
+import io
 import json
 import math
 import random
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
-from click.testing import CliRunner
+import pytest
 
 from starwedge.cli import main as cli_main
 from starwedge.diffop import MINKOWSKI, RINDLER
@@ -239,14 +241,14 @@ def test_criterion_10_deterministic_verification(tmp_path):
     started = time.perf_counter()
     cfg = tmp_path / "run.ini"
     cfg.write_text("[run]\nseed = 11\n", encoding="utf-8")
-    runner = CliRunner()
     blobs = []
     for name in ("r1", "r2"):
         out = tmp_path / name
-        result = runner.invoke(
-            cli_main, ["verify", "--config", str(cfg), "--out", str(out)]
-        )
-        assert result.exit_code == 0, result.output
+        # captured here rather than by capsys, which would also swallow the PASS line under -s
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with pytest.raises(SystemExit) as exit, redirect_stdout(stdout), redirect_stderr(stderr):
+            cli_main(["verify", "--config", str(cfg), "--out", str(out)])
+        assert exit.value.code == 0, stdout.getvalue() + stderr.getvalue()
         blobs.append((out / "report.json").read_bytes())
     assert blobs[0] == blobs[1]
     assert json.loads(blobs[0])["all_passed"] is True

@@ -6,7 +6,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from starwedge.cli import main
 from starwedge.config import ConfigError, atomic_write_text, load_config
@@ -43,6 +42,14 @@ def _write(tmp_path: Path, text: str, name: str = "run.ini") -> Path:
     return p
 
 
+def _cli(capsys, *argv):
+    """Run the command line in process: (exit code, stdout, stderr)."""
+    with pytest.raises(SystemExit) as exit:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    return exit.value.code, out, err
+
+
 # --- config parsing ---------------------------------------------------------------
 
 def test_full_config_parses(tmp_path):
@@ -69,7 +76,7 @@ def test_readme_library_block_runs():
     assert to_text(namespace["table"].entries[(0, 1)]) == "3/7*i/(a*z1)"
 
 
-def test_readme_config_parses_and_rejects_removed_keys(tmp_path):
+def test_readme_config_parses_and_rejects_removed_keys(tmp_path, capsys):
     # the README's configuration block is valid as printed
     text = _readme_block("ini")
     cfg = load_config(_write(tmp_path, text))
@@ -78,9 +85,9 @@ def test_readme_config_parses_and_rejects_removed_keys(tmp_path):
     # the oracle takes no damping: eps0 is an unknown key, named in the message
     bad = _write(tmp_path, text.replace("[spectrum]\n", "[spectrum]\neps0 = auto\n"), "bad.ini")
     out = tmp_path / "out"
-    result = CliRunner().invoke(main, ["spectrum", "--config", str(bad), "--out", str(out)])
-    assert result.exit_code == 2
-    assert "unknown keys in [spectrum]: ['eps0']" in result.stderr
+    code, stdout, stderr = _cli(capsys, "spectrum", "--config", str(bad), "--out", str(out))
+    assert code == 2
+    assert "unknown keys in [spectrum]: ['eps0']" in stderr
     assert not out.exists()
 
 
@@ -148,14 +155,6 @@ def test_atomic_write(tmp_path):
 
 # --- CLI ---------------------------------------------------------------------------
 
-def _cli(capsys, *argv):
-    """Run the command line in process: (exit code, stdout, stderr)."""
-    with pytest.raises(SystemExit) as exit:
-        main(list(argv))
-    out, err = capsys.readouterr()
-    return exit.value.code, out, err
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -193,32 +192,32 @@ def test_help_exits_0_and_names_the_options(capsys, subcommand):
         assert all(opt in out for opt in ("--config", "--out", "--seed", "--format"))
 
 
-def test_commutator_command_writes_table(tmp_path):
+def test_commutator_command_writes_table(tmp_path, capsys):
     cfg = _write(tmp_path, FULL_CONFIG)
     out = tmp_path / "out"
-    result = CliRunner().invoke(main, ["commutator", "--config", str(cfg), "--out", str(out)])
-    assert result.exit_code == 0, result.output
-    assert "[z0, z1] = 3/7*i/(a*z1)" in result.output
+    code, stdout, stderr = _cli(capsys, "commutator", "--config", str(cfg), "--out", str(out))
+    assert code == 0, stderr
+    assert "[z0, z1] = 3/7*i/(a*z1)" in stdout
     table = json.loads((out / "table.json").read_text())
     assert table["chart"] == "rindler"
     assert (out / "table.txt").exists()
 
 
-def test_commutator_json_format_flag(tmp_path):
+def test_commutator_json_format_flag(tmp_path, capsys):
     cfg = _write(tmp_path, FULL_CONFIG)
     out = tmp_path / "out"
-    result = CliRunner().invoke(
-        main, ["commutator", "--config", str(cfg), "--out", str(out), "--format", "json"]
+    code, stdout, stderr = _cli(
+        capsys, "commutator", "--config", str(cfg), "--out", str(out), "--format", "json"
     )
-    assert result.exit_code == 0
-    assert json.loads(result.output)["twist"]["kind"] == "canonical"
+    assert code == 0
+    assert json.loads(stdout)["twist"]["kind"] == "canonical"
 
 
-def test_spectrum_command_csv(tmp_path):
+def test_spectrum_command_csv(tmp_path, capsys):
     cfg = _write(tmp_path, FULL_CONFIG)
     out = tmp_path / "out"
-    result = CliRunner().invoke(main, ["spectrum", "--config", str(cfg), "--out", str(out)])
-    assert result.exit_code == 0, result.output
+    code, stdout, stderr = _cli(capsys, "spectrum", "--config", str(cfg), "--out", str(out))
+    assert code == 0, stderr
     lines = (out / "spectrum.csv").read_text().strip().splitlines()
     assert lines[0] == "omega,re_f,im_f,power,power_deformed,method,eps"
     assert len(lines) == 4
@@ -231,76 +230,75 @@ def test_spectrum_command_csv(tmp_path):
     assert payload["seed"] == 7
 
 
-def test_missing_config_exits_2(tmp_path):
-    result = CliRunner().invoke(main, ["commutator", "--out", str(tmp_path)])
-    assert result.exit_code == 2
+def test_missing_config_exits_2(tmp_path, capsys):
+    code, stdout, stderr = _cli(capsys, "commutator", "--out", str(tmp_path))
+    assert code == 2
 
 
-def test_malformed_config_exits_2_without_outputs(tmp_path):
+def test_malformed_config_exits_2_without_outputs(tmp_path, capsys):
     cfg = _write(tmp_path, "[run]\nbogus = 1\n")
     out = tmp_path / "out"
-    result = CliRunner().invoke(main, ["commutator", "--config", str(cfg), "--out", str(out)])
-    assert result.exit_code == 2
+    code, stdout, stderr = _cli(capsys, "commutator", "--config", str(cfg), "--out", str(out))
+    assert code == 2
     assert not out.exists()
 
 
-def test_spec_violation_exits_3(tmp_path):
+def test_spec_violation_exits_3(tmp_path, capsys):
     text = "[twist]\nkind = lie\nchart = minkowski\ninv_kappa = 1\nzeta = 1 0 0 0\nalpha = 0\nbeta = 1\n"
     cfg = _write(tmp_path, text)
-    result = CliRunner().invoke(main, ["commutator", "--config", str(cfg), "--out", str(tmp_path / "o")])
-    assert result.exit_code == 3
+    code, stdout, stderr = _cli(capsys, "commutator", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert code == 3
 
 
-def test_nonconverged_quadrature_exits_4_with_flagged_rows(tmp_path):
+def test_nonconverged_quadrature_exits_4_with_flagged_rows(tmp_path, capsys):
     text = (
         "[spectrum]\na = 1\nomega_hat = 1\nz = 1\nomega_grid = 1\n"
         "method = quadrature\nrtol = 1e-15\n"
     )
     cfg = _write(tmp_path, text)
     out = tmp_path / "out"
-    result = CliRunner().invoke(main, ["spectrum", "--config", str(cfg), "--out", str(out)])
-    assert result.exit_code == 4
-    assert "did not converge at omega = 1.0" in result.stderr
+    code, stdout, stderr = _cli(capsys, "spectrum", "--config", str(cfg), "--out", str(out))
+    assert code == 4
+    assert "did not converge at omega = 1.0" in stderr
     payload = json.loads((out / "spectrum.json").read_text())
     assert payload["rows"][0]["converged"] is False
 
 
-def test_spectrum_past_planck_overflow_writes_zero_power(tmp_path):
+def test_spectrum_past_planck_overflow_writes_zero_power(tmp_path, capsys):
     # omega / a = 120: e^(2 pi omega / a) overflows a double, the power does not
     text = "[spectrum]\na = 1\nomega_hat = 1\nz = 1\nomega_grid = 120\nmethod = closed-form\n"
     cfg = _write(tmp_path, text)
     out = tmp_path / "out"
-    result = CliRunner().invoke(main, ["spectrum", "--config", str(cfg), "--out", str(out)])
-    assert result.exit_code == 0, result.output
+    code, stdout, stderr = _cli(capsys, "spectrum", "--config", str(cfg), "--out", str(out))
+    assert code == 0, stderr
     row = json.loads((out / "spectrum.json").read_text())["rows"][0]
     assert row["power"] == 0.0
     assert row["power_deformed"] == 0.0
 
 
-def test_spectrum_out_of_range_frequency_exits_2_naming_omega(tmp_path):
+def test_spectrum_out_of_range_frequency_exits_2_naming_omega(tmp_path, capsys):
     # omega / a = 400: the gamma reflection itself overflows
     text = "[spectrum]\na = 1\nomega_hat = 1\nz = 1\nomega_grid = 1 400\nmethod = closed-form\n"
     cfg = _write(tmp_path, text)
     out = tmp_path / "out"
-    result = CliRunner().invoke(main, ["spectrum", "--config", str(cfg), "--out", str(out)])
-    assert result.exit_code == 2
-    assert result.exception is None or isinstance(result.exception, SystemExit)
-    assert "omega = 400.0" in result.stderr
+    code, stdout, stderr = _cli(capsys, "spectrum", "--config", str(cfg), "--out", str(out))
+    assert code == 2
+    assert "omega = 400.0" in stderr
 
 
 @pytest.mark.parametrize("method", ["closed-form", "both"])
 @pytest.mark.parametrize("omega", ["1e-309", "1e-320", "5e-324"])
-def test_spectrum_subnormal_frequency_exits_2_naming_omega(tmp_path, method, omega):
+def test_spectrum_subnormal_frequency_exits_2_naming_omega(tmp_path, method, omega, capsys):
     # a subnormal omega / a: Gamma(i omega / a) overflows to inf, which once
     # wrote nan rows (closed-form) or a "converged" closed-form row beside an
     # unconverged quadrature row (both)
     text = f"[spectrum]\na = 1\nomega_hat = 1\nz = 1\nomega_grid = 1 {omega}\nmethod = {method}\n"
     cfg = _write(tmp_path, text)
     out = tmp_path / "out"
-    result = CliRunner().invoke(main, ["spectrum", "--config", str(cfg), "--out", str(out)])
-    assert result.exit_code == 2, result.output
-    assert f"omega = {float(omega)!r}" in result.stderr
-    assert "out of range" in result.stderr
+    code, stdout, stderr = _cli(capsys, "spectrum", "--config", str(cfg), "--out", str(out))
+    assert code == 2, stderr
+    assert f"omega = {float(omega)!r}" in stderr
+    assert "out of range" in stderr
     assert not out.exists()
 
 
@@ -318,30 +316,71 @@ def test_spectrum_subnormal_frequency_exits_2_naming_omega(tmp_path, method, ome
         ("theta01", "inf"),
     ],
 )
-def test_spectrum_rejects_bad_numbers_at_load_time(tmp_path, key, value):
+def test_spectrum_rejects_bad_numbers_at_load_time(tmp_path, key, value, capsys):
     # each once escaped as a traceback (exit 1), wrote nan or unconverged rows
     # (exit 4), or exited 2 blaming omega
     keys = {"a": "1", "omega_hat": "1", "z": "1", "omega_grid": "1 2", "method": "both", key: value}
     cfg = _write(tmp_path, "[spectrum]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()))
     out = tmp_path / "out"
-    result = CliRunner().invoke(main, ["spectrum", "--config", str(cfg), "--out", str(out)])
-    assert result.exit_code == 2, result.output
-    assert key in result.stderr
+    code, stdout, stderr = _cli(capsys, "spectrum", "--config", str(cfg), "--out", str(out))
+    assert code == 2, stderr
+    assert key in stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, twist",
+    [
+        ("theta01", "kind = canonical\ntheta01 = 1/0\n"),
+        ("inv_kappa", "kind = lie\ninv_kappa = x\nzeta = 0 0 1 0\nalpha = 0\nbeta = 1\n"),
+        ("zeta", "kind = lie\ninv_kappa = 1\nzeta = 0 0 1/0 0\nalpha = 0\nbeta = 1\n"),
+        ("alpha", "kind = lie\ninv_kappa = 1\nzeta = 0 0 1 0\nalpha = x\nbeta = 1\n"),
+        ("xi", "kind = quadratic\nxi = x\nindices = 0 1 2 3\n"),
+        ("indices", "kind = quadratic\nxi = 1\nindices = 0 1 2 y\n"),
+    ],
+)
+def test_bad_twist_number_exits_2_naming_key(tmp_path, capsys, key, twist):
+    # each once exited 2 with only the parser's complaint, such as
+    # "Fraction(1, 0)" or "Invalid literal for Fraction: 'x'"
+    cfg = _write(tmp_path, "[twist]\n" + twist)
+    out = tmp_path / "out"
+    code, _, stderr = _cli(capsys, "commutator", "--config", str(cfg), "--out", str(out))
+    assert code == 2, stderr
+    assert f"cannot parse {key}: " in stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("a", "5e-324"), ("z", "1e-200")])
+def test_spectrum_underflowing_deviation_scale_exits_2(tmp_path, capsys, key, value):
+    # pi T z^2 underflows to 0: each once escaped as a ZeroDivisionError
+    # traceback, exit 1
+    keys = {"a": "1", "omega_hat": "1", "z": "1", "theta01": "0", "omega_grid": "1", "method": "both", key: value}
+    cfg = _write(tmp_path, "[spectrum]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+    out = tmp_path / "out"
+    code, _, stderr = _cli(capsys, "spectrum", "--config", str(cfg), "--out", str(out))
+    assert code == 2, stderr
+    assert "omega = 1.0" in stderr
+    assert f"{key} = {float(value)!r}" in stderr
     assert not out.exists()
 
 
 def test_commutator_never_imports_numpy(tmp_path):
     # a fresh interpreter, since other test modules have imported numpy here:
-    # the exact algebra loads no numpy, and the first quadrature call loads it
+    # the command line loads no click, the exact algebra no numpy, and the
+    # first quadrature call loads numpy
     cfg = _write(tmp_path, _readme_block("ini"))
     script = (
         "import sys\n"
         "import starwedge.cli\n"
+        "assert 'click' not in sys.modules, 'the command line imported click'\n"
         "cfg, out = sys.argv[1:]\n"
-        "starwedge.cli.main(['commutator', '--config', cfg, '--out', out + '/c'], standalone_mode=False)\n"
+        "try:\n"
+        "    starwedge.cli.main(['commutator', '--config', cfg, '--out', out + '/c'])\n"
+        "except SystemExit as exit:\n"
+        "    assert exit.code == 0, exit.code\n"
         "assert 'numpy' not in sys.modules, 'commutator imported numpy'\n"
         "try:\n"
-        "    starwedge.cli.main(['spectrum', '--config', cfg, '--out', out + '/s'], standalone_mode=False)\n"
+        "    starwedge.cli.main(['spectrum', '--config', cfg, '--out', out + '/s'])\n"
         "except SystemExit as exit:\n"
         "    assert exit.code in (0, 4), exit.code\n"
         "assert 'numpy' in sys.modules, 'spectrum did not import numpy'\n"
@@ -356,14 +395,13 @@ def test_commutator_never_imports_numpy(tmp_path):
     assert (tmp_path / "s" / "spectrum.json").exists()
 
 
-def test_verify_passes_and_is_deterministic(tmp_path):
+def test_verify_passes_and_is_deterministic(tmp_path, capsys):
     cfg = _write(tmp_path, FULL_CONFIG)
-    runner = CliRunner()
     outs = []
     for name in ("v1", "v2"):
         out = tmp_path / name
-        result = runner.invoke(main, ["verify", "--config", str(cfg), "--out", str(out)])
-        assert result.exit_code == 0, result.output
+        code, stdout, stderr = _cli(capsys, "verify", "--config", str(cfg), "--out", str(out))
+        assert code == 0, stderr
         outs.append((out / "report.json").read_bytes())
     assert outs[0] == outs[1]
     report = json.loads(outs[0])
@@ -371,25 +409,24 @@ def test_verify_passes_and_is_deterministic(tmp_path):
     assert report["seed"] == 7
 
 
-def test_verify_seed_change_same_outcomes(tmp_path):
-    runner = CliRunner()
+def test_verify_seed_change_same_outcomes(tmp_path, capsys):
     outcomes = []
     # seeds 12 and 609 once failed expr_simplify_preserves_eval on cancellation
     # in the double evaluation of an exact canonical form
     for seed in ("1", "2", "12", "609"):
         out = tmp_path / f"s{seed}"
-        result = runner.invoke(main, ["verify", "--seed", seed, "--out", str(out)])
-        assert result.exit_code == 0
+        code, stdout, stderr = _cli(capsys, "verify", "--seed", seed, "--out", str(out))
+        assert code == 0
         report = json.loads((out / "report.json").read_text())
         outcomes.append([(c["name"], c["passed"]) for c in report["checks"]])
     assert all(o == outcomes[0] for o in outcomes)
 
 
-def test_verify_unattainable_tolerance_fails_controlled(tmp_path):
+def test_verify_unattainable_tolerance_fails_controlled(tmp_path, capsys):
     cfg = _write(tmp_path, "[tolerances]\nquadrature_agreement = 1e-20\n")
     out = tmp_path / "out"
-    result = CliRunner().invoke(main, ["verify", "--config", str(cfg), "--out", str(out)])
-    assert result.exit_code == 1
+    code, stdout, stderr = _cli(capsys, "verify", "--config", str(cfg), "--out", str(out))
+    assert code == 1
     report = json.loads((out / "report.json").read_text())
     failing = [c for c in report["checks"] if not c["passed"]]
     assert [c["name"] for c in failing] == ["quadrature_agreement"]
@@ -397,12 +434,12 @@ def test_verify_unattainable_tolerance_fails_controlled(tmp_path):
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
-def test_verify_rejects_bad_tolerances_at_load_time(tmp_path, value):
+def test_verify_rejects_bad_tolerances_at_load_time(tmp_path, value, capsys):
     # each once ran the suite and exited 1, a verification failure; nan also
     # wrote "tolerance": NaN
     cfg = _write(tmp_path, f"[tolerances]\nquadrature_agreement = {value}\n")
     out = tmp_path / "out"
-    result = CliRunner().invoke(main, ["verify", "--config", str(cfg), "--out", str(out)])
-    assert result.exit_code == 2, result.output
-    assert "quadrature_agreement" in result.stderr
+    code, stdout, stderr = _cli(capsys, "verify", "--config", str(cfg), "--out", str(out))
+    assert code == 2, stderr
+    assert "quadrature_agreement" in stderr
     assert not (out / "report.json").exists()
