@@ -156,7 +156,7 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> NoRetur
     """Run the subcommand named in ``args`` (default ``sys.argv[1:]``) and exit with its code.
 
     Always raises SystemExit: 2 on a usage error, the subcommand's code otherwise.
-    ``prog_name`` is ignored; it is accepted because the benchmark harness passes it
+    ``prog_name`` is ignored; it is accepted because ``perfbench/run.py`` passes it
     by keyword.
     """
     ns = _PARSER.parse_args(args)

@@ -259,8 +259,9 @@ def spec_from_config(items: dict[str, str]) -> TwistSpec:
     if missing:
         raise TwistSpecError(f"missing {kind} keys: {sorted(missing)}")
     if kind == LieTwist.kind:
+        inv_kappa = _parse(Fraction, "inv_kappa", data["inv_kappa"])
         zeta = tuple(_parse(Fraction, "zeta", v) for v in data["zeta"].split())
         alpha, beta = _parse(int, "alpha", data["alpha"]), _parse(int, "beta", data["beta"])
-        return LieTwist(_parse(Fraction, "inv_kappa", data["inv_kappa"]), zeta, alpha, beta)  # type: ignore[arg-type]
+        return LieTwist(inv_kappa, zeta, alpha, beta)  # type: ignore[arg-type]
     indices = tuple(_parse(int, "indices", k) for k in data["indices"].split())
     return QuadraticTwist(_parse(Fraction, "xi", data["xi"]), indices)  # type: ignore[arg-type]

@@ -165,31 +165,31 @@ def test_atomic_write(tmp_path):
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
-    code, out, err = _cli(capsys, *argv)
+    code, stdout, stderr = _cli(capsys, *argv)
     assert code == 2
-    assert out == ""
-    assert "usage" in err.lower()
+    assert stdout == ""
+    assert "usage" in stderr.lower()
 
 
 def test_abbreviated_option_is_a_usage_error(tmp_path, capsys):
     # a prefix of --config is not --config: the run exits 2 and writes nothing
     cfg = _write(tmp_path, FULL_CONFIG)
     out = tmp_path / "out"
-    code, _, err = _cli(capsys, "commutator", "--conf", str(cfg), "--out", str(out))
+    code, _, stderr = _cli(capsys, "commutator", "--conf", str(cfg), "--out", str(out))
     assert code == 2
-    assert "--conf" in err
+    assert "--conf" in stderr
     assert not out.exists()
 
 
 @pytest.mark.parametrize("subcommand", [None, "commutator", "spectrum", "verify"])
 def test_help_exits_0_and_names_the_options(capsys, subcommand):
     argv = ["--help"] if subcommand is None else [subcommand, "--help"]
-    code, out, _ = _cli(capsys, *argv)
+    code, stdout, _ = _cli(capsys, *argv)
     assert code == 0
     if subcommand is None:
-        assert all(name in out for name in ("commutator", "spectrum", "verify"))
+        assert all(name in stdout for name in ("commutator", "spectrum", "verify"))
     else:
-        assert all(opt in out for opt in ("--config", "--out", "--seed", "--format"))
+        assert all(opt in stdout for opt in ("--config", "--out", "--seed", "--format"))
 
 
 def test_commutator_command_writes_table(tmp_path, capsys):
@@ -352,9 +352,9 @@ def test_bad_twist_number_exits_2_naming_key(tmp_path, capsys, key, twist):
 
 @pytest.mark.parametrize("key, value", [("a", "5e-324"), ("z", "1e-200")])
 def test_spectrum_underflowing_deviation_scale_exits_2(tmp_path, capsys, key, value):
-    # pi T z^2 underflows to 0: each once escaped as a ZeroDivisionError
-    # traceback, exit 1
-    keys = {"a": "1", "omega_hat": "1", "z": "1", "theta01": "0", "omega_grid": "1", "method": "both", key: value}
+    # pi T z^2 underflows to 0 (theta01 is 0 here): each once escaped as a
+    # ZeroDivisionError traceback, exit 1
+    keys = {"a": "1", "omega_hat": "1", "z": "1", "omega_grid": "1", "method": "both", key: value}
     cfg = _write(tmp_path, "[spectrum]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()))
     out = tmp_path / "out"
     code, _, stderr = _cli(capsys, "spectrum", "--config", str(cfg), "--out", str(out))
