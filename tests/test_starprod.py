@@ -338,15 +338,18 @@ _LADDER_TEXT = {
     ("canonical", 1): "16/21*i - 3/7*i*z2*sinh(a*z0)/(a*z1) + 3/7*i*cosh(a*z0)/(a*z1)",
     ("canonical", 2): "846ba98ef29146173beb24116d16d73dffb58e22f1f3ccff7bade4de86ab80a0",
     ("canonical", 3): "199845d8a53c45190cf38140f7b8fc6eb4145d3c75346709a25a871453b4411d",
+    ("canonical", 4): "452103741b55b1d2422fd470c0fb7ec0fc63ef52156fc320be9d6013a81527fb",
     ("lie", 1): "2/9*i*z0/a - 2/9*i*z2/a + 2/9*i*z0*z1*cosh(a*z0) - 2/9*i*z1*sinh(a*z0)",
     ("lie", 2): "4725717025340918f8d64f90d81a3a5e93a0914e5d2737c78388a2fc578fa7ad",
     ("lie", 3): "4795c7c2a660852d11602b0f14e07480bbcfda57c1e07318a9228ce8a1ad9ee4",
+    ("lie", 4): "005b3a0a098803804052cd5c89f92aaf124c32a1c1d770086516692147dfd5f5",
     ("quadratic", 1): (
         "1/6*i*z0*z3/a - 1/6*i*z2/a - 1/6*i*z2*z3/a + 1/6*i*z0*z1*z3*cosh(a*z0)"
         " - 1/6*i*z1*z2*cosh(a*z0) - 1/6*i*z1*z3*sinh(a*z0)"
     ),
     ("quadratic", 2): "3282c454c17c4854b4175f1188ce9d99ab7e8dfcf6ec1e870f5e7b602f37576a",
     ("quadratic", 3): "44348ed7a14c17da64c47246a1345ee2adbc5cd5c21597e29f9b05a35f0e583c",
+    ("quadratic", 4): "9da229bfba946b5d780f5c2725cebb5000454e35d2552851bcd7dfa222c82de2",
 }
 
 
@@ -361,9 +364,10 @@ def test_readme_table_text_is_pinned(chart):
 
 
 def test_ladder_commutator_text_is_pinned():
-    # k = 1 in full; the longer texts of k = 2, 3 by their sha256
+    # k = 1 in full; the longer texts of k = 2..4 by their sha256 (at k = 4 the
+    # results have 364, 406 and 647 terms)
     f, g = _ladder_pair(RINDLER)
     for kind, tw in _readme_twists(RINDLER).items():
-        for k in (1, 2, 3):
+        for k in (1, 2, 3, 4):
             text = to_text(commutator(f ** k, g ** k, tw))
             assert (text if k == 1 else _sha256(text)) == _LADDER_TEXT[(kind, k)]
