@@ -34,6 +34,7 @@ from .expr import (
     simplify,
     sinh,
     substitute,
+    summands,
     sym,
     tanh,
 )

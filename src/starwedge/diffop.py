@@ -28,7 +28,6 @@ from . import rindler
 from .expr import (
     CR_ONE,
     free_symbols,
-    Add,
     ComplexRational,
     Expr,
     ExprLike,
@@ -41,6 +40,7 @@ from .expr import (
     _mul_terms,
     mul,
     substitute,
+    summands,
     sym,
 )
 from .grammar import coeff_text, to_text
@@ -181,7 +181,7 @@ class DiffOp:
             if coeff == ZERO:
                 continue
             txt = to_text(coeff)
-            if isinstance(coeff, Add):
+            if len(summands(coeff)) > 1:
                 txt = f"({txt})"
             chunks.append(f"{txt}*d/d{self.chart.coords[mu]}")
         if not chunks:

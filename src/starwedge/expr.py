@@ -32,27 +32,33 @@ structurally equal atoms are one object, and atoms compare and hash by
 identity, in C.  Monomials are tuples of (atom, exponent) pairs, so hashing
 one for a term-map lookup runs no Python code.  Composite nodes (``Const``,
 ``Add``, ``Mul``, ``Pow``) are not interned: each is built once per result
-and is never part of a monomial, so a table lookup would only add a
-structural hash to its construction.  They store the hash of their key on
-first use instead, so hashing and comparing them costs no walk over subtrees
-already keyed.  The tables rely on one node per atom structure while it
-lives, which holds as long as one thread at a time builds nodes, as every
-caller in the package does.  Nodes pickle by their fields, so unpickled atoms
-are interned too.
+(or per term of a sum's view, below) and is never part of a monomial, so a
+table lookup would only add a structural hash to its construction.  They
+store the hash of their key on first use instead, so hashing and comparing
+them costs no walk over subtrees already keyed.  The tables rely on one node
+per atom structure while it lives, which holds as long as one thread at a
+time builds nodes, as every caller in the package does.  Nodes pickle by
+their fields, so unpickled atoms are interned too.
 
 The working form is the term map, which maps each monomial to its
 coefficient; ``_add_term``, ``_mul_terms`` and ``_reduce_cosh`` are the one
 definition of the normal form on it.  ``_from_terms`` is the one writer of
-the node layout (a sum of terms, each an optional leading coefficient and
-then atom powers in monomial order) and ``_parts`` its one reader:
-``_as_terms``, ``substitute``, ``free_symbols`` and the printer of
-``grammar`` all take an expression apart through it.  ``Add``, ``Mul`` and
-``Pow`` nodes are built only by the writer (and by unpickling, which rebuilds
-a written tree); a ``Const`` or an atom alone is a one-term expression.
-Each public operation takes its operands apart into term maps once, works on
-the maps, and builds its result node once, at the end; ``differentiate`` and
-the operators of ``diffop`` chain whole computations on term maps the same
-way.
+the canonical layout and ``_parts`` its one reader: ``_as_terms``,
+``substitute``, ``free_symbols`` and the printer of ``grammar`` all take an
+expression apart through it.  A sum (``Add``) stores its sorted tuple of
+(monomial, coefficient) terms and builds no child node; ``_parts`` returns
+that tuple.  Its ``terms``, the one-term nodes that ``_skey``,
+``eval_numeric`` and walkers outside this module read, is a view built from
+the tuple on first access and then kept in the sum.  A one-term expression
+is one node, which ``_term_to_expr`` writes and ``_term_parts`` reads: an
+atom, a ``Const``, or a ``Mul`` of an optional leading coefficient and then
+atom powers (``Pow`` for an exponent other than 1) in monomial order.
+``Mul`` and ``Pow`` nodes are built only there (and by unpickling, which
+rebuilds a written tree; a sum rebuilt from nodes reads its tuple from them
+once).  Each public operation takes its operands apart into term maps once,
+works on the maps, and builds its result node once, at the end;
+``differentiate`` and the operators of ``diffop`` chain whole computations on
+term maps the same way.
 """
 
 from __future__ import annotations
@@ -62,7 +68,7 @@ import random
 import weakref
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterator, Mapping, NamedTuple, Union
+from typing import Callable, Mapping, NamedTuple, Union
 
 __all__ = [
     "ComplexRational",
@@ -95,6 +101,7 @@ __all__ = [
     "eval_numeric",
     "equality_probe",
     "free_symbols",
+    "summands",
 ]
 
 RationalLike = Union[int, Fraction]
@@ -245,7 +252,8 @@ class Expr:
     """Base class of canonical expression nodes.
 
     The fields, named by ``__match_args__``, are set once by the positional
-    constructor; assigning or deleting any attribute raises.  The slots
+    constructor (a sum's ``terms`` is a view; see :class:`Add`); assigning or
+    deleting any attribute raises.  The slots
     ``_key`` and ``_hash`` stay unset until :func:`_skey` and ``hash`` first
     fill them.  ``Sym`` and ``Fn`` constructors return the live atom of equal
     fields, if there is one, and those atoms compare and hash by identity;
@@ -343,10 +351,28 @@ class Sym(Expr):
 
 
 class Add(Expr):
-    __slots__ = __match_args__ = ("terms",)
+    """A sum of at least two terms, stored as its sorted (monomial, coefficient) tuple.
+
+    ``terms``, the one-term nodes of the sum, is a read-only view: built from
+    the tuple on first access and then kept.  Built from nodes (by unpickling,
+    say), a sum reads its tuple from them once, at construction.
+    """
+
+    __slots__ = ("_items", "_terms")
+    __match_args__ = ("terms",)
 
     def __init__(self, terms: tuple[Expr, ...]) -> None:
-        _setattr(self, "terms", terms)
+        _setattr(self, "_items", tuple([_term_parts(t) for t in terms]))
+        _setattr(self, "_terms", terms)
+
+    @property
+    def terms(self) -> tuple[Expr, ...]:
+        try:
+            return self._terms
+        except AttributeError:
+            terms = tuple([_term_to_expr(m, c) for m, c in self._items])
+            _setattr(self, "_terms", terms)
+            return terms
 
 
 class Mul(Expr):
@@ -519,22 +545,27 @@ def _reduce_cosh(mono_atoms: dict[Expr, int], coeff: ComplexRational, out: TermM
     _add_term(out, _freeze(mono_atoms), coeff)
 
 
-def _parts(e: Expr) -> Iterator[tuple[Monomial, ComplexRational]]:
+def _term_parts(t: Expr) -> tuple[Monomial, ComplexRational]:
+    """The (monomial, coefficient) of a one-term node, as ``_term_to_expr`` writes it:
+    an optional leading coefficient followed by atom powers in monomial order."""
+    factors = t.factors if isinstance(t, Mul) else (t,)
+    coeff = CR_ONE
+    if isinstance(factors[0], Const):
+        coeff = factors[0].value
+        factors = factors[1:]
+    return tuple([(f.base, f.exponent) if isinstance(f, Pow) else (f, 1) for f in factors]), coeff
+
+
+def _parts(e: Expr) -> tuple[tuple[Monomial, ComplexRational], ...]:
     """The (monomial, coefficient) terms of a canonical expression, in stored order.
 
-    The one reader of the layout that ``_term_to_expr`` and ``_from_terms``
-    write: a sum of terms, each an optional leading coefficient followed by
-    atom powers in monomial order.  Exact zero has no terms.
+    The one reader of what ``_from_terms`` writes: a sum's stored tuple, or
+    the one term of any other node.  Exact zero has no terms.
     """
-    for t in e.terms if isinstance(e, Add) else (e,):
-        factors = t.factors if isinstance(t, Mul) else (t,)
-        coeff = CR_ONE
-        if isinstance(factors[0], Const):
-            coeff = factors[0].value
-            if coeff.is_zero:
-                return
-            factors = factors[1:]
-        yield tuple([(f.base, f.exponent) if isinstance(f, Pow) else (f, 1) for f in factors]), coeff
+    if isinstance(e, Add):
+        return e._items
+    term = _term_parts(e)
+    return () if term[1].is_zero else (term,)
 
 
 def _as_terms(e: Expr) -> TermMap:
@@ -554,13 +585,15 @@ def _term_to_expr(mono: Monomial, coeff: ComplexRational) -> Expr:
 
 
 def _from_terms(terms: TermMap) -> Expr:
+    """The canonical node of a term map: the one writer of the layout ``_parts`` reads."""
     if not terms:
         return ZERO
-    items = sorted(terms.items(), key=lambda kv: _mono_key(kv[0]))
-    exprs = [_term_to_expr(m, c) for m, c in items]
-    if len(exprs) == 1:
-        return exprs[0]
-    return Add(tuple(exprs))
+    if len(terms) == 1:
+        return _term_to_expr(*next(iter(terms.items())))
+    # a sum stores its sorted terms and builds no child node (see Add)
+    node = object.__new__(Add)
+    _setattr(node, "_items", tuple(sorted(terms.items(), key=lambda kv: _mono_key(kv[0]))))
+    return node
 
 
 def _mul_terms(t1: TermMap, t2: TermMap, out: TermMap | None = None) -> TermMap:
@@ -742,6 +775,11 @@ def free_symbols(e: Expr) -> frozenset[str]:
 
     walk(e)
     return frozenset(names)
+
+
+def summands(e: Expr) -> tuple[Expr, ...]:
+    """The terms of a sum, in canonical order, or ``(e,)`` for a one-term expression."""
+    return e.terms if isinstance(e, Add) else (e,)
 
 
 Bindings = Mapping[str, complex]

@@ -58,7 +58,11 @@ __all__ = [
 
 
 class LinearRegimeWarning(UserWarning):
-    """The first-order deformation bound was violated."""
+    """The first-order deformation bound was violated at the frequency ``omega``."""
+
+    def __init__(self, message: str, omega: float) -> None:
+        super().__init__(message)
+        self.omega = omega
 
 
 @dataclass(frozen=True)
@@ -249,8 +253,9 @@ def deformed_power(m: ModeParams, theta01: float) -> DeformedPowerPoint:
     exceeded = abs(dev) > LINEAR_REGIME_BOUND
     if exceeded:
         warnings.warn(
-            f"first-order deformation bound exceeded: |{dev:.3g}| > {LINEAR_REGIME_BOUND}",
-            LinearRegimeWarning,
+            LinearRegimeWarning(
+                f"first-order deformation bound exceeded: |{dev:.3g}| > {LINEAR_REGIME_BOUND}", m.omega
+            ),
             stacklevel=2,
         )
     base = power_spectrum(m)

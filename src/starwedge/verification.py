@@ -28,7 +28,6 @@ from .expr import (
     _fn,
     CR_ONE,
     FUNCTIONS,
-    Add,
     Expr,
     I,
     ONE,
@@ -42,6 +41,7 @@ from .expr import (
     simplify,
     sinh,
     substitute,
+    summands,
     sym,
 )
 from .gammafn import complex_gamma, gamma_modulus_sq_imag_axis
@@ -170,7 +170,7 @@ def _check_simplify_preserves_eval(rng: random.Random, tol: float) -> Finding:
     for _ in range(100):
         recipe = _random_recipe(rng, 6)
         e = _recipe_to_expr(recipe)
-        terms = e.terms if isinstance(e, Add) else (e,)
+        terms = summands(e)
         for _ in range(3):
             b = _random_bindings(rng)
             try:

@@ -364,6 +364,25 @@ def test_spectrum_underflowing_deviation_scale_exits_2(tmp_path, capsys, key, va
     assert not out.exists()
 
 
+def test_spectrum_names_every_bound_breach_in_one_warning_line(tmp_path):
+    # theta01 = 0.1 takes |deviation| past 0.1 at omega = 2 and 4 only; a fresh
+    # interpreter, so that Python's own warning display, not pytest's, is what
+    # the command line replaces
+    cfg = _write(tmp_path, FULL_CONFIG.replace("theta01 = 1e-4", "theta01 = 0.1").replace(
+        "omega_grid = 0.5 1 2", "omega_grid = 0.5 1 2 4"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    run = subprocess.run(
+        [sys.executable, "-m", "starwedge.cli", "spectrum", "--config", str(cfg), "--out", str(tmp_path / "s")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == (
+        "warning: first-order deformation bound |deviation| <= 0.1 exceeded at omega = 2.0, 4.0\n"
+    )
+    assert "spectrum.py:" not in run.stderr
+    assert (tmp_path / "s" / "spectrum.csv").read_text() == run.stdout
+
+
 def test_commutator_never_imports_numpy(tmp_path):
     # a fresh interpreter, since other test modules have imported numpy here:
     # the command line loads no click, the exact algebra no numpy, and the

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from starwedge.expr import (
     FUNCTIONS,
+    Add,
     ComplexRational,
     Expr,
     Fn,
@@ -35,6 +36,7 @@ from starwedge.expr import (
     simplify,
     sinh,
     substitute,
+    summands,
     sym,
     tanh,
 )
@@ -413,6 +415,44 @@ def test_pickle_round_trip(recipe):
 
 def _atoms_of(e):
     return [n for n in _walk_nodes(e) if isinstance(n, (Sym, Fn))]
+
+
+# --- a sum stores its (monomial, coefficient) tuple; its node view is built on demand ---
+
+def _view_built(e):
+    return hasattr(e, "_terms")
+
+
+def _assert_same_sum(rebuilt, e):
+    assert rebuilt == e and hash(rebuilt) == hash(e) and _skey(rebuilt) == _skey(e)
+    assert _parts(rebuilt) == _parts(e) and _as_terms(rebuilt) == _as_terms(e)
+
+
+@given(recipes)
+def test_a_sum_rebuilt_from_its_term_view_is_the_same_sum(recipe):
+    e = _recipe_to_expr(recipe)
+    for x in (e, differentiate(e, "z0"), substitute(e, {"z1": z0 * sinh(z2)})):
+        if isinstance(x, Add):
+            _assert_same_sum(Add(x.terms), x)
+
+
+def test_a_sum_is_frozen_and_round_trips_whether_its_view_is_built_or_not():
+    for build in (lambda: z1 * sinh(u) + 3 * z0**2 - I, lambda: (cosh(u) + z1 / a) ** 3):
+        for view in (False, True):
+            for check in (_assert_frozen, _assert_round_trips):
+                e = build()
+                assert isinstance(e, Add) and not _view_built(e)
+                if view:
+                    e.terms
+                assert _view_built(e) == view
+                check(e)
+
+
+def test_summands_are_the_terms_of_a_sum_or_the_expression_itself():
+    e = z1 * sinh(u) + 3 * z0**2 - I
+    assert summands(e) == e.terms and add(*summands(e)) == e
+    for one_term in (ZERO, ONE, z0, 2 * z0 * sinh(u), z1**-2):
+        assert summands(one_term) == (one_term,)
 
 
 def test_atoms_reached_by_every_route_are_one_object():

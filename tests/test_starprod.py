@@ -9,10 +9,14 @@ from starwedge import diffop, expr
 from starwedge.config import dump_json
 from starwedge.diffop import MINKOWSKI, RINDLER, DiffOp
 from starwedge.expr import (
+    Add,
     I,
     ONE,
     ZERO,
     cosh,
+    _as_terms,
+    _parts,
+    _skey,
     equality_probe,
     mul,
     sinh,
@@ -361,6 +365,27 @@ def _sha256(text):
 def test_readme_table_text_is_pinned(chart):
     for kind, tw in _readme_twists(chart).items():
         assert _sha256(table_to_text(build_table(tw))) == _README_TABLE_TXT_SHA256[(chart.name, kind)]
+
+
+@pytest.mark.parametrize("kind", ["canonical", "lie", "quadratic"])
+def test_ladder_results_build_no_term_node(monkeypatch, kind):
+    # a sum stores its (monomial, coefficient) tuple, so computing the ladder
+    # and printing it builds none of its term nodes; the view built on demand
+    # reads back as the stored terms
+    tw = _readme_twists(RINDLER)[kind]
+    f, g = _ladder_pair(RINDLER)
+    built = []
+    term_to_expr = expr._term_to_expr
+    monkeypatch.setattr(expr, "_term_to_expr", lambda m, c: built.append(m) or term_to_expr(m, c))
+    results = [commutator(f ** k, g ** k, tw) for k in (1, 2, 3, 4)]
+    for e in results:
+        to_text(e)
+    assert built == []
+    monkeypatch.undo()
+    for e in results:
+        rebuilt = Add(e.terms)
+        assert rebuilt == e and hash(rebuilt) == hash(e) and _skey(rebuilt) == _skey(e)
+        assert _parts(rebuilt) == _parts(e) and _as_terms(rebuilt) == _as_terms(e)
 
 
 def test_ladder_commutator_text_is_pinned():
