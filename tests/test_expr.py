@@ -592,3 +592,26 @@ def test_canonical_order_compares_coefficients_as_text():
     )
     e = exp(x + 2) + exp(x + 10) + exp(x - 1) + exp(x + rational(1, 2))
     assert to_text(e) == "exp(-1 + x) + exp(1/2 + x) + exp(10 + x) + exp(2 + x)"
+
+
+def test_canonical_order_of_function_arguments_of_every_key_kind_is_pinned():
+    # Fn arguments of all five key kinds: a constant, an atom, a power, a
+    # product and a sum
+    e = (
+        sinh(z0 + z1) * sinh(2 * z0) * sinh(a * z0) * sinh(z0**2) * sinh(z0) * sinh(3)
+        + cosh(z0 + z1) * z1 - cosh(a * z0) * cosh(1 / z0)
+    )
+    assert to_text(e) == (
+        "z1*cosh(z0 + z1) - cosh(1/z0)*cosh(a*z0)"
+        " + sinh(3)*sinh(z0)*sinh(z0^2)*sinh(2*z0)*sinh(a*z0)*sinh(z0 + z1)"
+    )
+
+
+def test_signed_zeros_of_numeric_evaluation_are_pinned():
+    # a one-term expression is evaluated without a sum, so -z0 at z0 = 0.0
+    # keeps its negative zero; zero itself is 0j
+    b = {"z0": 0.0, "z1": -0.0, "a": 1.0}
+    exprs = (ZERO, ONE, -z0, z0 * z1, -z0 * sinh(a * z0), z0 - z1, I * z1)
+    assert [repr(eval_numeric(e, b)) for e in exprs] == [
+        "0j", "(1+0j)", "(-0+0j)", "(-0+0j)", "(-0+0j)", "0j", "(-0+0j)",
+    ]
