@@ -193,6 +193,9 @@ def load_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"spectrum omega_grid frequencies must be finite: {spectrum.omegas}")
         if spectrum.panel_factor < 1:
             raise ConfigError("spectrum panel_factor must be at least 1")
+        if spectrum.panel_factor > 16:
+            # node count and memory grow linearly with it; rounding error grows too
+            raise ConfigError("spectrum panel_factor must be at most 16")
 
     tolerances: dict[str, float] = {}
     if "tolerances" in sections:

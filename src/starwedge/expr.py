@@ -25,40 +25,35 @@ Constants are exact complex rationals, each stored as one reduced integer
 triple (see :class:`ComplexRational`); floating point enters only through
 :func:`eval_numeric`.
 
-Nodes are immutable.  Each stores its structural sort key, the one source of
-canonical order, computed on first use.  The atoms, ``Sym`` and ``Fn``, are
-interned (hash-consed): each class keeps its live nodes in a weak table, so
-structurally equal atoms are one object, and atoms compare and hash by
-identity, in C.  Monomials are tuples of (atom, exponent) pairs, so hashing
-one for a term-map lookup runs no Python code.  Composite nodes (``Const``,
-``Add``, ``Mul``, ``Pow``) are not interned: each is built once per result
-(or per term of a sum's view, below) and is never part of a monomial, so a
-table lookup would only add a structural hash to its construction.  They
-store the hash of their key on first use instead, so hashing and comparing
-them costs no walk over subtrees already keyed.  The tables rely on one node
-per atom structure while it lives, which holds as long as one thread at a
-time builds nodes, as every caller in the package does.  Nodes pickle by
-their fields, so unpickled atoms are interned too.
+An expression is an atom or an ``Add``; both are immutable.  The atoms,
+``Sym`` and ``Fn``, are interned (hash-consed): each class keeps its live
+nodes in a weak table, so structurally equal atoms are one object, and atoms
+compare and hash by identity, in C.  Monomials are tuples of (atom, exponent)
+pairs, so hashing one for a term-map lookup runs no Python code.  Every other
+expression (zero, a constant, a monomial other than a bare atom, a sum) is an
+``Add`` of its sorted (monomial, coefficient) tuple, built once per result,
+not interned, and compared and hashed by that tuple.  Each expression stores
+its sort key on first use: the canonical order of atoms, in which a composite
+``Fn`` argument takes part.  The tables rely on one node per atom structure
+while it lives, which holds as long as one thread at a time builds nodes, as
+every caller in the package does.  Atoms pickle by their fields and an
+``Add`` by its terms, so unpickled atoms are interned too.
 
 The working form is the term map, which maps each monomial to its
 coefficient; ``_add_term``, ``_mul_terms`` and ``_reduce_cosh`` are the one
 definition of the normal form on it.  ``_from_terms`` is the one writer of
 the canonical layout and ``_parts`` its one reader: ``_as_terms``,
-``substitute``, ``free_symbols`` and the printer of ``grammar`` all take an
-expression apart through it.  A sum (``Add``) stores its sorted tuple of
-(monomial, coefficient) terms and builds no child node; ``_parts`` returns
-that tuple.  Its ``terms``, the one-term nodes that ``_skey``,
-``eval_numeric`` and walkers outside this module read, is a view built from
-the tuple on first access and then kept in the sum.  A one-term expression
-is one node, which ``_term_to_expr`` writes and ``_term_parts`` reads: an
-atom, a ``Const``, or a ``Mul`` of an optional leading coefficient and then
-atom powers (``Pow`` for an exponent other than 1) in monomial order.
-``Mul`` and ``Pow`` nodes are built only there (and by unpickling, which
-rebuilds a written tree; a sum rebuilt from nodes reads its tuple from them
-once).  Each public operation takes its operands apart into term maps once,
-works on the maps, and builds its result node once, at the end;
-``differentiate`` and the operators of ``diffop`` chain whole computations on
-term maps the same way.
+``substitute``, ``free_symbols``, ``==``, ``hash`` and the printer of
+``grammar`` all take an expression apart through it.  ``Add.terms`` is a
+read-only view for walkers outside this module, built by ``_term_to_expr`` on
+first access and then kept.  It holds one record per term: an atom, a
+``Const``, a ``Pow`` (an atom to an exponent other than 1), or a ``Mul`` of an
+optional leading ``Const`` and then atoms and ``Pow``s in monomial order.
+The records are named tuples, not expressions; ``_skey`` and
+``eval_numeric`` read them.  Each public operation takes its operands apart
+into term maps once, works on the maps, and builds its result once, at the
+end; ``differentiate`` and the operators of ``diffop`` chain whole
+computations on term maps the same way.
 """
 
 from __future__ import annotations
@@ -125,7 +120,7 @@ class ComplexRational:
     The triple is stored reduced: ``d > 0`` and ``gcd(a, b, d) == 1``.  Each
     value has exactly one such triple, so ``==`` and ``hash`` compare the
     three integers.  Arithmetic works on the integers and reduces each result
-    with one gcd.  Instances are immutable by convention (``Const`` nodes hash
+    with one gcd.  Instances are immutable by convention (term tuples hash
     them); ``re`` and ``im`` give the parts as ``Fraction``s, ``part_texts``
     as text without building them.
     """
@@ -249,15 +244,15 @@ _setattr = object.__setattr__
 
 
 class Expr:
-    """Base class of canonical expression nodes.
+    """Base class of canonical expressions: the atoms ``Sym`` and ``Fn``, and ``Add``.
 
-    The fields, named by ``__match_args__``, are set once by the positional
-    constructor (a sum's ``terms`` is a view; see :class:`Add`); assigning or
-    deleting any attribute raises.  The slots
-    ``_key`` and ``_hash`` stay unset until :func:`_skey` and ``hash`` first
-    fill them.  ``Sym`` and ``Fn`` constructors return the live atom of equal
-    fields, if there is one, and those atoms compare and hash by identity;
-    composite nodes compare by their stored key (see the module docstring).
+    The fields, named by ``__match_args__``, are set once by construction
+    (``Add.terms`` is a view; see :class:`Add`); assigning or deleting any
+    attribute raises.  The slots ``_key`` and ``_hash`` stay unset until
+    :func:`_skey` and ``hash`` first fill them.  ``Sym`` and ``Fn``
+    constructors return the live atom of equal fields, if there is one, and
+    those atoms compare and hash by identity; an ``Add`` compares and hashes
+    by its terms (see the module docstring).
     """
 
     __slots__ = ("_key", "_hash")
@@ -273,7 +268,7 @@ class Expr:
         try:
             return self._hash
         except AttributeError:
-            h = hash(_skey(self))
+            h = hash(_parts(self))
             _setattr(self, "_hash", h)
             return h
 
@@ -282,7 +277,7 @@ class Expr:
             return True
         if not isinstance(other, Expr):
             return NotImplemented
-        return hash(self) == hash(other) and _skey(self) == _skey(other)
+        return hash(self) == hash(other) and _parts(self) == _parts(other)
 
     def __reduce__(self) -> tuple:
         return self.__class__, tuple(getattr(self, f) for f in self.__match_args__)
@@ -325,13 +320,6 @@ class Expr:
 ExprLike = Union[Expr, int, Fraction, ComplexRational]
 
 
-class Const(Expr):
-    __slots__ = __match_args__ = ("value",)
-
-    def __init__(self, value: ComplexRational) -> None:
-        _setattr(self, "value", value)
-
-
 class Sym(Expr):
     __slots__ = ("name", "__weakref__")
     __match_args__ = ("name",)
@@ -351,22 +339,17 @@ class Sym(Expr):
 
 
 class Add(Expr):
-    """A sum of at least two terms, stored as its sorted (monomial, coefficient) tuple.
+    """Every expression but a bare atom: its sorted (monomial, coefficient) tuple; zero has none.
 
-    ``terms``, the one-term nodes of the sum, is a read-only view: built from
-    the tuple on first access and then kept.  Built from nodes (by unpickling,
-    say), a sum reads its tuple from them once, at construction.
+    ``terms`` is kept once built: a walker that memoizes by ``id``, as the
+    benchmark's mpmath oracle does, needs each record to live as long as the sum.
     """
 
     __slots__ = ("_items", "_terms")
     __match_args__ = ("terms",)
 
-    def __init__(self, terms: tuple[Expr, ...]) -> None:
-        _setattr(self, "_items", tuple([_term_parts(t) for t in terms]))
-        _setattr(self, "_terms", terms)
-
     @property
-    def terms(self) -> tuple[Expr, ...]:
+    def terms(self) -> tuple[Term, ...]:
         try:
             return self._terms
         except AttributeError:
@@ -374,20 +357,8 @@ class Add(Expr):
             _setattr(self, "_terms", terms)
             return terms
 
-
-class Mul(Expr):
-    __slots__ = __match_args__ = ("factors",)
-
-    def __init__(self, factors: tuple[Expr, ...]) -> None:
-        _setattr(self, "factors", factors)
-
-
-class Pow(Expr):
-    __slots__ = __match_args__ = ("base", "exponent")
-
-    def __init__(self, base: Expr, exponent: int) -> None:
-        _setattr(self, "base", base)
-        _setattr(self, "exponent", exponent)
+    def __reduce__(self) -> tuple:
+        return _from_terms, (dict(self._items),)
 
 
 class Fn(Expr):
@@ -409,6 +380,23 @@ class Fn(Expr):
     __hash__ = object.__hash__
 
 
+# the records of Add.terms (see the module docstring)
+class Const(NamedTuple):
+    value: ComplexRational
+
+
+class Pow(NamedTuple):
+    base: Expr
+    exponent: int
+
+
+class Mul(NamedTuple):
+    factors: tuple[Union[Expr, Const, Pow], ...]
+
+
+Term = Union[Expr, Const, Pow, Mul]
+
+
 class _FnRule(NamedTuple):
     """One function f: its IEEE value, f(0), and f'(u) as a term map in the atom f(u)."""
 
@@ -427,21 +415,17 @@ _FN_RULES = {
 
 FUNCTIONS = tuple(_FN_RULES)
 
-ZERO = Const(CR_ZERO)
-ONE = Const(CR_ONE)
-I = Const(CR_I)
-
 
 def const(re: RationalLike = 0, im: RationalLike = 0) -> Expr:
-    return Const(ComplexRational(re, im))
+    return _const(ComplexRational(re, im))
 
 
 def integer(n: int) -> Expr:
-    return Const(ComplexRational(n))
+    return _const(ComplexRational(n))
 
 
 def rational(p: int, q: int) -> Expr:
-    return Const(ComplexRational(Fraction(p, q)))
+    return _const(ComplexRational(Fraction(p, q)))
 
 
 def sym(name: str) -> Expr:
@@ -456,35 +440,39 @@ def _coerce(e: ExprLike) -> Expr:
     if isinstance(e, bool):
         raise TypeError("bool is not an expression")
     if isinstance(e, (int, Fraction)):
-        return Const(ComplexRational(e))
+        return _const(ComplexRational(e))
     if isinstance(e, ComplexRational):
-        return Const(e)
+        return _const(e)
     raise TypeError(f"cannot interpret {type(e).__name__} as Expr")
 
 
 # --- ordering ---------------------------------------------------------------
 
-def _skey(e: Expr) -> tuple:
-    """Deterministic structural sort key, computed once per node and stored in it.
+def _skey(e: Term) -> tuple:
+    """Deterministic structural sort key, computed once per expression and stored in it.
 
-    Two nodes are equal exactly when their keys are equal.
+    Two expressions are equal exactly when their keys are equal.  A record of
+    ``Add.terms`` is keyed as it comes, and an ``Add`` of one term has the key
+    of its record (zero that of ``Const(0)``).
     """
+    # the stored key first: every product sorts its atoms by it
     try:
         return e._key
     except AttributeError:
         pass
     if isinstance(e, Const):
-        k = (0, *e.value.part_texts())
-    elif isinstance(e, Sym):
+        return (0, *e.value.part_texts())
+    if isinstance(e, Pow):
+        return (3, _skey(e.base), e.exponent)
+    if isinstance(e, Mul):
+        return (4, tuple(map(_skey, e.factors)))
+    if isinstance(e, Sym):
         k = (1, e.name)
     elif isinstance(e, Fn):
         k = (2, e.fname, _skey(e.arg))
-    elif isinstance(e, Pow):
-        k = (3, _skey(e.base), e.exponent)
-    elif isinstance(e, Mul):
-        k = (4, tuple(map(_skey, e.factors)))
     elif isinstance(e, Add):
-        k = (5, tuple(map(_skey, e.terms)))
+        keys = tuple(map(_skey, e.terms))
+        k = (5, keys) if len(keys) > 1 else keys[0] if keys else (0, "0", "0")
     else:
         raise TypeError(type(e))
     _setattr(e, "_key", k)
@@ -545,27 +533,13 @@ def _reduce_cosh(mono_atoms: dict[Expr, int], coeff: ComplexRational, out: TermM
     _add_term(out, _freeze(mono_atoms), coeff)
 
 
-def _term_parts(t: Expr) -> tuple[Monomial, ComplexRational]:
-    """The (monomial, coefficient) of a one-term node, as ``_term_to_expr`` writes it:
-    an optional leading coefficient followed by atom powers in monomial order."""
-    factors = t.factors if isinstance(t, Mul) else (t,)
-    coeff = CR_ONE
-    if isinstance(factors[0], Const):
-        coeff = factors[0].value
-        factors = factors[1:]
-    return tuple([(f.base, f.exponent) if isinstance(f, Pow) else (f, 1) for f in factors]), coeff
-
-
 def _parts(e: Expr) -> tuple[tuple[Monomial, ComplexRational], ...]:
     """The (monomial, coefficient) terms of a canonical expression, in stored order.
 
-    The one reader of what ``_from_terms`` writes: a sum's stored tuple, or
-    the one term of any other node.  Exact zero has no terms.
+    The one reader of what ``_from_terms`` writes: the stored tuple of an
+    ``Add``, or the one term of a bare atom.  Exact zero has no terms.
     """
-    if isinstance(e, Add):
-        return e._items
-    term = _term_parts(e)
-    return () if term[1].is_zero else (term,)
+    return e._items if isinstance(e, Add) else ((((e, 1),), CR_ONE),)
 
 
 def _as_terms(e: Expr) -> TermMap:
@@ -573,8 +547,9 @@ def _as_terms(e: Expr) -> TermMap:
     return dict(_parts(e))
 
 
-def _term_to_expr(mono: Monomial, coeff: ComplexRational) -> Expr:
-    factors: list[Expr] = []
+def _term_to_expr(mono: Monomial, coeff: ComplexRational) -> Term:
+    """The record of one term in ``Add.terms`` (see the module docstring)."""
+    factors: list[Union[Expr, Const, Pow]] = []
     if not coeff.is_one or not mono:
         factors.append(Const(coeff))
     for atom, e in mono:
@@ -585,15 +560,28 @@ def _term_to_expr(mono: Monomial, coeff: ComplexRational) -> Expr:
 
 
 def _from_terms(terms: TermMap) -> Expr:
-    """The canonical node of a term map: the one writer of the layout ``_parts`` reads."""
-    if not terms:
-        return ZERO
+    """The canonical expression of a term map: the one writer of the layout ``_parts`` reads.
+
+    A bare atom is the atom itself, anything else an ``Add`` of the sorted terms.
+    """
     if len(terms) == 1:
-        return _term_to_expr(*next(iter(terms.items())))
-    # a sum stores its sorted terms and builds no child node (see Add)
+        (mono, coeff), = items = tuple(terms.items())
+        if len(mono) == 1 and mono[0][1] == 1 and coeff.is_one:
+            return mono[0][0]
+    else:
+        items = tuple(sorted(terms.items(), key=lambda kv: _mono_key(kv[0])))
     node = object.__new__(Add)
-    _setattr(node, "_items", tuple(sorted(terms.items(), key=lambda kv: _mono_key(kv[0]))))
+    _setattr(node, "_items", items)
     return node
+
+
+def _const(value: ComplexRational) -> Expr:
+    return _from_terms({(): value} if not value.is_zero else {})
+
+
+ZERO = _const(CR_ZERO)
+ONE = _const(CR_ONE)
+I = _const(CR_I)
 
 
 def _mul_terms(t1: TermMap, t2: TermMap, out: TermMap | None = None) -> TermMap:
@@ -656,8 +644,8 @@ def _pow_expr(e: Expr, n: int) -> Expr:
 
 def _fn(name: str, arg: ExprLike) -> Expr:
     a = _coerce(arg)
-    if a == ZERO:
-        return Const(_FN_RULES[name].at_zero)
+    if not _parts(a):
+        return _const(_FN_RULES[name].at_zero)
     return Fn(name, a)
 
 
@@ -778,15 +766,24 @@ def free_symbols(e: Expr) -> frozenset[str]:
 
 
 def summands(e: Expr) -> tuple[Expr, ...]:
-    """The terms of a sum, in canonical order, or ``(e,)`` for a one-term expression."""
-    return e.terms if isinstance(e, Add) else (e,)
+    """The terms of a sum as one-term expressions, in canonical order, or ``(e,)``."""
+    parts = _parts(e)
+    return tuple([_from_terms(dict((t,))) for t in parts]) if len(parts) > 1 else (e,)
 
 
 Bindings = Mapping[str, complex]
 
 
-def eval_numeric(e: Expr, bindings: Bindings) -> complex:
-    """IEEE complex value of ``e``.  Every free symbol must be bound."""
+def eval_numeric(e: Term, bindings: Bindings) -> complex:
+    """IEEE complex value of ``e``, or of a record of ``Add.terms``.
+
+    Every free symbol must be bound.  An ``Add`` of one term is its record's
+    value, not a sum, so -0.0 stays."""
+    if isinstance(e, Add):
+        terms = e.terms
+        if len(terms) == 1:
+            return eval_numeric(terms[0], bindings)
+        return sum(eval_numeric(t, bindings) for t in terms) if terms else 0j
     if isinstance(e, Const):
         return e.value.to_complex()
     if isinstance(e, Sym):
@@ -803,8 +800,6 @@ def eval_numeric(e: Expr, bindings: Bindings) -> complex:
         for f in e.factors:
             out *= eval_numeric(f, bindings)
         return out
-    if isinstance(e, Add):
-        return sum(eval_numeric(t, bindings) for t in e.terms)
     raise TypeError(type(e))
 
 

@@ -328,6 +328,19 @@ def test_spectrum_rejects_bad_numbers_at_load_time(tmp_path, key, value, capsys)
     assert not out.exists()
 
 
+def test_spectrum_panel_factor_above_16_exits_2_naming_the_key(tmp_path, capsys):
+    # the node count and memory of the quadrature grow linearly with
+    # panel_factor; a fuzz run at 100000 was killed for its memory
+    text = "[spectrum]\na = 1\nomega_hat = 1\nz = 1\nomega_grid = 1 2\nmethod = both\n"
+    assert load_config(_write(tmp_path, text + "panel_factor = 16\n")).spectrum.panel_factor == 16
+    cfg = _write(tmp_path, text + "panel_factor = 17\n")
+    out = tmp_path / "out"
+    code, stdout, stderr = _cli(capsys, "spectrum", "--config", str(cfg), "--out", str(out))
+    assert code == 2, stderr
+    assert "panel_factor must be at most 16" in stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "key, twist",
     [

@@ -9,12 +9,12 @@ from starwedge import diffop, expr
 from starwedge.config import dump_json
 from starwedge.diffop import MINKOWSKI, RINDLER, DiffOp
 from starwedge.expr import (
-    Add,
     I,
     ONE,
     ZERO,
     cosh,
     _as_terms,
+    _from_terms,
     _parts,
     _skey,
     equality_probe,
@@ -383,9 +383,26 @@ def test_ladder_results_build_no_term_node(monkeypatch, kind):
     assert built == []
     monkeypatch.undo()
     for e in results:
-        rebuilt = Add(e.terms)
+        rebuilt = _from_terms(_as_terms(e))
         assert rebuilt == e and hash(rebuilt) == hash(e) and _skey(rebuilt) == _skey(e)
         assert _parts(rebuilt) == _parts(e) and _as_terms(rebuilt) == _as_terms(e)
+        one_terms = [_from_terms(dict([t])) for t in _parts(e)]
+        assert [_skey(t) for t in e.terms] == [_skey(x) for x in one_terms]
+
+
+@pytest.mark.parametrize("kind", ["canonical", "lie", "quadratic"])
+def test_comparing_ladder_results_builds_no_term_view(monkeypatch, kind):
+    # == and hash read the stored term tuple, so checking the ladder's results
+    # against fresh copies keeps no second form of any of them
+    tw = _readme_twists(RINDLER)[kind]
+    f, g = _ladder_pair(RINDLER)
+    built = []
+    term_to_expr = expr._term_to_expr
+    monkeypatch.setattr(expr, "_term_to_expr", lambda m, c: built.append(m) or term_to_expr(m, c))
+    first, fresh = ([commutator(f ** k, g ** k, tw) for k in (1, 2, 3, 4)] for _ in range(2))
+    assert first == fresh and [hash(e) for e in first] == [hash(e) for e in fresh]
+    assert built == []
+    assert not any(hasattr(e, "_terms") for e in first + fresh)
 
 
 def test_ladder_commutator_text_is_pinned():
