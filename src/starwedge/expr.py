@@ -768,7 +768,7 @@ def free_symbols(e: Expr) -> frozenset[str]:
 def summands(e: Expr) -> tuple[Expr, ...]:
     """The terms of a sum as one-term expressions, in canonical order, or ``(e,)``."""
     parts = _parts(e)
-    return tuple([_from_terms(dict((t,))) for t in parts]) if len(parts) > 1 else (e,)
+    return tuple([_from_terms(dict([t])) for t in parts]) if len(parts) > 1 else (e,)
 
 
 Bindings = Mapping[str, complex]
