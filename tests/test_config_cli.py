@@ -396,6 +396,23 @@ def test_spectrum_names_every_bound_breach_in_one_warning_line(tmp_path):
     assert (tmp_path / "s" / "spectrum.csv").read_text() == run.stdout
 
 
+def test_spectrum_prints_the_bound_line_before_the_nonconvergence_line(tmp_path, capsys):
+    # the README config at theta01 = 0.1: the bound is breached at omega = 2,
+    # 4 and 300, and the quadrature row at omega = 300 does not converge
+    text = _readme_block("ini").replace("theta01 = 1e-4 ", "theta01 = 0.1 ").replace(
+        "omega_grid = 0.5 1 2 ", "omega_grid = 0.5 1 2 4 300 ")
+    cfg = _write(tmp_path, text)
+    assert load_config(cfg).spectrum.omegas == (0.5, 1.0, 2.0, 4.0, 300.0)
+    out = tmp_path / "out"
+    code, stdout, stderr = _cli(capsys, "spectrum", "--config", str(cfg), "--out", str(out))
+    assert code == 4
+    assert stderr == (
+        "warning: first-order deformation bound |deviation| <= 0.1 exceeded at omega = 2.0, 4.0, 300.0\n"
+        "warning: quadrature did not converge at omega = 300.0\n"
+    )
+    assert (out / "spectrum.csv").read_text() == stdout
+
+
 def test_commutator_never_imports_numpy(tmp_path):
     # a fresh interpreter, since other test modules have imported numpy here:
     # the command line loads no click, the exact algebra no numpy, and the
