@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, NoReturn
+from typing import NoReturn
 
-from .config import ConfigError, RunConfig, atomic_write_text, dump_json, load_config
+from .config import FORMATS, ConfigError, RunConfig, atomic_write_text, dump_json, load_config
 from .diffop import CHARTS, ChartMismatchError
-from .spectrum import LINEAR_REGIME_BOUND, LinearRegimeWarning, compute_spectrum
+from .spectrum import LINEAR_REGIME_BOUND, compute_spectrum
 from .starprod import build_table, table_to_json_dict, table_to_text
 from .twists import TwistSpecError, build_linear_twist
 from .verification import report_dict, run_all_checks
@@ -72,32 +70,6 @@ def commutator(config_path, out, seed, fmt) -> None:
     sys.stdout.write(js if fmt_val == "json" else text)
 
 
-@contextmanager
-def _bound_breaches_in_one_line() -> Iterator[None]:
-    """Print the omegas of every LinearRegimeWarning raised inside as one stderr line.
-
-    Other warnings are shown as Python shows them.
-    """
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", LinearRegimeWarning)
-            yield
-    finally:
-        omegas = []
-        for w in caught:
-            if issubclass(w.category, LinearRegimeWarning):
-                omegas.append(w.message.omega)
-            else:
-                warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
-        if omegas:
-            listed = ", ".join(repr(o) for o in omegas)
-            print(
-                f"warning: first-order deformation bound |deviation| <= {LINEAR_REGIME_BOUND} "
-                f"exceeded at omega = {listed}",
-                file=sys.stderr,
-            )
-
-
 def spectrum(config_path, out, seed, fmt) -> None:
     """Evaluate the detected thermal spectrum on the configured grid."""
     cfg = _load(config_path, required=True)
@@ -106,19 +78,25 @@ def spectrum(config_path, out, seed, fmt) -> None:
     out_dir, seed_val, fmt_val = _resolve(cfg, out, seed, fmt)
     sc = cfg.spectrum
     try:
-        with _bound_breaches_in_one_line():
-            result = compute_spectrum(
-                list(sc.omegas),
-                a=sc.a,
-                omega_hat=sc.omega_hat,
-                z=sc.z,
-                theta01=sc.theta01,
-                method=sc.method,
-                panel_factor=sc.panel_factor,
-                rtol=sc.rtol,
-            )
+        result = compute_spectrum(
+            list(sc.omegas),
+            a=sc.a,
+            omega_hat=sc.omega_hat,
+            z=sc.z,
+            theta01=sc.theta01,
+            method=sc.method,
+            panel_factor=sc.panel_factor,
+            rtol=sc.rtol,
+        )
     except OverflowError as err:
         _fail(EXIT_CONFIG, f"grid frequency {err}")
+    if result.bound_breaches:
+        listed = ", ".join(repr(o) for o in result.bound_breaches)
+        print(
+            f"warning: first-order deformation bound |deviation| <= {LINEAR_REGIME_BOUND} "
+            f"exceeded at omega = {listed}",
+            file=sys.stderr,
+        )
     csv_text = result.to_csv()
     json_text = dump_json(result.to_json_dict(seed=seed_val, tolerances=cfg.tolerances))
     atomic_write_text(out_dir / "spectrum.csv", csv_text)
@@ -173,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--config", dest="config_path", metavar="PATH", help="Run configuration file.")
         sub.add_argument("--out", metavar="PATH", help="Output directory.")
         sub.add_argument("--seed", type=int, metavar="INTEGER", help="Seed override.")
-        sub.add_argument("--format", dest="fmt", choices=["csv", "json", "text"], help="Stdout format.")
+        sub.add_argument("--format", dest="fmt", choices=sorted(FORMATS), help="Stdout format.")
         sub.set_defaults(run=command)
     return parser
 

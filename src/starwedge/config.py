@@ -17,6 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .diffop import CHARTS
+from .spectrum import METHODS
 from .twists import CONFIG_KEYS, TwistSpec, TwistSpecError, spec_from_config
 from .verification import DEFAULT_TOLERANCES
 
@@ -39,8 +40,7 @@ _SPECTRUM_KEYS = {
     "panel_factor",
     "rtol",
 }
-_FORMATS = ("text", "json", "csv")
-_METHODS = ("closed-form", "quadrature", "both")
+FORMATS = ("text", "json", "csv")
 
 
 @dataclass(frozen=True)
@@ -141,8 +141,8 @@ def load_config(path: str | Path) -> RunConfig:
             seed = _int(items["seed"], "seed")
         if "format" in items:
             out_format = items["format"].strip()
-            if out_format not in _FORMATS:
-                raise ConfigError(f"format must be one of {_FORMATS}")
+            if out_format not in FORMATS:
+                raise ConfigError(f"format must be one of {FORMATS}")
         if "out" in items:
             out_dir = items["out"].strip()
 
@@ -171,8 +171,8 @@ def load_config(path: str | Path) -> RunConfig:
         if missing:
             raise ConfigError(f"missing spectrum keys: {sorted(missing)}")
         method = items.get("method", "closed-form").strip()
-        if method not in _METHODS:
-            raise ConfigError(f"method must be one of {_METHODS}")
+        if method not in METHODS:
+            raise ConfigError(f"method must be one of {METHODS}")
         spectrum = SpectrumConfig(
             a=_number(items["a"], "a"),
             omega_hat=_number(items["omega_hat"], "omega_hat"),

@@ -22,14 +22,16 @@ amplitude picks up the factor
     1 - (2 theta01 omega / (a z^2)) (i omega/a - 1),
 
 and the detected spectrum deviates from the Planck form by the relative
-amount -2 theta01 omega / (pi T z^2).
+amount -2 theta01 omega / (pi T z^2).  That first-order result holds while
+the deviation stays within |deviation| <= 0.1; ``compute_spectrum`` returns
+the grid frequencies past that bound as data, in
+``SpectrumResult.bound_breaches``.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass, replace
 from numbers import Real
 
@@ -51,18 +53,9 @@ __all__ = [
     "deformed_correction_quadrature",
     "DeformedPowerPoint",
     "deformed_power",
-    "LinearRegimeWarning",
     "SpectrumRow",
     "SpectrumResult",
 ]
-
-
-class LinearRegimeWarning(UserWarning):
-    """The first-order deformation bound was violated at the frequency ``omega``."""
-
-    def __init__(self, message: str, omega: float) -> None:
-        super().__init__(message)
-        self.omega = omega
 
 
 @dataclass(frozen=True)
@@ -244,30 +237,27 @@ def deformed_power(m: ModeParams, theta01: float) -> DeformedPowerPoint:
 
     A positive ``theta01`` suppresses the power.  ``closed_form`` scales the
     Planck form by (1 + deviation); ``via_amplitude`` squares the corrected
-    amplitude at -omega and drops the quadratic term.  A warning flags points
-    where the first-order regime bound |deviation| > 0.1 is violated.
+    amplitude at -omega and drops the quadratic term.  ``linear_bound_exceeded``
+    flags points past the first-order regime bound, |deviation| > 0.1.
     """
     if not m.omega > 0:
         raise ValueError("omega must be positive for the detected spectrum")
     dev = relative_deviation_closed(m, theta01)
-    exceeded = abs(dev) > LINEAR_REGIME_BOUND
-    if exceeded:
-        warnings.warn(
-            LinearRegimeWarning(
-                f"first-order deformation bound exceeded: |{dev:.3g}| > {LINEAR_REGIME_BOUND}", m.omega
-            ),
-            stacklevel=2,
-        )
     base = power_spectrum(m)
     closed = base.planck * (1.0 + dev)
     neg = replace(m, omega=-m.omega)
     # |f (1 + c)|^2 truncated at first order: |f|^2 (1 + 2 Re c)
     c = _bracket(neg, theta01) - 1.0
     via = base.via_amplitude * (1.0 + 2.0 * c.real)
-    return DeformedPowerPoint(closed_form=closed, via_amplitude=via, linear_bound_exceeded=exceeded)
+    return DeformedPowerPoint(
+        closed_form=closed, via_amplitude=via, linear_bound_exceeded=abs(dev) > LINEAR_REGIME_BOUND
+    )
 
 
 # --- grid evaluation and export ------------------------------------------------
+
+METHODS = ("closed-form", "quadrature", "both")
+
 
 @dataclass(frozen=True)
 class SpectrumRow:
@@ -295,7 +285,9 @@ class SpectrumResult:
     its first-order deformed counterpart, and whether the amplitude came from
     the closed form or from the quadrature oracle.  ``eps`` is a column kept
     in the exports, 0.0 on quadrature rows and None on closed-form rows; no
-    amplitude is damped.
+    amplitude is damped.  ``bound_breaches`` lists each grid frequency whose
+    deviation is past the first-order bound, once per grid point in grid
+    order; the exports do not carry it.
     """
 
     a: float
@@ -303,6 +295,7 @@ class SpectrumResult:
     z: float
     theta01: float
     rows: tuple[SpectrumRow, ...]
+    bound_breaches: tuple[float, ...] = ()
 
     @property
     def all_converged(self) -> bool:
@@ -358,15 +351,17 @@ def compute_spectrum(
 ) -> SpectrumResult:
     """Evaluate the detected spectrum over a grid of positive frequencies.
 
-    ``method`` is "closed-form", "quadrature" or "both"; quadrature rows
-    report convergence per point (and ``eps`` 0.0).  A
-    closed form that overflows (the gamma reflection, past omega / a of about
-    226) or is not finite (a subnormal omega / a) raises OverflowError naming
-    its omega.
+    ``method`` is one of ``METHODS``: "closed-form", "quadrature" or "both";
+    quadrature rows report convergence per point (and ``eps`` 0.0).  Every
+    grid frequency past the first-order bound is listed in ``bound_breaches``,
+    whatever the method.  A closed form that overflows (the gamma reflection,
+    past omega / a of about 226) or is not finite (a subnormal omega / a)
+    raises OverflowError naming its omega.
     """
-    if method not in ("closed-form", "quadrature", "both"):
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     rows: list[SpectrumRow] = []
+    breaches: list[float] = []
     for omega in omegas:
         if not omega > 0:
             raise ValueError("grid frequencies must be positive")
@@ -382,6 +377,8 @@ def compute_spectrum(
             raise OverflowError(
                 f"omega = {omega!r} (omega / a = {omega / a:.6g}) is out of range: {err}"
             ) from err
+        if dp.linear_bound_exceeded:
+            breaches.append(omega)
         if method in ("closed-form", "both"):
             fval = f_closed(neg)
             rows.append(
@@ -406,4 +403,6 @@ def compute_spectrum(
                     converged=res.converged,
                 )
             )
-    return SpectrumResult(a=a, omega_hat=omega_hat, z=z, theta01=theta01, rows=tuple(rows))
+    return SpectrumResult(
+        a=a, omega_hat=omega_hat, z=z, theta01=theta01, rows=tuple(rows), bound_breaches=tuple(breaches)
+    )

@@ -413,6 +413,22 @@ def test_spectrum_prints_the_bound_line_before_the_nonconvergence_line(tmp_path,
     assert (out / "spectrum.csv").read_text() == stdout
 
 
+def test_spectrum_out_of_range_run_prints_only_its_error(tmp_path, capsys):
+    # at a = 1e-320 the deviation at omega = 0.5 is -inf, past the bound, and
+    # its closed form is not finite; no row is written, so no bound line either
+    text = _readme_block("ini").replace("a = 6.283185307179586\n", "a = 1e-320\n")
+    cfg = _write(tmp_path, text)
+    assert load_config(cfg).spectrum.a == 1e-320
+    out = tmp_path / "out"
+    code, stdout, stderr = _cli(capsys, "spectrum", "--config", str(cfg), "--out", str(out))
+    assert code == 2
+    assert stderr == (
+        "error: grid frequency omega = 0.5 (omega / a = inf) is out of range: the closed form is not finite\n"
+    )
+    assert stdout == ""
+    assert not out.exists()
+
+
 def test_commutator_never_imports_numpy(tmp_path):
     # a fresh interpreter, since other test modules have imported numpy here:
     # the command line loads no click, the exact algebra no numpy, and the

@@ -11,7 +11,6 @@ from starwedge.diffop import RINDLER
 from starwedge.expr import I, equality_probe, exp, mul, sym
 from starwedge.gammafn import GammaPoleError
 from starwedge.spectrum import (
-    LinearRegimeWarning,
     ModeParams,
     compute_spectrum,
     correction_integral_closed,
@@ -204,9 +203,9 @@ def test_finite_difference_extraction_matches_slope():
 
 
 def test_linear_regime_warning():
+    # the bound is data only: filterwarnings = error fails the test on any warning
     m = _mode(10.0, a=1.0)
-    with pytest.warns(LinearRegimeWarning):
-        dp = deformed_power(m, 0.5)
+    dp = deformed_power(m, 0.5)
     assert dp.linear_bound_exceeded
 
 
@@ -273,6 +272,24 @@ def test_compute_spectrum_deformed_column():
         dev = row.power_deformed / row.power - 1.0
         want = -2.0 * th * row.omega / (math.pi * 1.0 * 1.0)
         assert dev == pytest.approx(want, rel=1e-6)
+
+
+def test_compute_spectrum_lists_bound_breaches_in_grid_order():
+    # at T = 1 the deviation is -0.2 omega / pi for theta01 = 0.1: past 0.1 from omega = pi/2
+    kw = dict(a=2.0 * math.pi, omega_hat=1.0, z=1.0, theta01=0.1)
+    assert compute_spectrum([4.0, 0.5, 2.0, 1.0], **kw).bound_breaches == (4.0, 2.0)
+    assert compute_spectrum([2.0, 1.0, 2.0], **kw).bound_breaches == (2.0, 2.0)
+    assert compute_spectrum([0.5, 1.0], **kw).bound_breaches == ()
+    assert compute_spectrum([2.0, 4.0], **{**kw, "theta01": 0.0}).bound_breaches == ()
+
+
+@pytest.mark.parametrize("method", ["quadrature", "both"])
+def test_compute_spectrum_lists_each_breaching_grid_point_once_whatever_the_method(method):
+    res = compute_spectrum(
+        [0.5, 2.0, 4.0], a=2.0 * math.pi, omega_hat=1.0, z=1.0, theta01=0.1, method=method
+    )
+    assert len(res.rows) == (3 if method == "quadrature" else 6)
+    assert res.bound_breaches == (2.0, 4.0)
 
 
 def test_compute_spectrum_validation():

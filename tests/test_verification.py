@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from starwedge import rindler, verification
+from starwedge import rindler, spectrum, verification
 from starwedge.config import dump_json
 from starwedge.verification import DEFAULT_TOLERANCES, report_dict, run_all_checks
 
@@ -54,7 +54,9 @@ _inverse_map = rindler.inverse_map_numeric
 _NAN_ROUTES = {
     "quadrature_agreement": (verification, "f_quadrature", lambda m: SimpleNamespace(value=math.nan)),
     "deformed_deviation_closed": (
-        verification, "deformed_power", lambda m, th: SimpleNamespace(closed_form=math.nan)
+        verification,
+        "deformed_power",
+        lambda m, th: SimpleNamespace(closed_form=math.nan, via_amplitude=1.0),
     ),
     "deformed_deviation_finite_difference": (
         verification, "deformed_f_theta", lambda m, th: complex(math.nan)
@@ -74,6 +76,21 @@ def test_a_nan_residual_fails_its_check_and_is_measured(monkeypatch, name):
     passed, measured, _ = check(random.Random(1), DEFAULT_TOLERANCES[name])
     assert passed is False
     assert math.isnan(measured)
+
+
+def _flipped_deviation(m, theta01):
+    # spectrum.relative_deviation_closed with its sign flipped; it runs in the
+    # globals of spectrum, whose function object takes over this code
+    return 2.0 * theta01 * m.omega / (math.pi * hawking_temperature(m.a) * m.z**2)
+
+
+def test_a_flipped_closed_form_deviation_fails_its_check(monkeypatch):
+    # the paper's -2 theta01 omega/(pi T z^2) with its sign flipped, as an edit
+    # of the source would flip it: every binding of the function sees the flip
+    monkeypatch.setattr(spectrum.relative_deviation_closed, "__code__", _flipped_deviation.__code__)
+    assert [r.name for r in run_all_checks(seed=1) if not r.passed] == ["deformed_deviation_closed"]
+    monkeypatch.undo()
+    assert all(r.passed for r in run_all_checks(seed=1))
 
 
 def _reject_constant(token):
