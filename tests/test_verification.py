@@ -79,9 +79,8 @@ def test_a_nan_residual_fails_its_check_and_is_measured(monkeypatch, name):
 
 
 def _flipped_deviation(m, theta01):
-    # spectrum.relative_deviation_closed with its sign flipped; it runs in the
-    # globals of spectrum, whose function object takes over this code
-    return 2.0 * theta01 * m.omega / (math.pi * hawking_temperature(m.a) * m.z**2)
+    # spectrum.relative_deviation_closed with its sign flipped, T = a / (2 pi)
+    return 2.0 * theta01 * m.omega / (math.pi * (m.a / (2.0 * math.pi)) * m.z**2)
 
 
 def test_a_flipped_closed_form_deviation_fails_its_check(monkeypatch):
