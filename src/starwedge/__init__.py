@@ -45,7 +45,6 @@ from .rindler import MetricPullback, RindlerMap, inverse_map_numeric
 from .spectrum import (
     DeformedPowerPoint,
     ModeParams,
-    PowerSpectrumPoint,
     SpectrumResult,
     compute_spectrum,
     deformed_correction_quadrature,
@@ -55,7 +54,6 @@ from .spectrum import (
     f_quadrature,
     hawking_temperature,
     planck_power,
-    power_spectrum,
 )
 from .starprod import (
     CommutatorTable,

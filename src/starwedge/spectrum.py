@@ -47,8 +47,6 @@ __all__ = [
     "f_quadrature",
     "correction_integral_closed",
     "correction_integral_quadrature",
-    "PowerSpectrumPoint",
-    "power_spectrum",
     "deformed_f_theta",
     "deformed_correction_quadrature",
     "DeformedPowerPoint",
@@ -110,12 +108,15 @@ def f_closed(m: ModeParams) -> complex:
 
     The overall sign is fixed by the defining integral itself (the quadrature
     route converges to this value); the phase factor has unit modulus, so
-    every power formula is independent of omega_hat * z.
+    every power formula is independent of omega_hat * z; an omega_hat * z
+    that underflows to 0 raises OverflowError.
     """
     s = m.omega / m.a
     if s == 0.0:
         raise GammaPoleError("amplitude has a gamma pole at omega = 0")
     wz = m.omega_hat * m.z
+    if wz == 0.0:
+        raise OverflowError(f"omega_hat * z underflows to 0 at omega_hat = {m.omega_hat!r}, z = {m.z!r}")
     phase = cmath.exp(1j * s * math.log(wz))
     return (1.0 / m.a) * phase * complex_gamma(-1j * s) * math.exp(math.pi * s / 2.0)
 
@@ -163,23 +164,6 @@ def correction_integral_quadrature(m: ModeParams) -> QuadratureResult:
     return _mode_quadrature(m, 1)
 
 
-@dataclass(frozen=True)
-class PowerSpectrumPoint:
-    """omega * P(-omega) computed two ways; the two must agree."""
-
-    via_amplitude: float
-    planck: float
-
-
-def power_spectrum(m: ModeParams) -> PowerSpectrumPoint:
-    """Detected power omega * |f(-omega)|^2 next to the Planck closed form."""
-    if not m.omega > 0:
-        raise ValueError("omega must be positive for the detected spectrum")
-    neg = replace(m, omega=-m.omega)
-    via = m.omega * abs(f_closed(neg)) ** 2
-    return PowerSpectrumPoint(via_amplitude=via, planck=planck_power(m.a, m.omega))
-
-
 def _bracket(m: ModeParams, theta01: float) -> complex:
     """First-order amplitude factor 1 - (2 theta01 omega/(a z^2))(i omega/a - 1)."""
     s = m.omega / m.a
@@ -225,32 +209,45 @@ LINEAR_REGIME_BOUND = 0.1
 
 @dataclass(frozen=True)
 class DeformedPowerPoint:
-    """omega * P(-omega) with the first-order deformation, two routes."""
+    """One frequency's detected spectrum omega * P(-omega), from ``amplitude`` f(-omega).
 
+    ``power`` is omega |f(-omega)|^2 and must equal ``planck``.  The first-order
+    corrected power comes two ways: ``closed_form`` is planck (1 + deviation),
+    ``via_amplitude`` squares the corrected amplitude and drops the quadratic term.
+    """
+
+    amplitude: complex
+    power: float
+    planck: float
+    deviation: float
     closed_form: float
     via_amplitude: float
-    linear_bound_exceeded: bool
+
+    @property
+    def linear_bound_exceeded(self) -> bool:
+        """Whether the point is past the first-order regime bound, |deviation| > 0.1."""
+        return abs(self.deviation) > LINEAR_REGIME_BOUND
 
 
 def deformed_power(m: ModeParams, theta01: float) -> DeformedPowerPoint:
-    """Corrected detected power at negative frequency, truncated at first order.
+    """The detected spectrum at ``m.omega`` > 0 and its first-order correction.
 
-    A positive ``theta01`` suppresses the power.  ``closed_form`` scales the
-    Planck form by (1 + deviation); ``via_amplitude`` squares the corrected
-    amplitude at -omega and drops the quadratic term.  ``linear_bound_exceeded``
-    flags points past the first-order regime bound, |deviation| > 0.1.
+    The one closed-form evaluation of a frequency: f(-omega) is computed once.
+    A positive ``theta01`` suppresses the power.  Raises OverflowError where
+    pi T z^2 or omega_hat * z underflows to zero.
     """
     if not m.omega > 0:
         raise ValueError("omega must be positive for the detected spectrum")
     dev = relative_deviation_closed(m, theta01)
-    base = power_spectrum(m)
-    closed = base.planck * (1.0 + dev)
     neg = replace(m, omega=-m.omega)
+    amplitude = f_closed(neg)
+    power = m.omega * abs(amplitude) ** 2
+    planck = planck_power(m.a, m.omega)
     # |f (1 + c)|^2 truncated at first order: |f|^2 (1 + 2 Re c)
     c = _bracket(neg, theta01) - 1.0
-    via = base.via_amplitude * (1.0 + 2.0 * c.real)
     return DeformedPowerPoint(
-        closed_form=closed, via_amplitude=via, linear_bound_exceeded=abs(dev) > LINEAR_REGIME_BOUND
+        amplitude=amplitude, power=power, planck=planck, deviation=dev,
+        closed_form=planck * (1.0 + dev), via_amplitude=power * (1.0 + 2.0 * c.real),
     )
 
 
@@ -351,12 +348,13 @@ def compute_spectrum(
 ) -> SpectrumResult:
     """Evaluate the detected spectrum over a grid of positive frequencies.
 
-    ``method`` is one of ``METHODS``: "closed-form", "quadrature" or "both";
-    quadrature rows report convergence per point (and ``eps`` 0.0).  Every
-    grid frequency past the first-order bound is listed in ``bound_breaches``,
-    whatever the method.  A closed form that overflows (the gamma reflection,
-    past omega / a of about 226) or is not finite (a subnormal omega / a)
-    raises OverflowError naming its omega.
+    Each grid frequency is one :func:`deformed_power` point: the closed-form
+    row reads it, and the quadrature row scales the oracle's power by
+    (1 + its deviation).  ``method`` is one of ``METHODS``; quadrature rows
+    report convergence per point (and ``eps`` 0.0).  Every grid frequency past
+    the first-order bound is listed in ``bound_breaches``, whatever the method.
+    A closed form or a quadrature that overflows, or a closed form that is not
+    finite, raises OverflowError naming its omega.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -366,13 +364,13 @@ def compute_spectrum(
         if not omega > 0:
             raise ValueError("grid frequencies must be positive")
         m = ModeParams(omega_hat=omega_hat, z=z, a=a, omega=omega)
-        neg = replace(m, omega=-omega)
         try:
-            # the closed form first; the rows below repeat its computations
             dp = deformed_power(m, theta01)
             if not (math.isfinite(dp.closed_form) and math.isfinite(dp.via_amplitude)):
                 # a subnormal omega / a: Gamma(i omega / a) is inf, the power inf or nan
                 raise OverflowError("the closed form is not finite")
+            if method in ("quadrature", "both"):
+                res = f_quadrature(replace(m, omega=-omega), panel_factor=panel_factor, rtol=rtol)
         except OverflowError as err:
             raise OverflowError(
                 f"omega = {omega!r} (omega / a = {omega / a:.6g}) is out of range: {err}"
@@ -380,25 +378,23 @@ def compute_spectrum(
         if dp.linear_bound_exceeded:
             breaches.append(omega)
         if method in ("closed-form", "both"):
-            fval = f_closed(neg)
             rows.append(
                 SpectrumRow(
                     omega=omega,
-                    f_value=fval,
-                    power=omega * abs(fval) ** 2,
+                    f_value=dp.amplitude,
+                    power=dp.power,
                     power_deformed=dp.via_amplitude,
                     method="closed-form",
                 )
             )
         if method in ("quadrature", "both"):
-            res = f_quadrature(neg, panel_factor=panel_factor, rtol=rtol)
             power = omega * abs(res.value) ** 2
             rows.append(
                 SpectrumRow(
                     omega=omega,
                     f_value=res.value,
                     power=power,
-                    power_deformed=power * (1.0 + relative_deviation_closed(m, theta01)),
+                    power_deformed=power * (1.0 + dp.deviation),
                     method="quadrature",
                     converged=res.converged,
                 )

@@ -57,7 +57,6 @@ from .spectrum import (
     f_closed,
     f_quadrature,
     hawking_temperature,
-    power_spectrum,
     theta01_from_engine,
 )
 from .starprod import build_table, commutator, star, verify_flat_relations
@@ -496,12 +495,12 @@ def _check_gamma_identity(rng: random.Random, tol: float) -> Finding:
 
 def _check_planck_equivalence(rng: random.Random, tol: float) -> Finding:
     points = (
-        power_spectrum(ModeParams(omega_hat=wz, z=1.0, a=1.0, omega=float(y)))
+        deformed_power(ModeParams(omega_hat=wz, z=1.0, a=1.0, omega=float(y)), 0.0)
         for y in _grid()
         for wz in (0.5, 1.0, 3.0)
     )
     return _two_routes(
-        ((p.via_amplitude, p.planck) for p in points),
+        ((p.power, p.planck) for p in points),
         tol, "omega |f(-omega)|^2 matches the Planck form, independent of omega_hat z",
     )
 

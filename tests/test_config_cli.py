@@ -302,6 +302,38 @@ def test_spectrum_subnormal_frequency_exits_2_naming_omega(tmp_path, method, ome
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method", ["closed-form", "quadrature", "both"])
+@pytest.mark.parametrize("omega_hat, z", [("1e-300", "1e-30"), ("1e-320", "1e-10")])
+def test_spectrum_underflowing_omega_hat_z_exits_2_naming_both(tmp_path, capsys, omega_hat, z, method):
+    # valid values whose product is 0.0: the closed form's log(omega_hat * z)
+    # once escaped as a ValueError traceback, exit 1
+    keys = {"a": "1", "omega_hat": omega_hat, "z": z, "omega_grid": "0.5 1", "method": method}
+    cfg = _write(tmp_path, "[spectrum]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+    out = tmp_path / "out"
+    code, stdout, stderr = _cli(capsys, "spectrum", "--config", str(cfg), "--out", str(out))
+    assert code == 2, stderr
+    assert "omega = 0.5" in stderr
+    assert f"omega_hat = {float(omega_hat)!r}" in stderr and f"z = {float(z)!r}" in stderr
+    assert stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["quadrature", "both"])
+def test_spectrum_quadrature_overflow_at_subnormal_omega_hat_z_names_omega(tmp_path, capsys, method):
+    # omega_hat * z = 1e-320: the closed form is finite, but the quadrature's
+    # w^-c overflows; its error once escaped the handler that names omega
+    text = f"[spectrum]\na = 1\nomega_hat = 1e-320\nz = 1\nomega_grid = 0.5 1\nmethod = {method}\n"
+    cfg = _write(tmp_path, text)
+    out = tmp_path / "out"
+    code, stdout, stderr = _cli(capsys, "spectrum", "--config", str(cfg), "--out", str(out))
+    assert code == 2, stderr
+    assert stderr == (
+        "error: grid frequency omega = 0.5 (omega / a = 0.5) is out of range: math range error\n"
+    )
+    assert stdout == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "key, value",
     [

@@ -9,8 +9,10 @@ import pytest
 from starwedge.config import dump_json
 from starwedge.diffop import RINDLER
 from starwedge.expr import I, equality_probe, exp, mul, sym
-from starwedge.gammafn import GammaPoleError
+from starwedge import spectrum
+from starwedge.gammafn import GammaPoleError, complex_gamma
 from starwedge.spectrum import (
+    METHODS,
     ModeParams,
     compute_spectrum,
     correction_integral_closed,
@@ -22,7 +24,6 @@ from starwedge.spectrum import (
     f_quadrature,
     hawking_temperature,
     planck_power,
-    power_spectrum,
     relative_deviation_closed,
 )
 from starwedge.twists import CanonicalTwist, build_linear_twist
@@ -79,10 +80,10 @@ def test_mode_params_validation():
 
 def test_power_equals_planck_factor_at_unit_temperature():
     m = _mode(1.0, a=2.0 * math.pi)
-    p = power_spectrum(m)
+    p = deformed_power(m, 0.0)
     assert p.planck == pytest.approx(1.0 / (math.e - 1.0), rel=1e-14)
     assert p.planck == pytest.approx(0.5819767069, rel=1e-9)
-    assert p.via_amplitude == pytest.approx(p.planck, rel=1e-12)
+    assert p.power == pytest.approx(p.planck, rel=1e-12)
 
 
 def test_planck_power_underflows_instead_of_overflowing():
@@ -97,17 +98,17 @@ def test_planck_power_underflows_instead_of_overflowing():
 def test_power_equivalence_on_grid_and_phase_independence():
     for y in np.geomspace(0.1, 5.0, 20):
         for wz in (0.5, 1.0, 3.0):
-            p = power_spectrum(_mode(float(y), wz=wz))
-            assert abs(p.via_amplitude - p.planck) <= 1e-10 * p.planck
+            p = deformed_power(_mode(float(y), wz=wz), 0.0)
+            assert abs(p.power - p.planck) <= 1e-10 * p.planck
 
 
 def test_power_boltzmann_tail():
-    assert power_spectrum(_mode(80.0)).planck < 1e-200
+    assert deformed_power(_mode(80.0), 0.0).planck < 1e-200
 
 
 def test_power_requires_positive_frequency():
     with pytest.raises(ValueError):
-        power_spectrum(_mode(-1.0))
+        deformed_power(_mode(-1.0), 0.0)
 
 
 # --- quadrature oracle agreement ---------------------------------------------------------
@@ -164,7 +165,7 @@ def test_deformed_deviation_via_amplitude():
         for w in (0.5, 1.0, 2.0):
             m = _mode(w, a=a)
             dp = deformed_power(m, th)
-            base = power_spectrum(m).via_amplitude
+            base = deformed_power(m, 0.0).power
             dev = dp.via_amplitude / base - 1.0
             assert dev == pytest.approx(relative_deviation_closed(m, th), rel=1e-8)
 
@@ -183,7 +184,7 @@ def test_positive_theta_suppresses_positive_frequencies():
     m = _mode(1.0, a=2.0 * math.pi)
     dp = deformed_power(m, 1e-3)
     assert dp.closed_form < planck_power(m.a, m.omega)
-    assert dp.via_amplitude < power_spectrum(m).via_amplitude
+    assert dp.via_amplitude < deformed_power(m, 0.0).power
 
 
 def test_finite_difference_extraction_matches_slope():
@@ -290,6 +291,43 @@ def test_compute_spectrum_lists_each_breaching_grid_point_once_whatever_the_meth
     )
     assert len(res.rows) == (3 if method == "quadrature" else 6)
     assert res.bound_breaches == (2.0, 4.0)
+
+
+# the README [spectrum] config
+_README = dict(a=6.283185307179586, omega_hat=1.0, z=1.0, theta01=1e-4)
+_README_GRID = [0.5, 1.0, 2.0]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_compute_spectrum_evaluates_the_gamma_function_once_per_grid_point(monkeypatch, method):
+    # the closed-form row reads the one deformed_power point; the quadrature needs no gamma
+    calls = []
+
+    def counted(z):
+        calls.append(z)
+        return complex_gamma(z)
+
+    monkeypatch.setattr(spectrum, "complex_gamma", counted)
+    compute_spectrum(_README_GRID, **_README, method=method)
+    assert len(calls) == len(_README_GRID)
+
+
+def test_both_rows_are_the_closed_form_and_quadrature_rows_interleaved():
+    rows = {method: compute_spectrum(_README_GRID, **_README, method=method).rows for method in METHODS}
+    interleaved = tuple(r for pair in zip(rows["closed-form"], rows["quadrature"]) for r in pair)
+    assert rows["both"] == interleaved
+
+
+@pytest.mark.parametrize("theta01", [1e-4, 0.1])
+def test_compute_spectrum_rows_read_the_deformed_power_point(theta01):
+    res = compute_spectrum(_README_GRID, **{**_README, "theta01": theta01}, method="both")
+    for closed, quad in zip(res.rows[0::2], res.rows[1::2]):
+        m = ModeParams(omega_hat=1.0, z=1.0, a=_README["a"], omega=closed.omega)
+        point = deformed_power(m, theta01)
+        assert (closed.f_value, closed.power, closed.power_deformed) == (
+            point.amplitude, point.power, point.via_amplitude
+        )
+        assert quad.power_deformed == quad.power * (1.0 + point.deviation)
 
 
 def test_compute_spectrum_validation():

@@ -83,11 +83,40 @@ def _flipped_deviation(m, theta01):
     return 2.0 * theta01 * m.omega / (math.pi * (m.a / (2.0 * math.pi)) * m.z**2)
 
 
-def test_a_flipped_closed_form_deviation_fails_its_check(monkeypatch):
-    # the paper's -2 theta01 omega/(pi T z^2) with its sign flipped, as an edit
-    # of the source would flip it: every binding of the function sees the flip
-    monkeypatch.setattr(spectrum.relative_deviation_closed, "__code__", _flipped_deviation.__code__)
-    assert [r.name for r in run_all_checks(seed=1) if not r.passed] == ["deformed_deviation_closed"]
+def _scaled_planck_power(a, omega):
+    # spectrum.planck_power scaled by 1 + 1e-9
+    x = 2.0 * math.pi * omega / a
+    return (1.0 + 1e-9) * (2.0 * math.pi / a) * math.exp(-x) / -math.expm1(-x)
+
+
+def _bracket_plus_one(m, theta01):
+    # spectrum._bracket with (i omega/a - 1) changed to (i omega/a + 1)
+    s = m.omega / m.a
+    return 1.0 - (2.0 * theta01 * m.omega / (m.a * m.z**2)) * (1j * s + 1.0)
+
+
+# entries of the mutant catalogue: a one-line defect of the source, and the
+# checks it must fail, in report order
+_MUTANTS = {
+    "deviation_sign": (
+        spectrum.relative_deviation_closed, _flipped_deviation, ["deformed_deviation_closed"]
+    ),
+    "planck_scaled": (spectrum.planck_power, _scaled_planck_power, ["planck_equivalence"]),
+    "bracket_sign": (
+        spectrum._bracket,
+        _bracket_plus_one,
+        ["deformed_correction_assembly", "deformed_deviation_closed", "deformed_deviation_finite_difference"],
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", list(_MUTANTS))
+def test_a_catalogued_defect_fails_exactly_its_checks(monkeypatch, mutant):
+    # the code is swapped, as an edit of the source would change it: every
+    # binding of the function sees the defect
+    function, defect, failing = _MUTANTS[mutant]
+    monkeypatch.setattr(function, "__code__", defect.__code__)
+    assert [r.name for r in run_all_checks(seed=1) if not r.passed] == failing
     monkeypatch.undo()
     assert all(r.passed for r in run_all_checks(seed=1))
 
