@@ -6,10 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from starwedge import spectrum
 from starwedge.config import dump_json
 from starwedge.diffop import RINDLER
 from starwedge.expr import I, equality_probe, exp, mul, sym
-from starwedge import spectrum
 from starwedge.gammafn import GammaPoleError, complex_gamma
 from starwedge.spectrum import (
     METHODS,
