@@ -1,7 +1,8 @@
 """Command-line front end: commutator tables, spectra and the invariant suite.
 
 Exit codes: 0 success; 1 verification failure; 2 configuration problem
-(including a grid frequency whose spectrum overflows);
+(including a config file that is not UTF-8, a grid frequency whose spectrum
+overflows, and an output file that cannot be written);
 3 chart or deformation-parameter inconsistency; 4 quadrature non-convergence
 (partial results are still written, flagged per row).
 """
@@ -45,6 +46,13 @@ def _load(config_path: str | None, required: bool) -> RunConfig:
         _fail(EXIT_CONFIG, str(err))
 
 
+def _write(path: Path, text: str) -> None:
+    try:
+        atomic_write_text(path, text)
+    except OSError as err:
+        _fail(EXIT_CONFIG, f"cannot write {path}: {err.strerror or err}")
+
+
 def _resolve(cfg: RunConfig, out: str | None, seed: int | None, fmt: str | None):
     out_dir = Path(out or cfg.out_dir or ".")
     seed_val = cfg.seed if seed is None else seed
@@ -65,8 +73,8 @@ def commutator(config_path, out, seed, fmt) -> None:
         _fail(EXIT_SPEC, str(err))
     text = table_to_text(table)
     js = dump_json(table_to_json_dict(table))
-    atomic_write_text(out_dir / "table.json", js)
-    atomic_write_text(out_dir / "table.txt", text)
+    _write(out_dir / "table.json", js)
+    _write(out_dir / "table.txt", text)
     sys.stdout.write(js if fmt_val == "json" else text)
 
 
@@ -99,8 +107,8 @@ def spectrum(config_path, out, seed, fmt) -> None:
         )
     csv_text = result.to_csv()
     json_text = dump_json(result.to_json_dict(seed=seed_val, tolerances=cfg.tolerances))
-    atomic_write_text(out_dir / "spectrum.csv", csv_text)
-    atomic_write_text(out_dir / "spectrum.json", json_text)
+    _write(out_dir / "spectrum.csv", csv_text)
+    _write(out_dir / "spectrum.json", json_text)
     sys.stdout.write(json_text if fmt_val == "json" else csv_text)
     unconverged = [r.omega for r in result.rows if not r.converged]
     if unconverged:
@@ -119,7 +127,7 @@ def verify(config_path, out, seed, fmt) -> None:
         _fail(EXIT_CONFIG, str(err))
     report = report_dict(seed_val, results, cfg.tolerances)
     json_text = dump_json(report)
-    atomic_write_text(out_dir / "report.json", json_text)
+    _write(out_dir / "report.json", json_text)
     if fmt_val == "json":
         sys.stdout.write(json_text)
     else:

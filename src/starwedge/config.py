@@ -122,6 +122,8 @@ def load_config(path: str | Path) -> RunConfig:
             cp.read_file(fh)
     except OSError as err:
         raise ConfigError(f"cannot read config: {err}") from None
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"cannot read config: {os.fspath(path)!r} is not UTF-8 text: {err}") from None
     except configparser.Error as err:
         raise ConfigError(f"config syntax error: {err}") from None
 

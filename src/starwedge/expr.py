@@ -33,18 +33,23 @@ pairs, so hashing one for a term-map lookup runs no Python code.  Every other
 expression (zero, a constant, a monomial other than a bare atom, a sum) is an
 ``Add`` of its sorted (monomial, coefficient) tuple, built once per result,
 not interned, and compared and hashed by that tuple.  Each expression stores
-its sort key on first use: the canonical order of atoms, in which a composite
-``Fn`` argument takes part.  The tables rely on one node per atom structure
+its sort key (the canonical order of atoms, in which a composite ``Fn``
+argument takes part): an atom when it is interned, an ``Add`` on first use.
+So sorting the atoms of a monomial reads one stored attribute per atom and
+runs no Python code for it.  The tables rely on one node per atom structure
 while it lives, which holds as long as one thread at a time builds nodes, as
 every caller in the package does.  Atoms pickle by their fields and an
 ``Add`` by its terms, so unpickled atoms are interned too.
 
 The working form is the term map, which maps each monomial to its
 coefficient; ``_add_term``, ``_mul_terms`` and ``_reduce_cosh`` are the one
-definition of the normal form on it.  ``_from_terms`` is the one writer of
-the canonical layout and ``_parts`` its one reader: ``_as_terms``,
-``substitute``, ``free_symbols``, ``==``, ``hash`` and the printer of
-``grammar`` all take an expression apart through it.  ``Add.terms`` is a
+definition of the normal form on it.  Every term map is reduced, so a
+product takes a fast path: a constant term scales the other term's monomial
+as it is, and only a cosh atom that both monomials share goes through
+``_reduce_cosh``.  ``_from_terms`` is the one writer of the canonical layout
+and ``_parts`` its one reader: ``_as_terms``, ``substitute``,
+``free_symbols``, ``==``, ``hash`` and the printer of ``grammar`` all take an
+expression apart through it.  ``Add.terms`` is a
 read-only view for walkers outside this module, built by ``_term_to_expr`` on
 first access and then kept.  It holds one record per term: an atom, a
 ``Const``, a ``Pow`` (an atom to an exponent other than 1), or a ``Mul`` of an
@@ -63,6 +68,7 @@ import random
 import weakref
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 from typing import Callable, Mapping, NamedTuple, Union
 
 __all__ = [
@@ -248,11 +254,12 @@ class Expr:
 
     The fields, named by ``__match_args__``, are set once by construction
     (``Add.terms`` is a view; see :class:`Add`); assigning or deleting any
-    attribute raises.  The slots ``_key`` and ``_hash`` stay unset until
-    :func:`_skey` and ``hash`` first fill them.  ``Sym`` and ``Fn``
-    constructors return the live atom of equal fields, if there is one, and
-    those atoms compare and hash by identity; an ``Add`` compares and hashes
-    by its terms (see the module docstring).
+    attribute raises.  ``Sym`` and ``Fn`` constructors return the live atom
+    of equal fields, if there is one, or intern a new one with its sort key
+    ``_key`` set; those atoms compare and hash by identity.  On an ``Add``
+    the slots ``_key`` and ``_hash`` stay unset until :func:`_skey` and
+    ``hash`` first fill them, and an ``Add`` compares and hashes by its terms
+    (see the module docstring).
     """
 
     __slots__ = ("_key", "_hash")
@@ -330,6 +337,7 @@ class Sym(Expr):
         if node is None:
             node = object.__new__(cls)
             _setattr(node, "name", name)
+            _setattr(node, "_key", (1, name))
             cls._live[name] = node
         return node
 
@@ -372,6 +380,7 @@ class Fn(Expr):
             node = object.__new__(cls)
             _setattr(node, "fname", fname)
             _setattr(node, "arg", arg)
+            _setattr(node, "_key", (2, fname, _skey(arg)))
             cls._live[fname, arg] = node
         return node
 
@@ -451,11 +460,13 @@ def _coerce(e: ExprLike) -> Expr:
 def _skey(e: Term) -> tuple:
     """Deterministic structural sort key, computed once per expression and stored in it.
 
-    Two expressions are equal exactly when their keys are equal.  A record of
-    ``Add.terms`` is keyed as it comes, and an ``Add`` of one term has the key
-    of its record (zero that of ``Const(0)``).
+    Two expressions are equal exactly when their keys are equal.  An atom
+    gets its key when it is interned: ``(1, name)`` for a ``Sym`` and
+    ``(2, fname, _skey(arg))`` for an ``Fn``.  A record of ``Add.terms`` is
+    keyed as it comes, and an ``Add`` of one term has the key of its record
+    (zero that of ``Const(0)``).
     """
-    # the stored key first: every product sorts its atoms by it
+    # the stored key first: every atom and every keyed Add has one
     try:
         return e._key
     except AttributeError:
@@ -466,15 +477,10 @@ def _skey(e: Term) -> tuple:
         return (3, _skey(e.base), e.exponent)
     if isinstance(e, Mul):
         return (4, tuple(map(_skey, e.factors)))
-    if isinstance(e, Sym):
-        k = (1, e.name)
-    elif isinstance(e, Fn):
-        k = (2, e.fname, _skey(e.arg))
-    elif isinstance(e, Add):
-        keys = tuple(map(_skey, e.terms))
-        k = (5, keys) if len(keys) > 1 else keys[0] if keys else (0, "0", "0")
-    else:
+    if not isinstance(e, Add):
         raise TypeError(type(e))
+    keys = tuple(map(_skey, e.terms))
+    k = (5, keys) if len(keys) > 1 else keys[0] if keys else (0, "0", "0")
     _setattr(e, "_key", k)
     return k
 
@@ -487,14 +493,21 @@ Monomial = tuple[tuple[Expr, int], ...]
 TermMap = dict[Monomial, ComplexRational]
 
 
+_atom_key = attrgetter("_key")
+
+
 def _mono_key(mono: Monomial) -> tuple:
-    return tuple((_skey(atom), exp) for atom, exp in mono)
+    return tuple([(atom._key, exp) for atom, exp in mono])
 
 
 def _freeze(atoms: Mapping[Expr, int]) -> Monomial:
-    items = [(a, e) for a, e in atoms.items() if e != 0]
-    items.sort(key=lambda it: _skey(it[0]))
-    return tuple(items)
+    """The monomial of an atom dict: its atoms in key order, zero exponents dropped."""
+    if 0 in atoms.values():
+        atoms = {a: e for a, e in atoms.items() if e}
+    order = sorted(atoms, key=_atom_key)
+    # from a list: tuple(zip(...)) here raised the peak memory of the
+    # commutator tables and ladder by about 0.3 MB (tracemalloc)
+    return tuple([(a, atoms[a]) for a in order])
 
 
 def _add_term(out: TermMap, mono: Monomial, coeff: ComplexRational) -> None:
@@ -585,16 +598,45 @@ I = _const(CR_I)
 
 
 def _mul_terms(t1: TermMap, t2: TermMap, out: TermMap | None = None) -> TermMap:
-    """Add the product of two term maps into ``out`` (a new map by default) and return it."""
+    """Add the product of two term maps into ``out`` (a new map by default) and return it.
+
+    Both maps must be reduced, as every term map in this package is: each
+    monomial is frozen and carries a cosh exponent of at most 1.  So a
+    constant term times another term is that term's monomial as it is, and
+    only a cosh atom that both monomials share can reach an exponent of 2,
+    the one case that needs ``_reduce_cosh``; every other product is merged,
+    its cancelled exponents deleted, and frozen at once.
+    """
     if out is None:
         out = {}
     for m1, c1 in t1.items():
+        if not m1:
+            for m2, c2 in t2.items():
+                _add_term(out, m2, c1 * c2)
+            continue
         left = dict(m1)
         for m2, c2 in t2.items():
+            if not m2:
+                _add_term(out, m1, c1 * c2)
+                continue
             atoms = left.copy()
+            cosh_squared = False
             for a, e in m2:
-                atoms[a] = atoms.get(a, 0) + e
-            _reduce_cosh(atoms, c1 * c2, out)
+                x = atoms.get(a)
+                if x is None:
+                    atoms[a] = e
+                    continue
+                x += e
+                if not x:
+                    del atoms[a]
+                    continue
+                atoms[a] = x
+                if x >= 2 and a.__class__ is Fn and a.fname == "cosh":
+                    cosh_squared = True
+            if cosh_squared:
+                _reduce_cosh(atoms, c1 * c2, out)
+            else:
+                _add_term(out, _freeze(atoms), c1 * c2)
     return out
 
 
@@ -607,6 +649,8 @@ def add(*parts: ExprLike) -> Expr:
 
 
 def mul(*parts: ExprLike) -> Expr:
+    if len(parts) == 1:
+        return _coerce(parts[0])
     terms: TermMap = {(): CR_ONE}
     for p in parts:
         terms = _mul_terms(terms, _as_terms(_coerce(p)))

@@ -108,11 +108,13 @@ def f_closed(m: ModeParams) -> complex:
 
     The overall sign is fixed by the defining integral itself (the quadrature
     route converges to this value); the phase factor has unit modulus, so
-    every power formula is independent of omega_hat * z; an omega_hat * z
-    that underflows to 0 raises OverflowError.
+    every power formula is independent of omega_hat * z.  An omega / a or an
+    omega_hat * z that underflows to 0 raises OverflowError.
     """
     s = m.omega / m.a
     if s == 0.0:
+        if m.omega != 0.0:
+            raise OverflowError(f"omega / a underflows to 0 at a = {m.a!r}")
         raise GammaPoleError("amplitude has a gamma pole at omega = 0")
     wz = m.omega_hat * m.z
     if wz == 0.0:
@@ -234,7 +236,7 @@ def deformed_power(m: ModeParams, theta01: float) -> DeformedPowerPoint:
 
     The one closed-form evaluation of a frequency: f(-omega) is computed once.
     A positive ``theta01`` suppresses the power.  Raises OverflowError where
-    pi T z^2 or omega_hat * z underflows to zero.
+    pi T z^2, omega / a or omega_hat * z underflows to zero.
     """
     if not m.omega > 0:
         raise ValueError("omega must be positive for the detected spectrum")

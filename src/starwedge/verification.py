@@ -46,7 +46,7 @@ from .expr import (
 )
 from .gammafn import complex_gamma, gamma_modulus_sq_imag_axis
 from .grammar import parse, to_text
-from .quadrature import damped_mode_integral
+from .quadrature import _shared_de_sums, damped_mode_integral
 from .spectrum import (
     ModeParams,
     correction_integral_closed,
@@ -663,6 +663,8 @@ def run_all_checks(
     """Run every named invariant check with one seeded generator.
 
     ``tolerances`` overrides entries of ``DEFAULT_TOLERANCES``, and only those.
+    The oracle checks share their DE sums: each distinct one is taken once per
+    call (see ``quadrature._shared_de_sums``).
     """
     unknown = set(tolerances or ()) - set(DEFAULT_TOLERANCES)
     if unknown:
@@ -670,11 +672,12 @@ def run_all_checks(
     tols = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     rng = random.Random(seed)
     findings: list[tuple[str, Finding]] = []
-    for name, fn in _CHECKS:
-        findings.append((name, fn(random.Random(rng.randrange(2**62)), tols.get(name))))
-        if name == "classical_limits":
-            # through the module global, which perfbench/tracing.py rebinds
-            findings.extend(_check_flat_relations(random.Random(rng.randrange(2**62))))
+    with _shared_de_sums():
+        for name, fn in _CHECKS:
+            findings.append((name, fn(random.Random(rng.randrange(2**62)), tols.get(name))))
+            if name == "classical_limits":
+                # through the module global, which perfbench/tracing.py rebinds
+                findings.extend(_check_flat_relations(random.Random(rng.randrange(2**62))))
     rows = []
     for name, (passed, measured, detail) in findings:
         if measured is not None and not math.isfinite(measured):

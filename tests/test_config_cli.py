@@ -141,6 +141,41 @@ def test_malformed_configs_rejected(tmp_path, text):
         load_config(_write(tmp_path, text))
 
 
+@pytest.mark.parametrize("command", ["commutator", "spectrum", "verify"])
+def test_a_config_that_is_not_utf8_exits_2_naming_the_path(tmp_path, capsys, command):
+    # the bytes ff fe once escaped load_config as a UnicodeDecodeError, exit 1
+    cfg = tmp_path / "run.ini"
+    cfg.write_bytes(b"\xff\xfe" + FULL_CONFIG.encode("utf-8"))
+    with pytest.raises(ConfigError, match="not UTF-8"):
+        load_config(cfg)
+    out = tmp_path / "out"
+    code, stdout, stderr = _cli(capsys, command, "--config", str(cfg), "--out", str(out))
+    assert code == 2
+    assert stderr.startswith(f"error: cannot read config: {str(cfg)!r} is not UTF-8 text: ")
+    assert stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, first_file",
+    [("commutator", "table.json"), ("spectrum", "spectrum.csv"), ("verify", "report.json")],
+)
+def test_an_output_directory_that_cannot_be_made_exits_2_naming_the_path(
+    tmp_path, capsys, command, first_file
+):
+    # --out under a regular file: each subcommand once computed, then escaped
+    # from atomic_write_text as a NotADirectoryError, exit 1
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = _write(tmp_path, FULL_CONFIG)
+    out = blocker / "out"
+    code, stdout, stderr = _cli(capsys, command, "--config", str(cfg), "--out", str(out))
+    assert code == 2
+    assert stderr == f"error: cannot write {out / first_file}: Not a directory\n"
+    assert stdout == ""
+    assert blocker.read_text() == ""
+
+
 def test_missing_file_is_config_error():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/run.ini")
@@ -314,6 +349,23 @@ def test_spectrum_underflowing_omega_hat_z_exits_2_naming_both(tmp_path, capsys,
     assert code == 2, stderr
     assert "omega = 0.5" in stderr
     assert f"omega_hat = {float(omega_hat)!r}" in stderr and f"z = {float(z)!r}" in stderr
+    assert stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["closed-form", "quadrature", "both"])
+def test_spectrum_underflowing_omega_over_a_exits_2_naming_omega(tmp_path, capsys, method):
+    # omega / a = 1e-300 / 1e300 is 0.0: the closed form once read it as the
+    # gamma pole at omega = 0 and escaped as a GammaPoleError traceback, exit 1
+    text = f"[spectrum]\na = 1e300\nomega_hat = 1\nz = 1\nomega_grid = 1e-300\nmethod = {method}\n"
+    cfg = _write(tmp_path, text)
+    out = tmp_path / "out"
+    code, stdout, stderr = _cli(capsys, "spectrum", "--config", str(cfg), "--out", str(out))
+    assert code == 2, stderr
+    assert stderr == (
+        "error: grid frequency omega = 1e-300 (omega / a = 0) is out of range: "
+        "omega / a underflows to 0 at a = 1e+300\n"
+    )
     assert stdout == ""
     assert not out.exists()
 

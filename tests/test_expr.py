@@ -19,9 +19,13 @@ from starwedge.expr import (
     NonMonomialDivisionError,
     Sym,
     UnboundSymbolError,
+    _add_term,
     _as_terms,
+    _freeze,
     _from_terms,
+    _mul_terms,
     _parts,
+    _reduce_cosh,
     _skey,
     add,
     const,
@@ -32,6 +36,7 @@ from starwedge.expr import (
     exp,
     free_symbols,
     integer,
+    mul,
     rational,
     simplify,
     sinh,
@@ -618,3 +623,67 @@ def test_signed_zeros_of_numeric_evaluation_are_pinned():
     assert [repr(eval_numeric(e, b)) for e in exprs] == [
         "0j", "(1+0j)", "(-0+0j)", "(-0+0j)", "(-0+0j)", "0j", "(-0+0j)",
     ]
+
+
+# --- the product of term maps -------------------------------------------------------
+
+# sinh and cosh of one shared composite argument, as on the accelerated chart
+_PRODUCT_ATOMS = (z0, z1, a, sinh(u), cosh(u))
+# a reduced monomial: any exponent from -2 to 2, cosh at most 1; zeros drop out
+_monomials = st.one_of(
+    st.just(()),
+    st.tuples(*[st.integers(-2, 2)] * 4, st.integers(-2, 1)).map(
+        lambda exps: _freeze(dict(zip(_PRODUCT_ATOMS, exps)))
+    ),
+)
+_coefficients = st.tuples(st.integers(-3, 3), st.integers(-2, 2)).map(
+    lambda parts: ComplexRational(*parts)
+)
+
+
+def _term_map(terms):
+    out = {}
+    for mono, coeff in terms:
+        _add_term(out, mono, coeff)
+    return out
+
+
+_term_maps = st.lists(st.tuples(_monomials, _coefficients), max_size=5).map(_term_map)
+
+
+def _reference_product(t1, t2, out):
+    """The product without fast paths: each pair merged into a full atom dict and reduced."""
+    for m1, c1 in t1.items():
+        for m2, c2 in t2.items():
+            atoms = dict(m1)
+            for atom, e in m2:
+                atoms[atom] = atoms.get(atom, 0) + e
+            _reduce_cosh(atoms, c1 * c2, out)
+    return out
+
+
+@given(_term_maps, _term_maps, _term_maps)
+def test_the_fast_paths_of_a_product_are_not_seen(t1, t2, t3):
+    got = _mul_terms(t1, t2)
+    assert got == _reference_product(t1, t2, {})
+    # accumulating into a map that already holds terms, which may cancel
+    assert _mul_terms(t1, t2, dict(t3)) == _reference_product(t1, t2, dict(t3))
+    for mono in got:
+        assert list(mono) == sorted(mono, key=lambda it: _skey(it[0]))
+        assert all(e != 0 for _, e in mono)
+        assert all(e <= 1 for atom, e in mono if atom is cosh(u))
+
+
+def test_every_interned_atom_carries_its_structural_key():
+    keep = (cosh(z0 + z1), exp(1 / z0), tanh(2 * z1 * sinh(u)), sinh(3))
+    atoms = list(Sym._live.values()) + list(Fn._live.values())
+    assert all(atom in atoms for atom in keep)
+    for atom in atoms:
+        want = (1, atom.name) if isinstance(atom, Sym) else (2, atom.fname, _skey(atom.arg))
+        assert atom._key == _skey(atom) == want
+
+
+def test_a_product_of_one_factor_is_that_factor():
+    e = z1 * sinh(u) + 2
+    assert mul(e) is e and mul(z0) is z0
+    assert mul(3) == integer(3) and mul(0) == ZERO and mul(ComplexRational(0, 1)) == I

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from starwedge import rindler, spectrum, verification
+from starwedge import quadrature, rindler, spectrum, verification
 from starwedge.config import dump_json
 from starwedge.verification import DEFAULT_TOLERANCES, report_dict, run_all_checks
 
@@ -134,3 +134,50 @@ def test_a_non_finite_measured_value_is_null_in_strict_json(monkeypatch):
     assert row["passed"] is False and row["measured"] is None
     assert row["detail"].endswith("; measured = nan")
     assert report["all_passed"] is False
+
+
+def _count_de_sums(monkeypatch):
+    """A counter of the DE sums evaluated: each evaluation, and no shared one, reads its rule."""
+    calls = [0]
+    rule = quadrature._de_rule
+
+    def counting(m):
+        calls[0] += 1
+        return rule(m)
+
+    monkeypatch.setattr(quadrature, "_de_rule", counting)
+    return calls
+
+
+def test_a_verify_run_takes_each_distinct_de_sum_once(monkeypatch):
+    # the oracle checks ask for 42 sums, 14 of them distinct
+    calls = _count_de_sums(monkeypatch)
+    run_all_checks(seed=1)
+    assert calls[0] == 14
+    run_all_checks(seed=1)
+    assert calls[0] == 28
+    assert quadrature._memo is None
+
+
+def test_a_spectrum_keeps_no_de_sum_across_calls(monkeypatch):
+    # the README grid and parameters; each quadrature point takes its sums at M and 2M
+    calls = _count_de_sums(monkeypatch)
+    grid = [0.5, 1.0, 2.0]
+    for n in (1, 2):
+        spectrum.compute_spectrum(
+            grid, a=2.0 * math.pi, omega_hat=1.0, z=1.0, theta01=1e-4, method="quadrature"
+        )
+        assert calls[0] == n * 2 * len(grid)
+
+
+def test_the_shared_de_sums_are_dropped_when_a_check_raises(monkeypatch):
+    def failing(rng, tol):
+        assert quadrature._memo
+        raise RuntimeError("check failed")
+
+    names = [name for name, _ in verification._CHECKS]
+    upto = names.index("quadrature_agreement") + 1
+    monkeypatch.setattr(verification, "_CHECKS", [*verification._CHECKS[:upto], ("failing", failing)])
+    with pytest.raises(RuntimeError, match="check failed"):
+        run_all_checks(seed=1)
+    assert quadrature._memo is None
