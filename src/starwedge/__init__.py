@@ -44,6 +44,7 @@ from .quadrature import QuadratureResult, mode_integral
 from .rindler import MetricPullback, RindlerMap, inverse_map_numeric
 from .spectrum import (
     DeformedPowerPoint,
+    GridFrequencyError,
     ModeParams,
     SpectrumResult,
     compute_spectrum,

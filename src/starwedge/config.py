@@ -8,6 +8,8 @@ failed run never leaves partial artifacts.
 from __future__ import annotations
 
 import configparser
+import contextlib
+import errno
 import json
 import math
 import os
@@ -21,11 +23,11 @@ from .spectrum import METHODS
 from .twists import CONFIG_KEYS, TwistSpec, TwistSpecError, spec_from_config
 from .verification import DEFAULT_TOLERANCES
 
-__all__ = ["ConfigError", "SpectrumConfig", "RunConfig", "load_config", "atomic_write_text"]
+__all__ = ["ConfigError", "SpectrumConfig", "RunConfig", "load_config", "check_writable", "atomic_write_text"]
 
 
 class ConfigError(ValueError):
-    """The configuration file is malformed or carries unknown keys."""
+    """The configuration file is malformed or carries unknown keys, or an output cannot be written."""
 
 
 _RUN_KEYS = {"seed", "format", "out"}
@@ -87,12 +89,12 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     parts = text.split()
     if parts and parts[0] in ("geom", "lin"):
         if len(parts) != 4:
-            raise ConfigError(f"grid spec needs: {parts[0]} START STOP COUNT")
+            raise ConfigError(f"omega_grid spec needs: {parts[0]} START STOP COUNT")
         start = _number(parts[1], "omega_grid start")
         stop = _number(parts[2], "omega_grid stop")
         count = _int(parts[3], "omega_grid count")
         if count < 1 or start <= 0 or stop <= start:
-            raise ConfigError("grid spec needs 0 < START < STOP and COUNT >= 1")
+            raise ConfigError("omega_grid spec needs 0 < START < STOP and COUNT >= 1")
         if parts[0] == "geom":
             ratio = (stop / start) ** (1.0 / max(count - 1, 1))
             return tuple(start * ratio**k for k in range(count))
@@ -102,7 +104,7 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     if not omegas:
         raise ConfigError("omega_grid is empty")
     if any(w <= 0 for w in omegas):
-        raise ConfigError("grid frequencies must be positive")
+        raise ConfigError("omega_grid frequencies must be positive")
     return omegas
 
 
@@ -160,8 +162,8 @@ def load_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"chart must be one of {tuple(CHARTS)}")
         try:
             twist = spec_from_config(items)
-        except TwistSpecError:
-            raise
+        except TwistSpecError as err:
+            raise TwistSpecError(f"twist parameters: {err}") from None
         except ValueError as err:
             raise ConfigError(f"bad twist parameter: {err}") from None
 
@@ -221,20 +223,32 @@ def load_config(path: str | Path) -> RunConfig:
     )
 
 
+def check_writable(path: Path) -> None:
+    """Raise the ConfigError that writing ``path`` would raise when its nearest
+    existing ancestor is not a directory; nothing is created."""
+    parent = path.parent
+    blocker = next(p for p in (parent, *parent.parents) if os.path.exists(p))
+    if not os.path.isdir(blocker):
+        # mkdir of the file itself finds it exists; of a path under it, not a directory
+        reason = os.strerror(errno.EEXIST if blocker == parent else errno.ENOTDIR)
+        raise ConfigError(f"cannot write {path}: {reason}")
+
+
 def atomic_write_text(path: Path, text: str) -> None:
-    """Write-then-rename so outputs appear all at once or not at all."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    """Write-then-rename so outputs appear all at once or not at all; a failure raises ConfigError."""
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as err:
+        raise ConfigError(f"cannot write {path}: {err.strerror or err}") from err
 
 
 def _finite_or_null(obj):

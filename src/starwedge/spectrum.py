@@ -53,6 +53,7 @@ __all__ = [
     "deformed_power",
     "SpectrumRow",
     "SpectrumResult",
+    "GridFrequencyError",
 ]
 
 
@@ -337,6 +338,10 @@ class SpectrumResult:
         }
 
 
+class GridFrequencyError(OverflowError):
+    """A grid frequency whose spectrum point is out of range; the message names omega."""
+
+
 def compute_spectrum(
     omegas: "list[float]",
     *,
@@ -355,8 +360,9 @@ def compute_spectrum(
     (1 + its deviation).  ``method`` is one of ``METHODS``; quadrature rows
     report convergence per point (and ``eps`` 0.0).  Every grid frequency past
     the first-order bound is listed in ``bound_breaches``, whatever the method.
-    A closed form or a quadrature that overflows, or a closed form that is not
-    finite, raises OverflowError naming its omega.
+    A point whose closed form or quadrature raises ArithmeticError or ValueError
+    (an overflow, a math domain error), or whose closed form is not finite,
+    raises GridFrequencyError naming its omega.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -373,9 +379,9 @@ def compute_spectrum(
                 raise OverflowError("the closed form is not finite")
             if method in ("quadrature", "both"):
                 res = f_quadrature(replace(m, omega=-omega), panel_factor=panel_factor, rtol=rtol)
-        except OverflowError as err:
-            raise OverflowError(
-                f"omega = {omega!r} (omega / a = {omega / a:.6g}) is out of range: {err}"
+        except (ArithmeticError, ValueError) as err:
+            raise GridFrequencyError(
+                f"grid frequency omega = {omega!r} (omega / a = {omega / a:.6g}) is out of range: {err}"
             ) from err
         if dp.linear_bound_exceeded:
             breaches.append(omega)

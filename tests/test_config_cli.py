@@ -176,6 +176,45 @@ def test_an_output_directory_that_cannot_be_made_exits_2_naming_the_path(
     assert blocker.read_text() == ""
 
 
+@pytest.mark.parametrize("under", [True, False])
+@pytest.mark.parametrize(
+    "command, first_file",
+    [("commutator", "table.json"), ("spectrum", "spectrum.csv"), ("verify", "report.json")],
+)
+def test_an_unwritable_output_directory_exits_2_before_computing(
+    tmp_path, capsys, monkeypatch, command, first_file, under
+):
+    # the out check runs before the table, the grid or the suite: each once
+    # computed everything and only then found it could not write
+    from starwedge import cli
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("computed before checking --out")
+
+    for name in ("build_table", "compute_spectrum", "run_all_checks"):
+        monkeypatch.setattr(cli, name, not_reached)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = _write(tmp_path, FULL_CONFIG)
+    out, reason = (blocker / "out", "Not a directory") if under else (blocker, "File exists")
+    code, stdout, stderr = _cli(capsys, command, "--config", str(cfg), "--out", str(out))
+    assert code == 2
+    assert stderr == f"error: cannot write {out / first_file}: {reason}\n"
+    assert stdout == ""
+    assert blocker.read_text() == ""
+
+
+def test_a_failed_write_raises_config_error_and_leaves_no_temp_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    target = tmp_path / "table.json"
+    with pytest.raises(ConfigError, match=f"^cannot write {target}: Permission denied$"):
+        atomic_write_text(target, "payload")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_file_is_config_error():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/run.ini")
@@ -297,6 +336,79 @@ def test_nonconverged_quadrature_exits_4_with_flagged_rows(tmp_path, capsys):
     assert "did not converge at omega = 1.0" in stderr
     payload = json.loads((out / "spectrum.json").read_text())
     assert payload["rows"][0]["converged"] is False
+
+
+@pytest.mark.parametrize(
+    "argv, text, code, message",
+    [
+        (["commutator"], None, 2, "--config is required for this command"),
+        (["spectrum"], None, 2, "--config is required for this command"),
+        (["commutator", "--config"], "[run]\nseed = 3\n", 2, "config has no [twist] section"),
+        (["spectrum", "--config"], "[run]\nseed = 3\n", 2, "config has no [spectrum] section"),
+        (
+            ["commutator", "--config"],
+            "[twist]\nkind = lie\ninv_kappa = 1\nzeta = 1 0 0 0\nalpha = 0\nbeta = 1\n",
+            3,
+            "twist parameters: zeta must vanish on the generator pair, got zeta[0] != 0",
+        ),
+    ],
+)
+def test_each_error_prints_its_full_message_from_the_raise_site(tmp_path, capsys, argv, text, code, message):
+    # the prefixes the command line once added are part of the raised message
+    if text is not None:
+        argv = [*argv, str(_write(tmp_path, text))]
+    out = tmp_path / "out"
+    exit_code, stdout, stderr = _cli(capsys, *argv, "--out", str(out))
+    assert exit_code == code
+    assert stderr == f"error: {message}\n"
+    assert stdout == ""
+    assert not out.exists()
+
+
+def test_a_check_that_raises_value_error_is_a_traceback(tmp_path, monkeypatch):
+    # a ValueError from a buggy check once exited 2, a "configuration problem"
+    from starwedge import verification
+
+    def buggy(rng, tol):
+        raise ValueError("a bug in a check")
+
+    checks = list(verification._CHECKS)
+    checks[0] = (checks[0][0], buggy)
+    monkeypatch.setattr(verification, "_CHECKS", checks)
+    with pytest.raises(ValueError, match="a bug in a check"):
+        main(["verify", "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("method", ["closed-form", "quadrature", "both"])
+@pytest.mark.parametrize(
+    "omega_hat, z, reason",
+    [("1", "1", "0.0 to a negative or complex power"), ("1e-4", "0.5", "math domain error")],
+)
+def test_spectrum_at_the_largest_double_exits_2_naming_omega(tmp_path, capsys, method, omega_hat, z, reason):
+    # found by the config-space property: the gamma function's complex power
+    # raised ZeroDivisionError, and the closed form's phase a math domain
+    # ValueError; each once escaped as a traceback, exit 1
+    keys = {"a": "2", "omega_hat": omega_hat, "z": z, "omega_grid": "1 1.7976931348623157e308", "method": method}
+    cfg = _write(tmp_path, "[spectrum]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+    out = tmp_path / "out"
+    code, stdout, stderr = _cli(capsys, "spectrum", "--config", str(cfg), "--out", str(out))
+    assert code == 2, stderr
+    assert stderr == (
+        "error: grid frequency omega = 1.7976931348623157e+308 (omega / a = 8.98847e+307) "
+        f"is out of range: {reason}\n"
+    )
+    assert stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["-1 2", "lin 1 2", "geom 2 1 3", "lin 1 2 0"])
+def test_each_omega_grid_error_names_the_key(tmp_path, capsys, grid):
+    # found by the config-space property: "grid frequencies must be positive"
+    # and the two "grid spec needs" messages named no key
+    cfg = _write(tmp_path, f"[spectrum]\na = 1\nomega_hat = 1\nz = 1\nomega_grid = {grid}\n")
+    code, _, stderr = _cli(capsys, "spectrum", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert stderr.startswith("error: omega_grid ")
 
 
 def test_spectrum_past_planck_overflow_writes_zero_power(tmp_path, capsys):

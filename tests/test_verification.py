@@ -3,11 +3,11 @@
 import json
 import math
 import random
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 
 import pytest
 
-from starwedge import quadrature, rindler, spectrum, verification
+from starwedge import diffop, gammafn, quadrature, rindler, spectrum, twists, verification
 from starwedge.config import dump_json
 from starwedge.verification import DEFAULT_TOLERANCES, report_dict, run_all_checks
 
@@ -95,29 +95,85 @@ def _bracket_plus_one(m, theta01):
     return 1.0 - (2.0 * theta01 * m.omega / (m.a * m.z**2)) * (1j * s + 1.0)
 
 
-# entries of the mutant catalogue: a one-line defect of the source, and the
-# checks it must fail, in report order
+def _theta01_unflipped(theta01):
+    # spectrum.theta01_from_engine without its sign flip
+    return theta01 / 4
+
+
+def _argument_term_plus(m, theta01):
+    # spectrum.deformed_correction_quadrature with the argument term's sign flipped
+    theta_upper = -theta01
+    j = correction_integral_quadrature(m).value  # a global of spectrum, where this code runs
+    wave_term = (2.0j * theta_upper * m.omega * m.omega_hat / (m.a * m.z)) * j
+    argument_term = (2.0 * theta_upper * m.omega_hat / m.z) * j
+    return wave_term + argument_term
+
+
+# entries of the mutant catalogue: a one-line defect of the source, as the
+# attribute it sets, and the checks it must fail at seed 1, in report order.  A
+# function's defect swaps its code, as an edit of the source would change it,
+# so every binding of the function sees it.
 _MUTANTS = {
     "deviation_sign": (
-        spectrum.relative_deviation_closed, _flipped_deviation, ["deformed_deviation_closed"]
+        spectrum.relative_deviation_closed, "__code__", _flipped_deviation.__code__, ["deformed_deviation_closed"]
     ),
-    "planck_scaled": (spectrum.planck_power, _scaled_planck_power, ["planck_equivalence"]),
+    "planck_scaled": (
+        spectrum.planck_power, "__code__", _scaled_planck_power.__code__, ["planck_equivalence"]
+    ),
     "bracket_sign": (
         spectrum._bracket,
-        _bracket_plus_one,
+        "__code__",
+        _bracket_plus_one.__code__,
         ["deformed_correction_assembly", "deformed_deviation_closed", "deformed_deviation_finite_difference"],
+    ),
+    "theta01_from_engine_sign": (
+        spectrum.theta01_from_engine, "__code__", _theta01_unflipped.__code__,
+        ["twist_spectrum_integrand_consistency"],
+    ),
+    "argument_term_sign": (
+        spectrum.deformed_correction_quadrature, "__code__", _argument_term_plus.__code__,
+        ["deformed_correction_assembly"],
+    ),
+    "lanczos_g_shifted": (
+        gammafn, "_LANCZOS_G", gammafn._LANCZOS_G + 1e-9, ["gamma_modulus_identity", "planck_equivalence"]
+    ),
+    "wedge_normalization_sign": (
+        twists,
+        "WEDGE_NORMALIZATION",
+        -twists.WEDGE_NORMALIZATION,
+        [
+            "flat_relations_canonical",
+            "flat_relations_lie",
+            "flat_relations_quadratic",
+            "rindler_canonical_structural",
+            "twist_spectrum_integrand_consistency",
+        ],
+    ),
+    "standard_map_sign": (
+        rindler,
+        "STANDARD_MAP",
+        MappingProxyType({**rindler.STANDARD_MAP, "x0": -rindler.STANDARD_MAP["x0"]}),
+        ["rindler_canonical_structural", "twist_spectrum_integrand_consistency", "geometry_roundtrip"],
     ),
 }
 
 
+def _clear_caches():
+    """Drop what the generators and the chart transport built from the constants."""
+    for cached in (diffop.momentum_generator, diffop.lorentz_generator, rindler._jacobian, rindler.partial_transport):
+        cached.cache_clear()
+
+
 @pytest.mark.parametrize("mutant", list(_MUTANTS))
 def test_a_catalogued_defect_fails_exactly_its_checks(monkeypatch, mutant):
-    # the code is swapped, as an edit of the source would change it: every
-    # binding of the function sees the defect
-    function, defect, failing = _MUTANTS[mutant]
-    monkeypatch.setattr(function, "__code__", defect.__code__)
-    assert [r.name for r in run_all_checks(seed=1) if not r.passed] == failing
-    monkeypatch.undo()
+    owner, attr, defect, failing = _MUTANTS[mutant]
+    monkeypatch.setattr(owner, attr, defect)
+    _clear_caches()
+    try:
+        assert [r.name for r in run_all_checks(seed=1) if not r.passed] == failing
+    finally:
+        monkeypatch.undo()
+        _clear_caches()
     assert all(r.passed for r in run_all_checks(seed=1))
 
 
