@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
 from pathlib import Path
 from typing import NoReturn
 
@@ -72,7 +71,7 @@ def spectrum(config_path, out, seed, fmt) -> int:
         raise ConfigError("config has no [spectrum] section")
     out_dir, seed_val, fmt_val = _resolve(cfg, out, seed, fmt, "spectrum.csv")
     # the fields of SpectrumConfig are the parameters of compute_spectrum
-    result = compute_spectrum(**asdict(cfg.spectrum))
+    result = compute_spectrum(**cfg.spectrum._asdict())
     if result.bound_breaches:
         listed = ", ".join(repr(o) for o in result.bound_breaches)
         print(

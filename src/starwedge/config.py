@@ -14,9 +14,9 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from .diffop import CHARTS
 from .spectrum import METHODS
@@ -45,8 +45,7 @@ _SPECTRUM_KEYS = {
 FORMATS = ("text", "json", "csv")
 
 
-@dataclass(frozen=True)
-class SpectrumConfig:
+class SpectrumConfig(NamedTuple):
     a: float
     omega_hat: float
     z: float
@@ -57,15 +56,14 @@ class SpectrumConfig:
     rtol: float
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     seed: int = 1
     out_format: str = "text"
     out_dir: str | None = None
     chart: str = "minkowski"
     twist: TwistSpec | None = None
     spectrum: SpectrumConfig | None = None
-    tolerances: dict[str, float] = field(default_factory=dict)
+    tolerances: dict[str, float] = {}  # shared by every default-built config; never mutated
 
 
 def _number(text: str, key: str) -> float:
@@ -76,6 +74,9 @@ def _number(text: str, key: str) -> float:
         return float(text)
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"cannot parse number for {key}: {text!r}") from None
+    except OverflowError:
+        # an exact fraction past the largest double
+        raise ConfigError(f"number for {key} is out of range: {text!r}") from None
 
 
 def _int(text: str, key: str) -> int:
@@ -126,7 +127,18 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"cannot read config: {err}") from None
     except UnicodeDecodeError as err:
         raise ConfigError(f"cannot read config: {os.fspath(path)!r} is not UTF-8 text: {err}") from None
+    except configparser.MissingSectionHeaderError as err:
+        raise ConfigError(
+            f"config syntax error: {os.fspath(path)!r} line {err.lineno}: a key before the first [section] header"
+        ) from None
+    except configparser.ParsingError as err:
+        lines = ", ".join(str(lineno) for lineno, _ in err.errors)
+        raise ConfigError(
+            f"config syntax error: {os.fspath(path)!r} line{'s' * (len(err.errors) > 1)} {lines}: "
+            "neither a [section] header nor a key = value line"
+        ) from None
     except configparser.Error as err:
+        # a repeated section or key: configparser's message is one line naming both
         raise ConfigError(f"config syntax error: {err}") from None
 
     known_sections = {"run", "twist", "spectrum", "tolerances"}

@@ -19,10 +19,9 @@ recomputes the chain rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from types import MappingProxyType
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import rindler
 from .expr import (
@@ -38,6 +37,7 @@ from .expr import (
     _diff_terms,
     _from_terms,
     _mul_terms,
+    _setattr,
     mul,
     substitute,
     summands,
@@ -64,8 +64,7 @@ class ChartMismatchError(ValueError):
     """Operands live on different charts."""
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(NamedTuple):
     name: str
     coords: tuple[str, str, str, str]
 
@@ -93,12 +92,34 @@ def _check_function_chart(chart: Chart, f: Expr) -> None:
         )
 
 
-@dataclass(frozen=True)
 class DiffOp:
-    """Vector field on one chart: ``coeffs[mu]`` multiplies d/d(coords[mu])."""
+    """Vector field on one chart: ``coeffs[mu]`` multiplies d/d(coords[mu]).
 
-    chart: Chart
-    coeffs: tuple[Expr, Expr, Expr, Expr]
+    The fields ``chart`` and ``coeffs`` are set once by construction, and
+    assigning or deleting any attribute raises.  Two operators are equal when
+    their fields are.  The slots ``_hash`` and ``_text`` stay unset until
+    ``hash`` and :meth:`pretty` first fill them.
+    """
+
+    __slots__ = ("chart", "coeffs", "_hash", "_text")
+
+    def __init__(self, chart: Chart, coeffs: tuple[Expr, Expr, Expr, Expr]) -> None:
+        _setattr(self, "chart", chart)
+        _setattr(self, "coeffs", coeffs)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not DiffOp:
+            return NotImplemented
+        return self is other or (self.chart == other.chart and self.coeffs == other.coeffs)
+
+    def __repr__(self) -> str:
+        return f"DiffOp(chart={self.chart!r}, coeffs={self.coeffs!r})"
 
     @staticmethod
     def partial(chart: Chart, mu: int, coeff: ExprLike = 1) -> "DiffOp":
@@ -157,12 +178,13 @@ class DiffOp:
         return DiffOp(RINDLER, tuple(out))
 
     def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
         # legs key the dicts of BidiffOp; see __reduce__ for why it is not pickled
-        return hash((self.chart, self.coeffs))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.chart, self.coeffs))
+            _setattr(self, "_hash", h)
+            return h
 
     def __reduce__(self) -> tuple:
         # by the fields alone: a stored hash of strings is only valid in the
@@ -170,10 +192,14 @@ class DiffOp:
         return DiffOp, (self.chart, self.coeffs)
 
     def pretty(self) -> str:
-        return self._text
+        try:
+            return self._text
+        except AttributeError:
+            text = self._build_text()
+            _setattr(self, "_text", text)
+            return text
 
-    @cached_property
-    def _text(self) -> str:
+    def _build_text(self) -> str:
         # descending coordinate order; BidiffOp.from_terms sorts legs by this text
         chunks = []
         for mu in reversed(range(4)):
@@ -192,8 +218,7 @@ class DiffOp:
         return out
 
 
-@dataclass(frozen=True)
-class BidiffOp:
+class BidiffOp(NamedTuple):
     """Normalized sum of scalar * (left tensor right) legs."""
 
     chart: Chart

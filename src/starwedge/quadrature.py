@@ -67,9 +67,8 @@ from __future__ import annotations
 import cmath
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -80,8 +79,7 @@ __all__ = ["QuadratureResult", "damped_mode_integral", "mode_integral"]
 _TAIL_TOL = 1e-14
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     value: complex
     error_estimate: float
     converged: bool

@@ -13,9 +13,9 @@ Jacobian, the metric pullback and the chain-rule transport are derived from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .expr import Expr, ZERO, add, cosh, differentiate, sinh, sym
 
@@ -84,8 +84,7 @@ def partial_transport(mu: int) -> tuple[tuple[Expr, int], ...]:
     )
 
 
-@dataclass(frozen=True)
-class MetricPullback:
+class MetricPullback(NamedTuple):
     """Diagonal metric on the accelerated chart.
 
     ``computed`` is the first-principles pullback of the flat metric through
@@ -99,8 +98,7 @@ class MetricPullback:
     printed_alternative: tuple[Expr, Expr, Expr, Expr]
 
 
-@dataclass(frozen=True)
-class RindlerMap:
+class RindlerMap(NamedTuple):
     """The right-wedge coordinate map ``STANDARD_MAP`` and its metric pullback."""
 
     def as_substitution(self) -> MappingProxyType[str, Expr]:

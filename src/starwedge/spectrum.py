@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
 from numbers import Real
+from typing import NamedTuple
 
 from .gammafn import GammaPoleError, complex_gamma
 from .quadrature import QuadratureResult, mode_integral
@@ -57,22 +57,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ModeParams:
-    """Mode and observer parameters: flat frequency, radial position, acceleration."""
-
+class _ModeFields(NamedTuple):
     omega_hat: float
     z: float
     a: float
     omega: float
 
-    def __post_init__(self) -> None:
-        if not self.omega_hat > 0:
+
+class ModeParams(_ModeFields):
+    """Mode and observer parameters: flat frequency, radial position, acceleration."""
+
+    __slots__ = ()
+
+    def __new__(cls, omega_hat: float, z: float, a: float, omega: float) -> "ModeParams":
+        if not omega_hat > 0:
             raise ValueError("omega_hat must be positive")
-        if not self.z > 0:
+        if not z > 0:
             raise ValueError("z must be positive")
-        if not self.a > 0:
+        if not a > 0:
             raise ValueError("a must be positive")
+        return super().__new__(cls, omega_hat, z, a, omega)
+
+    # _replace builds its result through _make: make it through the constructor, which checks the fields
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def theta01_from_engine(theta01: Real) -> Real:
@@ -132,7 +139,7 @@ def _mode_quadrature(
         m.omega / m.a, m.omega_hat * m.z,
         power_shift=power_shift, panel_factor=panel_factor, rtol=rtol,
     )
-    return replace(res, value=res.value / m.a)
+    return res._replace(value=res.value / m.a)
 
 
 def f_quadrature(
@@ -210,8 +217,7 @@ def relative_deviation_closed(m: ModeParams, theta01: float) -> float:
 LINEAR_REGIME_BOUND = 0.1
 
 
-@dataclass(frozen=True)
-class DeformedPowerPoint:
+class DeformedPowerPoint(NamedTuple):
     """One frequency's detected spectrum omega * P(-omega), from ``amplitude`` f(-omega).
 
     ``power`` is omega |f(-omega)|^2 and must equal ``planck``.  The first-order
@@ -242,7 +248,7 @@ def deformed_power(m: ModeParams, theta01: float) -> DeformedPowerPoint:
     if not m.omega > 0:
         raise ValueError("omega must be positive for the detected spectrum")
     dev = relative_deviation_closed(m, theta01)
-    neg = replace(m, omega=-m.omega)
+    neg = m._replace(omega=-m.omega)
     amplitude = f_closed(neg)
     power = m.omega * abs(amplitude) ** 2
     planck = planck_power(m.a, m.omega)
@@ -259,8 +265,7 @@ def deformed_power(m: ModeParams, theta01: float) -> DeformedPowerPoint:
 METHODS = ("closed-form", "quadrature", "both")
 
 
-@dataclass(frozen=True)
-class SpectrumRow:
+class SpectrumRow(NamedTuple):
     omega: float
     f_value: complex
     power: float
@@ -277,8 +282,7 @@ class SpectrumRow:
         return 0.0 if self.method == "quadrature" else None
 
 
-@dataclass(frozen=True)
-class SpectrumResult:
+class SpectrumResult(NamedTuple):
     """Grid of detected-spectrum values with their provenance.
 
     Per row: the amplitude f(-omega), the detected power omega * |f(-omega)|^2,
@@ -378,7 +382,7 @@ def compute_spectrum(
                 # a subnormal omega / a: Gamma(i omega / a) is inf, the power inf or nan
                 raise OverflowError("the closed form is not finite")
             if method in ("quadrature", "both"):
-                res = f_quadrature(replace(m, omega=-omega), panel_factor=panel_factor, rtol=rtol)
+                res = f_quadrature(m._replace(omega=-omega), panel_factor=panel_factor, rtol=rtol)
         except (ArithmeticError, ValueError) as err:
             raise GridFrequencyError(
                 f"grid frequency omega = {omega!r} (omega / a = {omega / a:.6g}) is out of range: {err}"

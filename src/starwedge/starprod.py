@@ -14,8 +14,8 @@ kinds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .diffop import BidiffOp, Chart, ChartMismatchError, MINKOWSKI, lowered_coordinate
 from .expr import Expr, I, ZERO, add, mul, sym
@@ -64,8 +64,7 @@ def commutator(f: Expr, g: Expr, twist: LinearTwist) -> Expr:
     return BidiffOp.from_terms(op.chart, (*op.terms, *swapped)).apply(f, g)
 
 
-@dataclass(frozen=True)
-class CommutatorTable:
+class CommutatorTable(NamedTuple):
     """All six independent coordinate commutators of a twist on its chart."""
 
     spec: TwistSpec
@@ -180,8 +179,7 @@ def expected_flat_table(spec: TwistSpec) -> dict[tuple[int, int], Expr]:
     raise TypeError(f"not a twist parameter record: {type(spec).__name__}")
 
 
-@dataclass(frozen=True)
-class RelationEntry:
+class RelationEntry(NamedTuple):
     mu: int
     nu: int
     expected: Expr
@@ -196,8 +194,7 @@ class RelationEntry:
         return self.got - self.expected
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(NamedTuple):
     spec: TwistSpec
     entries: tuple[RelationEntry, ...]
 

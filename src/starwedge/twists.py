@@ -18,9 +18,8 @@ accelerated chart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from .diffop import (
     BidiffOp,
@@ -92,16 +91,24 @@ def _as_theta_matrix(
     return tuple(tuple(row) for row in mat)
 
 
-@dataclass(frozen=True)
-class CanonicalTwist:
-    """Constant deformation: antisymmetric rational matrix theta."""
+# _replace builds its result through _make: make it through the constructor, which checks the fields
+_checked_make = classmethod(lambda cls, fields: cls(*fields))
 
+
+class _CanonicalFields(NamedTuple):
     theta: tuple[tuple[Fraction, ...], ...]
 
+
+class CanonicalTwist(_CanonicalFields):
+    """Constant deformation: antisymmetric rational matrix theta."""
+
+    __slots__ = ()
     kind = "canonical"
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "theta", _as_theta_matrix(self.theta))
+    def __new__(cls, theta) -> "CanonicalTwist":
+        return super().__new__(cls, _as_theta_matrix(theta))
+
+    _make = _checked_make
 
     def legs(self, chart: Chart) -> Iterator[Leg]:
         """theta^{mu nu} with the translations P_mu, P_nu, for each mu < nu."""
@@ -111,34 +118,38 @@ class CanonicalTwist:
                 yield self.theta[mu][nu], p[mu], p[nu]
 
 
-@dataclass(frozen=True)
-class LieTwist:
+class _LieFields(NamedTuple):
+    inv_kappa: Fraction
+    zeta: tuple[Fraction, Fraction, Fraction, Fraction]
+    alpha: int
+    beta: int
+
+
+class LieTwist(_LieFields):
     """Linear deformation: scale inv_kappa, vector zeta, generator pair (alpha, beta).
 
     The vector must vanish on the generator pair indices; the classical limit
     is inv_kappa = 0.
     """
 
-    inv_kappa: Fraction
-    zeta: tuple[Fraction, Fraction, Fraction, Fraction]
-    alpha: int
-    beta: int
-
+    __slots__ = ()
     kind = "lie"
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "inv_kappa", Fraction(self.inv_kappa))
-        zeta = tuple(Fraction(v) for v in self.zeta)
+    def __new__(cls, inv_kappa, zeta, alpha, beta) -> "LieTwist":
+        inv_kappa = Fraction(inv_kappa)
+        zeta = tuple(Fraction(v) for v in zeta)
         if len(zeta) != 4:
             raise TwistSpecError("zeta must have four components")
-        object.__setattr__(self, "zeta", zeta)
-        if self.alpha == self.beta or not all(0 <= k < 4 for k in (self.alpha, self.beta)):
+        if alpha == beta or not all(0 <= k < 4 for k in (alpha, beta)):
             raise TwistSpecError("generator indices must be distinct chart indices")
-        for k in (self.alpha, self.beta):
+        for k in (alpha, beta):
             if zeta[k] != 0:
                 raise TwistSpecError(
                     f"zeta must vanish on the generator pair, got zeta[{k}] != 0"
                 )
+        return super().__new__(cls, inv_kappa, zeta, alpha, beta)
+
+    _make = _checked_make
 
     def legs(self, chart: Chart) -> Iterator[Leg]:
         """inv_kappa * zeta_lambda with P_lambda and M_{alpha beta}, for each lambda."""
@@ -147,21 +158,25 @@ class LieTwist:
             yield self.inv_kappa * self.zeta[lam], momentum_generator(chart, lam), rot
 
 
-@dataclass(frozen=True)
-class QuadraticTwist:
-    """Quadratic deformation: scale xi and four pairwise-distinct indices."""
-
+class _QuadraticFields(NamedTuple):
     xi: Fraction
     indices: tuple[int, int, int, int]
 
+
+class QuadraticTwist(_QuadraticFields):
+    """Quadratic deformation: scale xi and four pairwise-distinct indices."""
+
+    __slots__ = ()
     kind = "quadratic"
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "xi", Fraction(self.xi))
-        idx = tuple(int(k) for k in self.indices)
+    def __new__(cls, xi, indices) -> "QuadraticTwist":
+        xi = Fraction(xi)
+        idx = tuple(int(k) for k in indices)
         if len(idx) != 4 or len(set(idx)) != 4 or not all(0 <= k < 4 for k in idx):
             raise TwistSpecError("indices must be four pairwise-distinct chart indices")
-        object.__setattr__(self, "indices", idx)
+        return super().__new__(cls, xi, idx)
+
+    _make = _checked_make
 
     def legs(self, chart: Chart) -> Iterator[Leg]:
         """xi with the rotation/boost generators M_{alpha beta} and M_{gamma delta}."""
@@ -179,8 +194,7 @@ CONFIG_KEYS: dict[str, frozenset[str]] = {
 }
 
 
-@dataclass(frozen=True)
-class LinearTwist:
+class LinearTwist(NamedTuple):
     """First-order twist operator O on a chart: deformed product = fg + O(f, g)."""
 
     spec: TwistSpec
@@ -231,12 +245,26 @@ def spec_to_config(spec: TwistSpec) -> dict[str, str]:
     raise TypeError(f"not a twist parameter record: {type(spec).__name__}")
 
 
+# The digits a config value may give the numerator and the denominator of an
+# exact parameter.  A table entry multiplies at most two parameters, so its
+# text stays well inside the interpreter's default limit on converting an int
+# to text (4300 digits), which this package leaves as it is.
+MAX_PARAMETER_DIGITS = 1000
+_DIGIT_BOUND = 10**MAX_PARAMETER_DIGITS
+
+
 def _parse(parse: type, key: str, text: str):
-    """``parse(text)``; a value it rejects raises ValueError naming ``key``."""
+    """``parse(text)``; a value it rejects, or a fraction past
+    ``MAX_PARAMETER_DIGITS``, raises ValueError naming ``key``."""
     try:
-        return parse(text)
+        value = parse(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"cannot parse {key}: {text!r}") from None
+    if parse is Fraction and max(abs(value.numerator), value.denominator) >= _DIGIT_BOUND:
+        raise ValueError(
+            f"{key} has more than {MAX_PARAMETER_DIGITS} digits in its numerator or denominator: {text!r}"
+        )
+    return value
 
 
 def spec_from_config(items: dict[str, str]) -> TwistSpec:

@@ -11,9 +11,8 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 from . import rindler
 from .diffop import (
@@ -68,8 +67,7 @@ if TYPE_CHECKING:
 __all__ = ["CheckResult", "DEFAULT_TOLERANCES", "run_all_checks", "report_dict"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     measured: float | None
@@ -324,8 +322,8 @@ def _check_twist_parameter_linearity(rng: random.Random, tol: float | None) -> F
     for base, scaled in (
         (CanonicalTwist({(0, 1): Fraction(3, 7), (1, 2): Fraction(1, 2)}),
          CanonicalTwist({(0, 1): Fraction(3, 7) * s, (1, 2): Fraction(1, 2) * s})),
-        (lie, replace(lie, inv_kappa=lie.inv_kappa * s)),
-        (quad, replace(quad, xi=quad.xi * s)),
+        (lie, lie._replace(inv_kappa=lie.inv_kappa * s)),
+        (quad, quad._replace(xi=quad.xi * s)),
     ):
         want = mul(s, build_linear_twist(base, RINDLER).operator.apply(f, g))
         ok = ok and build_linear_twist(scaled, RINDLER).operator.apply(f, g) == want
@@ -694,5 +692,5 @@ def report_dict(
         "seed": seed,
         "tolerance_overrides": dict(sorted((tolerances or {}).items())),
         "all_passed": all(r.passed for r in results),
-        "checks": [asdict(r) for r in results],
+        "checks": [r._asdict() for r in results],
     }

@@ -10,7 +10,6 @@ import math
 import random
 import time
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -206,7 +205,7 @@ def test_criterion_08_deformed_spectrum():
             dev_closed = dp.closed_form / planck_power(acc, w) - 1.0
             assert abs(dev_closed - want) <= 1e-6 * abs(want)
 
-            neg = replace(m, omega=-w)
+            neg = m._replace(omega=-w)
             base = w * abs(f_closed(neg)) ** 2
             h = 1e-4
 

@@ -559,6 +559,66 @@ def test_bad_twist_number_exits_2_naming_key(tmp_path, capsys, key, twist):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key, twist",
+    [
+        ("theta01", "kind = canonical\ntheta01 = 1e5000\n"),
+        ("inv_kappa", "kind = lie\ninv_kappa = 1e-5000\nzeta = 0 0 1 0\nalpha = 0\nbeta = 1\n"),
+        ("zeta", f"kind = lie\ninv_kappa = 1\nzeta = 0 0 1/1{'0' * 1000} 0\nalpha = 0\nbeta = 1\n"),
+        ("xi", "kind = quadratic\nxi = 1e1000\nindices = 0 1 2 3\n"),
+    ],
+)
+def test_a_twist_parameter_past_the_digit_bound_exits_2_naming_the_key(tmp_path, capsys, key, twist):
+    # theta01 = 1e5000 and inv_kappa = 1e-5000 once parsed, then ended in a
+    # ValueError traceback (exit 1) when the table printed the fraction
+    cfg = _write(tmp_path, "[twist]\n" + twist)
+    out = tmp_path / "out"
+    code, stdout, stderr = _cli(capsys, "commutator", "--config", str(cfg), "--out", str(out))
+    assert code == 2, stderr
+    assert stderr.startswith(f"error: bad twist parameter: {key} has more than 1000 digits")
+    assert stderr.count("\n") == 1 and stderr.endswith("\n")
+    assert stdout == ""
+    assert not out.exists()
+
+
+def test_twist_parameters_at_the_digit_bound_print_their_table(tmp_path, capsys):
+    # 1000 digits each; a Lie table entry multiplies two of them
+    big = "9" * 1000
+    twist = f"kind = lie\nchart = rindler\ninv_kappa = {big}\nzeta = 0 0 1/{big} {big}\nalpha = 0\nbeta = 1\n"
+    cfg = _write(tmp_path, "[twist]\n" + twist)
+    code, stdout, stderr = _cli(capsys, "commutator", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert code == 0, stderr
+    assert f"# inv_kappa = {big}\n" in stdout
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("top = level\n[run]\nseed = 1\n", "line 1: a key before the first [section] header"),
+        ("[run]\nseed = 1\ngarbage line\n", "line 3: neither a [section] header nor a key = value line"),
+        ("[run]\nx\nseed = 1\ny\n", "lines 2, 4: neither a [section] header nor a key = value line"),
+    ],
+)
+def test_a_config_syntax_error_exits_2_with_one_line_naming_the_path_and_line(tmp_path, capsys, text, where):
+    # configparser's messages once printed over two or three lines
+    cfg = _write(tmp_path, text)
+    code, stdout, stderr = _cli(capsys, "verify", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert stderr == f"error: config syntax error: {str(cfg)!r} {where}\n"
+    assert stdout == ""
+
+
+def test_a_spectrum_fraction_past_the_largest_double_exits_2_naming_the_key(tmp_path, capsys):
+    # once escaped float(Fraction) as an OverflowError traceback, exit 1
+    cfg = _write(tmp_path, f"[spectrum]\na = {'9' * 400}/1\nomega_hat = 1\nz = 1\nomega_grid = 1\n")
+    out = tmp_path / "out"
+    code, stdout, stderr = _cli(capsys, "spectrum", "--config", str(cfg), "--out", str(out))
+    assert code == 2
+    assert stderr.startswith("error: number for a is out of range: '999")
+    assert stderr.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value", [("a", "5e-324"), ("z", "1e-200")])
 def test_spectrum_underflowing_deviation_scale_exits_2(tmp_path, capsys, key, value):
     # pi T z^2 underflows to 0 (theta01 is 0 here): each once escaped as a

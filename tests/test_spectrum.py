@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -192,7 +191,7 @@ def test_finite_difference_extraction_matches_slope():
     h = 1e-4
     for w in (0.5, 1.0, 2.0):
         m = _mode(w, a=a)
-        neg = replace(m, omega=-w)
+        neg = m._replace(omega=-w)
         base = w * abs(f_closed(neg)) ** 2
 
         def dev(th):
