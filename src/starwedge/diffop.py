@@ -5,7 +5,10 @@ coordinate, acting as ``sum_mu coeff_mu * d/d(coord_mu)``; coefficients
 multiply from the left, after the derivative has acted.  Every twist leg is a
 momentum or Lorentz generator, so first order is all the package needs.  A
 ``BidiffOp`` is a finite sum of ``scalar * (left tensor right)`` legs acting
-on a pair of function slots.
+on a pair of function slots.  It acts through its 4x4 coefficient matrix,
+C^{mu nu} = sum scalar * left^mu * right^nu, so that
+O(f, g) = sum C^{mu nu} d_mu f d_nu g: each partial derivative of each slot
+is taken at most once, whatever the number of legs, and no leg acts on a slot.
 
 Operators are immutable values.  The momentum and Lorentz generators of each
 chart, like the chart transport ``rindler.partial_transport`` they are built
@@ -37,6 +40,7 @@ from .expr import (
     _diff_terms,
     _from_terms,
     _mul_terms,
+    _parts,
     _setattr,
     mul,
     substitute,
@@ -136,16 +140,13 @@ class DiffOp:
     def apply(self, f: Expr) -> Expr:
         """Act on a function slot: sum of coeff_mu * (d f / d coord_mu)."""
         _check_function_chart(self.chart, f)
-        return _from_terms(self._act(_as_terms(f)))
-
-    def _act(self, f: TermMap) -> TermMap:
-        """The action of :meth:`apply` on the term map of a function."""
+        f_terms = _as_terms(f)
         out: TermMap = {}
         for coeff, name in zip(self.coeffs, self.chart.coords):
             coeff_terms = _as_terms(coeff)
             if coeff_terms:
-                _mul_terms(coeff_terms, _diff_terms(f, name), out)
-        return out
+                _mul_terms(coeff_terms, _diff_terms(f_terms, name), out)
+        return _from_terms(out)
 
     def scale(self, factor: ExprLike) -> "DiffOp":
         return DiffOp(self.chart, tuple(mul(factor, c) for c in self.coeffs))
@@ -249,28 +250,8 @@ class BidiffOp(NamedTuple):
         return not self.terms
 
     def apply(self, f: Expr, g: Expr) -> Expr:
-        """Act on the pair of slots and multiply the legs pointwise.
-
-        f and g become term maps once.  Each distinct left leg acts on f once
-        and each distinct right leg on g once; terms that share a leg reuse
-        its result.  The scalar multiplies into the left leg's term map, and
-        every scalar * left(f) * right(g) accumulates in place into one term
-        map; the expression is built once, at the end.
-        """
-        _check_function_chart(self.chart, f)
-        _check_function_chart(self.chart, g)
-        f_terms, g_terms = _as_terms(f), _as_terms(g)
-        on_f: dict[DiffOp, TermMap] = {}
-        on_g: dict[DiffOp, TermMap] = {}
-        out: TermMap = {}
-        for scalar, left, right in self.terms:
-            if left not in on_f:
-                on_f[left] = left._act(f_terms)
-            if right not in on_g:
-                on_g[right] = right._act(g_terms)
-            scaled = {mono: scalar * c for mono, c in on_f[left].items()}
-            _mul_terms(scaled, on_g[right], out)
-        return _from_terms(out)
+        """Act on the pair of slots: the contraction of its coefficient matrix."""
+        return _contract(self.chart, _coefficient_matrix(self), f, g)
 
     def scale(self, scalar: ComplexRational) -> "BidiffOp":
         return BidiffOp.from_terms(
@@ -294,6 +275,59 @@ class BidiffOp(NamedTuple):
         for scalar, left, right in self.terms:
             lines.append(f"({coeff_text(scalar)}) * [{left.pretty()}] (x) [{right.pretty()}]")
         return "\n".join(lines)
+
+
+# A 4x4 matrix of term maps, indexed [mu][nu] by chart coordinates.
+TermMatrix = list[list[TermMap]]
+
+
+def _coefficient_matrix(op: BidiffOp) -> TermMatrix:
+    """The coefficient matrix C of ``op``, so that op(f, g) = sum C^{mu nu} d_mu f d_nu g.
+
+    C^{mu nu} sums scalar * left.coeffs[mu] * right.coeffs[nu] over the terms
+    of ``op``.  It is built anew on each call, from the legs' small
+    coefficients.
+    """
+    c: TermMatrix = [[{} for _ in range(4)] for _ in range(4)]
+    for scalar, left, right in op.terms:
+        right_terms = [_as_terms(r) for r in right.coeffs]
+        for row, coeff in zip(c, left.coeffs):
+            scaled = {mono: scalar * x for mono, x in _parts(coeff)}
+            if scaled:
+                for entry, r in zip(row, right_terms):
+                    _mul_terms(scaled, r, entry)
+    return c
+
+
+def _contract(chart: Chart, matrix: TermMatrix, f: Expr, g: Expr) -> Expr:
+    """sum_{mu nu} matrix[mu][nu] * d_mu f * d_nu g, built as one expression.
+
+    Row by row, row_mu = sum_nu matrix[mu][nu] * d_nu g, and d_mu f * row_mu
+    accumulates in place into one term map: one large product per row.  Each
+    partial derivative of f and of g is taken at most once, and only where
+    its row or column of the matrix is not all zero.  In each product the
+    factor with the longer monomials goes first, so that more merged
+    monomials gain no atom over it and skip the sort (see ``_mul_terms``).
+    """
+    _check_function_chart(chart, f)
+    _check_function_chart(chart, g)
+    f_terms, g_terms = _as_terms(f), _as_terms(g)
+    dg: dict[int, TermMap] = {}
+    out: TermMap = {}
+    for mu, entries in enumerate(matrix):
+        if not any(entries):
+            continue
+        df = _diff_terms(f_terms, chart.coords[mu])
+        if not df:
+            continue
+        row: TermMap = {}
+        for nu, entry in enumerate(entries):
+            if entry:
+                if nu not in dg:
+                    dg[nu] = _diff_terms(g_terms, chart.coords[nu])
+                _mul_terms(dg[nu], entry, row)
+        _mul_terms(row, df, out)
+    return _from_terms(out)
 
 
 def wedge(a: DiffOp, b: DiffOp) -> BidiffOp:

@@ -605,7 +605,8 @@ def _mul_terms(t1: TermMap, t2: TermMap, out: TermMap | None = None) -> TermMap:
     constant term times another term is that term's monomial as it is, and
     only a cosh atom that both monomials share can reach an exponent of 2,
     the one case that needs ``_reduce_cosh``; every other product is merged,
-    its cancelled exponents deleted, and frozen at once.
+    its cancelled exponents deleted, and frozen at once.  A product that gains
+    no atom over m1 keeps m1's order, so it is not sorted again.
     """
     if out is None:
         out = {}
@@ -620,11 +621,12 @@ def _mul_terms(t1: TermMap, t2: TermMap, out: TermMap | None = None) -> TermMap:
                 _add_term(out, m1, c1 * c2)
                 continue
             atoms = left.copy()
-            cosh_squared = False
+            gained = cosh_squared = False
             for a, e in m2:
                 x = atoms.get(a)
                 if x is None:
                     atoms[a] = e
+                    gained = True
                     continue
                 x += e
                 if not x:
@@ -633,10 +635,22 @@ def _mul_terms(t1: TermMap, t2: TermMap, out: TermMap | None = None) -> TermMap:
                 atoms[a] = x
                 if x >= 2 and a.__class__ is Fn and a.fname == "cosh":
                     cosh_squared = True
+            c = c1 * c2
             if cosh_squared:
-                _reduce_cosh(atoms, c1 * c2, out)
+                _reduce_cosh(atoms, c, out)
+                continue
+            # no new atom: the dict keeps m1's order, less its cancelled atoms
+            mono = _freeze(atoms) if gained else tuple(atoms.items())
+            # _add_term, inlined; c is nonzero, as both factors are
+            cur = out.get(mono)
+            if cur is None:
+                out[mono] = c
             else:
-                _add_term(out, _freeze(atoms), c1 * c2)
+                c = cur + c
+                if c.is_zero:
+                    del out[mono]
+                else:
+                    out[mono] = c
     return out
 
 

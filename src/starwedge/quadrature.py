@@ -158,6 +158,8 @@ def damped_mode_integral(
     With c = p - i s and x = w u the integral is w^(-c) times the DE rule
     for int_0^inf x^(c - 1) e^(ix) dx; for p = 0 it is first taken by parts,
     J(c) = (-i w / c) J(c + 1), which raises ValueError at c = 0 (p = s = 0).
+    A scale factor w^(-c), times -i w / c for p = 0, that is not finite
+    raises OverflowError.
     The value is J(2M) and the estimate max(|J(M) - J(2M)|, _TAIL_TOL), with
     M set by s and ``panel_factor`` as the module docstring says.
     """
@@ -171,6 +173,9 @@ def damped_mode_integral(
         scale = -1j * w / c
         c += 1
     scale *= cmath.exp(-c * math.log(w))
+    if not cmath.isfinite(scale):
+        # a w near the largest double: -i w / c overflows, and inf * w^(-c) is nan
+        raise OverflowError(f"the scale factor of J_{power_shift}(s, w) is not finite at w = {w!r}")
     # M >= 8 s resolves u^(-i s); see the module docstring
     m = 64
     while m < min(8 * s, 4096):

@@ -1,8 +1,10 @@
 """Linearized star products, star commutators and coordinate commutator tables.
 
 The deformed product is f*g = fg + O(f, g) with O the first-order twist
-operator.  The commutator [f, g] = f*g - g*f is (O - O^t)(f, g), where O^t
-swaps the legs of every term of O: O(g, f) = O^t(f, g).  Canonical forms
+operator, and O(f, g) = sum C^{mu nu} d_mu f d_nu g with C its coefficient
+matrix.  The commutator [f, g] = f*g - g*f is the contraction of C - C^t
+with (f, g), and the coordinate commutator [c_mu, c_nu] is the entry
+(C - C^t)^{mu nu} itself, which ``build_table`` reads off.  Canonical forms
 are unique, so the undeformed part fg - gf is structurally zero and is never
 built; the commutator is first order in the deformation parameter.
 Associativity of the truncated product holds only up to second order in the
@@ -17,8 +19,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .diffop import BidiffOp, Chart, ChartMismatchError, MINKOWSKI, lowered_coordinate
-from .expr import Expr, I, ZERO, add, mul, sym
+from .diffop import BidiffOp, Chart, ChartMismatchError, MINKOWSKI, TermMatrix, lowered_coordinate
+from .diffop import _coefficient_matrix, _contract
+from .expr import Expr, I, ZERO, _add_term, _from_terms, add, mul
 from .grammar import to_text
 from .rindler import METRIC_SIGNATURE
 from .twists import (
@@ -49,19 +52,30 @@ def star(f: Expr, g: Expr, twist: LinearTwist) -> Expr:
 
 
 def commutator(f: Expr, g: Expr, twist: LinearTwist) -> Expr:
-    """Star commutator f*g - g*f, applied as one operator O - O^t to (f, g).
+    """Star commutator f*g - g*f: the contraction of C - C^t with (f, g).
 
-    O^t swaps the legs of each term of O, so O(g, f) = O^t(f, g); the
-    undeformed products fg and gf cancel exactly and are never formed.
-    ``from_terms`` merges a term (s, a, b) of O with a swapped (-s, b, a) of
-    O^t into 2s; nothing assumes O is antisymmetric, the terms just stay
-    apart where it is not.  ``BidiffOp.apply`` then acts with each distinct
-    leg once and accumulates the whole commutator in one term map, so the
-    result is the only expression built.
+    With C the coefficient matrix of O, O(f, g) - O(g, f) is
+    sum (C - C^t)^{mu nu} d_mu f d_nu g.  The undeformed products fg and gf
+    cancel exactly and are never formed, and nothing assumes O is
+    antisymmetric.  Each partial derivative of f and of g is taken at most
+    once, and the result is the only expression built.
     """
     op = twist.operator
-    swapped = [(-s, right, left) for s, left, right in op.terms]
-    return BidiffOp.from_terms(op.chart, (*op.terms, *swapped)).apply(f, g)
+    return _contract(op.chart, _commutator_matrix(op), f, g)
+
+
+def _commutator_matrix(op: BidiffOp) -> TermMatrix:
+    """C - C^t for the coefficient matrix C of ``op``."""
+    c = _coefficient_matrix(op)
+    out: TermMatrix = [[{} for _ in range(4)] for _ in range(4)]
+    for mu in range(4):
+        for nu in range(mu + 1, 4):
+            entry = dict(c[mu][nu])
+            for mono, x in c[nu][mu].items():
+                _add_term(entry, mono, -x)
+            out[mu][nu] = entry
+            out[nu][mu] = {mono: -x for mono, x in entry.items()}
+    return out
 
 
 class CommutatorTable(NamedTuple):
@@ -81,9 +95,10 @@ class CommutatorTable(NamedTuple):
 
 
 def build_table(twist: LinearTwist) -> CommutatorTable:
-    coords = [sym(n) for n in twist.chart.coords]
+    """[c_mu, c_nu] for mu < nu, read off C - C^t: d_mu c_nu is 1 or 0."""
+    matrix = _commutator_matrix(twist.operator)
     entries = {
-        (mu, nu): commutator(coords[mu], coords[nu], twist)
+        (mu, nu): _from_terms(matrix[mu][nu])
         for mu in range(4)
         for nu in range(mu + 1, 4)
     }

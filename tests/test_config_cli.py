@@ -498,6 +498,24 @@ def test_spectrum_quadrature_overflow_at_subnormal_omega_hat_z_names_omega(tmp_p
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method", ["quadrature", "both"])
+def test_spectrum_quadrature_overflow_at_the_largest_omega_hat_names_omega(tmp_path, capsys, method):
+    # found by the config-space property: the by-parts factor -i w / c
+    # overflowed to inf, and inf times the subnormal w^-c is nan, so the run
+    # once exited 4 with a NaN row and a numpy RuntimeWarning
+    text = "[spectrum]\na = 2\nomega_hat = 1.7976931348623157e308\nz = 1\nomega_grid = 1\n"
+    cfg = _write(tmp_path, text + f"method = {method}\n")
+    out = tmp_path / "out"
+    code, stdout, stderr = _cli(capsys, "spectrum", "--config", str(cfg), "--out", str(out))
+    assert code == 2, stderr
+    assert stderr == (
+        "error: grid frequency omega = 1.0 (omega / a = 0.5) is out of range: the scale factor "
+        "of J_0(s, w) is not finite at w = 1.7976931348623157e+308\n"
+    )
+    assert stdout == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "key, value",
     [

@@ -5,7 +5,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from starwedge.expr import (
     FUNCTIONS,
@@ -651,6 +651,29 @@ def _term_map(terms):
 _term_maps = st.lists(st.tuples(_monomials, _coefficients), max_size=5).map(_term_map)
 
 
+@st.composite
+def _nested_operands(draw):
+    """Two term maps, the atoms of every monomial of one a subset of the other's.
+
+    Either operand may hold the subset, so the product takes the path where
+    m2 brings no atom that m1 lacks, and the path where it brings only such
+    atoms; exponents are drawn nonzero, so no atom drops out of a monomial.
+    """
+    atoms = draw(st.sets(st.sampled_from(_PRODUCT_ATOMS), min_size=1))
+    subset = draw(st.sets(st.sampled_from(sorted(atoms, key=_skey))))
+
+    def side(chosen):
+        exps = st.sampled_from([-2, -1, 1, 2])
+        terms = []
+        for _ in range(draw(st.integers(1, 3))):
+            mono = _freeze({x: draw(st.sampled_from([-2, -1, 1]) if x is cosh(u) else exps) for x in chosen})
+            terms.append((mono, draw(_coefficients)))
+        return _term_map(terms)
+
+    pair = (side(atoms), side(subset))
+    return pair[::-1] if draw(st.booleans()) else pair
+
+
 def _reference_product(t1, t2, out):
     """The product without fast paths: each pair merged into a full atom dict and reduced."""
     for m1, c1 in t1.items():
@@ -662,8 +685,12 @@ def _reference_product(t1, t2, out):
     return out
 
 
-@given(_term_maps, _term_maps, _term_maps)
-def test_the_fast_paths_of_a_product_are_not_seen(t1, t2, t3):
+_PRODUCT_OPERANDS = (st.one_of(st.tuples(_term_maps, _term_maps), _nested_operands()), _term_maps)
+
+
+@given(*_PRODUCT_OPERANDS)
+def test_the_fast_paths_of_a_product_are_not_seen(operands, t3):
+    t1, t2 = operands
     got = _mul_terms(t1, t2)
     assert got == _reference_product(t1, t2, {})
     # accumulating into a map that already holds terms, which may cancel
@@ -672,6 +699,40 @@ def test_the_fast_paths_of_a_product_are_not_seen(t1, t2, t3):
         assert list(mono) == sorted(mono, key=lambda it: _skey(it[0]))
         assert all(e != 0 for _, e in mono)
         assert all(e <= 1 for atom, e in mono if atom is cosh(u))
+
+
+def unshrunk(test, *strategies):
+    """The property ``test`` drawn from ``strategies``, stopping at its first failure.
+
+    A mutant fails a property on most draws; shrinking its counterexample
+    would cost seconds and show nothing more.
+    """
+    inner = test.hypothesis.inner_test
+    return settings(phases=[Phase.generate], database=None)(given(*strategies)(inner))
+
+
+def _product_keeping_m2_order(t1, t2, out=None):
+    """``_mul_terms`` with one defect: a product whose atoms all occur in m2 is
+    taken to be in m2's order, but its atom dict lists m1's atoms first."""
+    out = {} if out is None else out
+    for m1, c1 in t1.items():
+        for m2, c2 in t2.items():
+            atoms = dict(m1)
+            for atom, e in m2:
+                atoms[atom] = atoms.get(atom, 0) + e
+            if not set(atoms) <= {atom for atom, _ in m2} or any(
+                e >= 2 and atom is cosh(u) for atom, e in atoms.items()
+            ):
+                _reduce_cosh(atoms, c1 * c2, out)
+                continue
+            _add_term(out, tuple((atom, e) for atom, e in atoms.items() if e), c1 * c2)
+    return out
+
+
+def test_a_product_that_keeps_m2_order_fails_the_fast_path_property(monkeypatch):
+    monkeypatch.setitem(globals(), "_mul_terms", _product_keeping_m2_order)
+    with pytest.raises(AssertionError):
+        unshrunk(test_the_fast_paths_of_a_product_are_not_seen, *_PRODUCT_OPERANDS)()
 
 
 def test_every_interned_atom_carries_its_structural_key():

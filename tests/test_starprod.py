@@ -4,11 +4,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from starwedge import diffop, expr
+from starwedge import diffop, expr, starprod
 from starwedge.config import dump_json
-from starwedge.diffop import MINKOWSKI, RINDLER, DiffOp
+from starwedge.diffop import (
+    MINKOWSKI,
+    RINDLER,
+    BidiffOp,
+    DiffOp,
+    _coefficient_matrix,
+    lorentz_generator,
+    momentum_generator,
+    wedge,
+)
 from starwedge.expr import (
+    ComplexRational,
     I,
     ONE,
     ZERO,
@@ -17,6 +28,7 @@ from starwedge.expr import (
     _from_terms,
     _parts,
     _skey,
+    add,
     equality_probe,
     mul,
     sinh,
@@ -42,6 +54,7 @@ from starwedge.twists import (
     QuadraticTwist,
     build_linear_twist,
 )
+from test_expr import unshrunk
 
 a, z0, z1, z2, z3 = (sym(n) for n in ("a", "z0", "z1", "z2", "z3"))
 xs = [sym(f"x{k}") for k in range(4)]
@@ -125,21 +138,115 @@ def test_commutator_is_difference_of_star_products_on_ladder(chart, kind):
         assert commutator(fk, gk, tw) == star(fk, gk, tw) - star(gk, fk, tw)
 
 
-@pytest.mark.parametrize("kind, legs", [("canonical", 8), ("lie", 4), ("quadratic", 4)])
-def test_commutator_applies_each_distinct_leg_once(monkeypatch, kind, legs):
-    # applying star(f, g) - star(g, f) term by term acts with every leg twice
-    # on each slot; the antisymmetrized operator acts with each distinct leg once
-    calls = []
-    act = DiffOp._act
+@pytest.mark.parametrize("kind", ["canonical", "lie", "quadratic"])
+@pytest.mark.parametrize("chart", [MINKOWSKI, RINDLER])
+def test_commutator_takes_each_partial_derivative_once(monkeypatch, chart, kind):
+    # star(f, g) - star(g, f) leg by leg derives a slot once per leg that has
+    # a coordinate; the contraction of C - C^t derives each slot at most once
+    # per coordinate, and no leg acts on a slot
+    top: list[tuple[frozenset, str]] = []
+    depth = [0]
+    diff_terms = expr._diff_terms
 
-    def counted(self, f):
-        calls.append(self)
-        return act(self, f)
+    def counted(terms, name):
+        if not depth[0]:
+            top.append((frozenset(terms.items()), name))
+        depth[0] += 1
+        try:
+            return diff_terms(terms, name)
+        finally:
+            depth[0] -= 1
 
-    monkeypatch.setattr(DiffOp, "_act", counted)
-    f, g = _ladder_pair(RINDLER)
-    commutator(f, g, _readme_twists(RINDLER)[kind])
-    assert len(calls) == legs
+    def no_leg_acts(self, f):
+        raise AssertionError("a leg acted on a slot")
+
+    twist = _readme_twists(chart)[kind]
+    f, g = (e**2 for e in _ladder_pair(chart))
+    monkeypatch.setattr(expr, "_diff_terms", counted)
+    monkeypatch.setattr(diffop, "_diff_terms", counted)
+    monkeypatch.setattr(DiffOp, "apply", no_leg_acts)
+    commutator(f, g, twist)
+    assert top and {slot for slot, _ in top} <= {frozenset(_as_terms(e).items()) for e in (f, g)}
+    assert len(top) == len(set(top)) <= 8
+
+
+# --- the contraction against the operator leg by leg -----------------------------------
+
+def _leg_by_leg(op, f, g):
+    """O(f, g) as the sum of scalar * left(f) * right(g) over the terms of O."""
+    return add(*(mul(s, left.apply(f), right.apply(g)) for s, left, right in op.terms))
+
+
+_scalars = st.tuples(st.integers(-3, 3), st.integers(-2, 2)).map(lambda p: ComplexRational(*p))
+
+
+@st.composite
+def _operator_and_slots(draw):
+    """A tensor-leg operator on either chart, not in general antisymmetric, and two slots.
+
+    Its legs are the chart's generators and two vector fields that are not
+    generators; the operator is a single term, a wedge, a sum or a multiple
+    of these.  The slots are small sums over the chart's coordinates and
+    sinh and cosh of a * c0.
+    """
+    chart = draw(st.sampled_from([MINKOWSKI, RINDLER]))
+    c = [sym(n) for n in chart.coords]
+    legs = [momentum_generator(chart, mu) for mu in range(4)]
+    legs += [lorentz_generator(chart, al, be) for al in range(4) for be in range(al + 1, 4)]
+    legs += [DiffOp.partial(chart, 2, c[0]), DiffOp.partial(chart, 0, c[1] * c[3]) + DiffOp.partial(chart, 3)]
+    leg = st.sampled_from(legs)
+    single = st.builds(lambda s, left, right: BidiffOp.from_terms(chart, [(s, left, right)]), _scalars, leg, leg)
+    ops = st.recursive(
+        st.one_of(single, st.builds(wedge, leg, leg)),
+        lambda inner: st.one_of(st.builds(BidiffOp.__add__, inner, inner), st.builds(BidiffOp.scale, inner, _scalars)),
+        max_leaves=4,
+    )
+    factors = [*c, sinh(a * c[0]), cosh(a * c[0]), 1 / c[1]]
+    monomials = st.lists(st.sampled_from(factors), max_size=3).map(lambda fs: mul(1, *fs))
+    slots = st.lists(st.tuples(st.integers(-3, 3), monomials), min_size=1, max_size=3).map(
+        lambda terms: add(*(mul(k, m) for k, m in terms))
+    )
+    return draw(ops), draw(slots), draw(slots)
+
+
+@given(_operator_and_slots())
+def test_the_contraction_is_the_operator_leg_by_leg(drawn):
+    op, f, g = drawn
+    assert op.apply(f, g) == _leg_by_leg(op, f, g)
+    # the commutator reads only the operator of its twist
+    assert commutator(f, g, LinearTwist(None, op)) == _leg_by_leg(op, f, g) - _leg_by_leg(op, g, f)
+
+
+@pytest.mark.parametrize("chart", [MINKOWSKI, RINDLER])
+def test_each_table_entry_is_the_coordinate_commutator(chart):
+    c = [sym(n) for n in chart.coords]
+    for tw in (*_readme_twists(chart).values(), *_sample_twists(chart)):
+        table = build_table(tw)
+        for mu in range(4):
+            for nu in range(4):
+                want = _leg_by_leg(tw.operator, c[mu], c[nu]) - _leg_by_leg(tw.operator, c[nu], c[mu])
+                assert table.entry(mu, nu) == commutator(c[mu], c[nu], tw) == want
+
+
+def _commutator_matrix_without_the_transpose(op):
+    """``starprod._commutator_matrix`` with one defect: the C^t term is dropped."""
+    c = _coefficient_matrix(op)
+    out = [[{} for _ in range(4)] for _ in range(4)]
+    for mu in range(4):
+        for nu in range(mu + 1, 4):
+            entry = dict(c[mu][nu])
+            out[mu][nu] = entry
+            out[nu][mu] = {mono: -x for mono, x in entry.items()}
+    return out
+
+
+def test_a_commutator_without_the_transpose_fails_both_properties(monkeypatch):
+    monkeypatch.setattr(starprod, "_commutator_matrix", _commutator_matrix_without_the_transpose)
+    with pytest.raises(AssertionError):
+        unshrunk(test_the_contraction_is_the_operator_leg_by_leg, _operator_and_slots())()
+    for chart in (MINKOWSKI, RINDLER):
+        with pytest.raises(AssertionError):
+            test_each_table_entry_is_the_coordinate_commutator(chart)
 
 
 @pytest.mark.parametrize("kind", ["canonical", "lie", "quadratic"])
