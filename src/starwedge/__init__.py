@@ -48,12 +48,14 @@ from .spectrum import (
     ModeParams,
     SpectrumResult,
     compute_spectrum,
-    deformed_correction_quadrature,
+    correction_terms,
     deformed_f_theta,
     deformed_power,
     f_closed,
     f_quadrature,
     hawking_temperature,
+    mode_closed,
+    mode_quadrature,
     planck_power,
 )
 from .starprod import (

@@ -56,10 +56,10 @@ At |s| near 4 this leaves at most about 4e-12 of J (in plain double, about
 
 Shared sums.  A DE sum depends on c and M alone, not on w.  Inside the block
 of ``_shared_de_sums`` each distinct (c, M) is summed once and the sum is
-reused; ``verification.run_all_checks`` opens that block around its checks,
-whose oracle integrals repeat the same c.  The sums are dropped when the block
-ends, by return or by exception, so no sum outlives one suite run, and every
-other caller, ``compute_spectrum`` included, sums afresh on each call.
+reused: ``verification.run_all_checks`` repeats the same c across checks, and
+``spectrum.compute_spectrum`` takes a point's J_1 from the sums of its J_0.
+A block opened inside an open one shares its sums; the outermost block drops
+them at its end, by return or by exception, so no sum outlives one call.
 """
 
 from __future__ import annotations
@@ -126,13 +126,14 @@ _memo: dict | None = None
 
 @contextmanager
 def _shared_de_sums():
-    """Within the block, each distinct DE sum is taken once; the sums are dropped at its end."""
+    """Within the block, each distinct DE sum is taken once; the outermost block drops the sums at its end."""
     global _memo
-    _memo = {}
+    outer = _memo
+    _memo = {} if outer is None else outer
     try:
         yield
     finally:
-        _memo = None
+        _memo = outer
 
 
 def _de_sum(c: complex, m: int):

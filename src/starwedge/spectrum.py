@@ -14,13 +14,15 @@ with -i = e^{-i pi/2}.  The detected power at negative frequency is Planckian:
 
 a thermal spectrum at temperature T = a / 2 pi.
 
+Both amplitudes are f = (1/a) J_0 in the family of mode integrals J_p(s, w)
+of ``quadrature``, s = omega/a, w = omega_hat z: ``mode_closed`` takes J_p by one
+gamma evaluation and the recursion J_{k+1} = ((s + i k) / w) J_k, and
+``mode_quadrature`` by the real-axis oracle.
+
 The constant-deformation correction enters through the single parameter
 ``theta01`` (the time-radial component with both indices lowered by the
 (-,+,+,+) metric; the raised component is -theta01).  At first order the
-amplitude picks up the factor
-
-    1 - (2 theta01 omega / (a z^2)) (i omega/a - 1),
-
+amplitude gains sum coefficient (1/a) J_p over the table ``correction_terms``,
 and the detected spectrum deviates from the Planck form by the relative
 amount -2 theta01 omega / (pi T z^2).  That first-order result holds while
 the deviation stays within |deviation| <= 0.1; ``compute_spectrum`` returns
@@ -33,10 +35,10 @@ from __future__ import annotations
 import cmath
 import math
 from numbers import Real
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .gammafn import GammaPoleError, complex_gamma
-from .quadrature import QuadratureResult, mode_integral
+from .quadrature import QuadratureResult, _shared_de_sums, mode_integral
 
 __all__ = [
     "ModeParams",
@@ -45,10 +47,10 @@ __all__ = [
     "planck_power",
     "f_closed",
     "f_quadrature",
-    "correction_integral_closed",
-    "correction_integral_quadrature",
+    "mode_closed",
+    "mode_quadrature",
+    "correction_terms",
     "deformed_f_theta",
-    "deformed_correction_quadrature",
     "DeformedPowerPoint",
     "deformed_power",
     "SpectrumRow",
@@ -131,76 +133,60 @@ def f_closed(m: ModeParams) -> complex:
     return (1.0 / m.a) * phase * complex_gamma(-1j * s) * math.exp(math.pi * s / 2.0)
 
 
-def _mode_quadrature(
-    m: ModeParams, power_shift: int, panel_factor: int = 1, rtol: float = 1e-7
-) -> QuadratureResult:
-    """(1/a) J_p(omega/a, omega_hat z) by real-axis quadrature, p = ``power_shift``."""
-    res = mode_integral(
-        m.omega / m.a, m.omega_hat * m.z,
-        power_shift=power_shift, panel_factor=panel_factor, rtol=rtol,
-    )
+def _gamma_ratio(m: ModeParams, p: int) -> complex:
+    """J_p / J_0 by Gamma(y + 1) = y Gamma(y): the product of (s + i k) / w over k < p."""
+    s, w = m.omega / m.a, m.omega_hat * m.z
+    return math.prod((s + 1j * k) / w for k in range(p))
+
+
+def mode_closed(m: ModeParams, p: int) -> complex:
+    """(1/a) J_p(omega/a, omega_hat z) in closed form: one gamma evaluation, f_closed(m) = J_0 / a."""
+    return f_closed(m) * _gamma_ratio(m, p)
+
+
+def mode_quadrature(m: ModeParams, p: int, *, panel_factor: int = 1, rtol: float = 1e-7) -> QuadratureResult:
+    """(1/a) J_p(omega/a, omega_hat z) by real-axis quadrature, independent of the gamma function."""
+    res = mode_integral(m.omega / m.a, m.omega_hat * m.z, power_shift=p, panel_factor=panel_factor, rtol=rtol)
     return res._replace(value=res.value / m.a)
 
 
-def f_quadrature(
-    m: ModeParams,
-    *,
-    panel_factor: int = 1,
-    rtol: float = 1e-7,
-) -> QuadratureResult:
-    """Fourier amplitude by real-axis quadrature of the mode integral.
+def f_quadrature(m: ModeParams, *, panel_factor: int = 1, rtol: float = 1e-7) -> QuadratureResult:
+    """Fourier amplitude by real-axis quadrature: the numerical oracle for :func:`f_closed`."""
+    return mode_quadrature(m, 0, panel_factor=panel_factor, rtol=rtol)
 
-    Independent of :func:`f_closed` and of the gamma function; this is the
-    numerical oracle for the closed form.
+
+def correction_terms(m: ModeParams, theta01: Real) -> tuple[tuple[int, complex], ...]:
+    """The first-order amplitude correction f + sum coefficient (1/a) J_p as ``((p, coefficient), ...)``.
+
+    The wave term 2 i theta^{01} omega omega_hat / (a z) and the argument term
+    -2 theta^{01} omega_hat / z, both on J_1, with theta^{01} = -theta01: the
+    one statement of the coefficients.  The factor i comes last, so for
+    ``Fraction`` input each coefficient is its exact value rounded once.
     """
-    return _mode_quadrature(m, 0, panel_factor, rtol)
+    theta_upper = -theta01
+    return (
+        (1, 1j * (2 * theta_upper * m.omega * m.omega_hat / (m.a * m.z))),
+        (1, -2 * theta_upper * m.omega_hat / m.z),
+    )
 
 
-def correction_integral_closed(m: ModeParams) -> complex:
-    """Closed form of the mode integral carrying one extra e^{-a tau} factor.
-
-    Equals (1/a) Gamma(1 - i omega/a) (-i omega_hat z)^{-(1 - i omega/a)} by
-    the one-step recursion Gamma(y + 1) = y Gamma(y) applied to the amplitude.
-    """
-    s = m.omega / m.a
-    wz = m.omega_hat * m.z
-    # principal branch: (-i wz)^(-(1 - i s)) = e^{-(1 - i s)(ln wz - i pi/2)}
-    expo = -(1.0 - 1j * s) * (math.log(wz) - 1j * math.pi / 2.0)
-    return (1.0 / m.a) * complex_gamma(1.0 - 1j * s) * cmath.exp(expo)
+def _correction(m: ModeParams, theta01: float, mode: Callable[[int], complex]) -> complex:
+    """Sum of coefficient * mode(p) over the correction terms, each distinct mode(p) taken once."""
+    terms = correction_terms(m, theta01)
+    js = {p: mode(p) for p in {p for p, _ in terms}}
+    return sum(coefficient * js[p] for p, coefficient in terms)
 
 
-def correction_integral_quadrature(m: ModeParams) -> QuadratureResult:
-    """Quadrature oracle for :func:`correction_integral_closed`."""
-    return _mode_quadrature(m, 1)
-
-
-def _bracket(m: ModeParams, theta01: float) -> complex:
-    """First-order amplitude factor 1 - (2 theta01 omega/(a z^2))(i omega/a - 1)."""
-    s = m.omega / m.a
-    return 1.0 - (2.0 * theta01 * m.omega / (m.a * m.z**2)) * (1j * s - 1.0)
+def _first_order_power(omega: float, amplitude: complex, correction: complex) -> tuple[float, float]:
+    """omega |f|^2 and omega |f + correction|^2 to first order, omega |f|^2 (1 + 2 Re c), c = correction / f."""
+    power = omega * abs(amplitude) ** 2
+    return power, power * (1.0 + 2.0 * (correction / amplitude).real)
 
 
 def deformed_f_theta(m: ModeParams, theta01: float) -> complex:
-    """Corrected Fourier amplitude at first order in theta01."""
-    return f_closed(m) * _bracket(m, theta01)
-
-
-def deformed_correction_quadrature(m: ModeParams, theta01: float) -> complex:
-    """First-order amplitude correction assembled from its two mode integrals.
-
-    Both correction terms carry the integral with one extra e^{-a tau} factor,
-    here evaluated by quadrature rather than by the gamma recursion:
-
-        (2 i theta^{01} omega omega_hat / (a z)) J  -  (2 theta^{01} omega_hat / z) J,
-
-    with the raised component theta^{01} = -theta01.  Cross-checks
-    deformed_f_theta(m, theta01) - f_closed(m).
-    """
-    theta_upper = -theta01
-    j = correction_integral_quadrature(m).value
-    wave_term = (2.0j * theta_upper * m.omega * m.omega_hat / (m.a * m.z)) * j
-    argument_term = -(2.0 * theta_upper * m.omega_hat / m.z) * j
-    return wave_term + argument_term
+    """Corrected Fourier amplitude at first order in theta01, in closed form."""
+    f = f_closed(m)
+    return f + _correction(m, theta01, lambda p: f * _gamma_ratio(m, p))
 
 
 def relative_deviation_closed(m: ModeParams, theta01: float) -> float:
@@ -250,13 +236,13 @@ def deformed_power(m: ModeParams, theta01: float) -> DeformedPowerPoint:
     dev = relative_deviation_closed(m, theta01)
     neg = m._replace(omega=-m.omega)
     amplitude = f_closed(neg)
-    power = m.omega * abs(amplitude) ** 2
+    power, via_amplitude = _first_order_power(
+        m.omega, amplitude, _correction(neg, theta01, lambda p: amplitude * _gamma_ratio(neg, p))
+    )
     planck = planck_power(m.a, m.omega)
-    # |f (1 + c)|^2 truncated at first order: |f|^2 (1 + 2 Re c)
-    c = _bracket(neg, theta01) - 1.0
     return DeformedPowerPoint(
         amplitude=amplitude, power=power, planck=planck, deviation=dev,
-        closed_form=planck * (1.0 + dev), via_amplitude=power * (1.0 + 2.0 * c.real),
+        closed_form=planck * (1.0 + dev), via_amplitude=via_amplitude,
     )
 
 
@@ -346,6 +332,7 @@ class GridFrequencyError(OverflowError):
     """A grid frequency whose spectrum point is out of range; the message names omega."""
 
 
+@_shared_de_sums()
 def compute_spectrum(
     omegas: "list[float]",
     *,
@@ -359,11 +346,12 @@ def compute_spectrum(
 ) -> SpectrumResult:
     """Evaluate the detected spectrum over a grid of positive frequencies.
 
-    Each grid frequency is one :func:`deformed_power` point: the closed-form
-    row reads it, and the quadrature row scales the oracle's power by
-    (1 + its deviation).  ``method`` is one of ``METHODS``; quadrature rows
-    report convergence per point (and ``eps`` 0.0).  Every grid frequency past
-    the first-order bound is listed in ``bound_breaches``, whatever the method.
+    Each grid frequency is one :func:`deformed_power` point, which the
+    closed-form row reads; the quadrature row squares its own J_0 and
+    correction the same way, its J_1 from the DE sums J_0 took, shared per call.
+    ``method`` is one of ``METHODS``; quadrature rows report the convergence of
+    their amplitude (and ``eps`` 0.0).  Every grid frequency past the
+    first-order bound is listed in ``bound_breaches``, whatever the method.
     A point whose closed form or quadrature raises ArithmeticError or ValueError
     (an overflow, a math domain error), or whose closed form is not finite,
     raises GridFrequencyError naming its omega.
@@ -376,13 +364,18 @@ def compute_spectrum(
         if not omega > 0:
             raise ValueError("grid frequencies must be positive")
         m = ModeParams(omega_hat=omega_hat, z=z, a=a, omega=omega)
+        neg = m._replace(omega=-omega)
         try:
             dp = deformed_power(m, theta01)
             if not (math.isfinite(dp.closed_form) and math.isfinite(dp.via_amplitude)):
                 # a subnormal omega / a: Gamma(i omega / a) is inf, the power inf or nan
                 raise OverflowError("the closed form is not finite")
             if method in ("quadrature", "both"):
-                res = f_quadrature(m._replace(omega=-omega), panel_factor=panel_factor, rtol=rtol)
+                res = f_quadrature(neg, panel_factor=panel_factor, rtol=rtol)
+                correction = _correction(
+                    neg, theta01,
+                    lambda p: mode_quadrature(neg, p, panel_factor=panel_factor, rtol=rtol).value,
+                )
         except (ArithmeticError, ValueError) as err:
             raise GridFrequencyError(
                 f"grid frequency omega = {omega!r} (omega / a = {omega / a:.6g}) is out of range: {err}"
@@ -390,27 +383,10 @@ def compute_spectrum(
         if dp.linear_bound_exceeded:
             breaches.append(omega)
         if method in ("closed-form", "both"):
-            rows.append(
-                SpectrumRow(
-                    omega=omega,
-                    f_value=dp.amplitude,
-                    power=dp.power,
-                    power_deformed=dp.via_amplitude,
-                    method="closed-form",
-                )
-            )
+            rows.append(SpectrumRow(omega, dp.amplitude, dp.power, dp.via_amplitude, "closed-form"))
         if method in ("quadrature", "both"):
-            power = omega * abs(res.value) ** 2
-            rows.append(
-                SpectrumRow(
-                    omega=omega,
-                    f_value=res.value,
-                    power=power,
-                    power_deformed=power * (1.0 + dp.deviation),
-                    method="quadrature",
-                    converged=res.converged,
-                )
-            )
+            power, power_deformed = _first_order_power(omega, res.value, correction)
+            rows.append(SpectrumRow(omega, res.value, power, power_deformed, "quadrature", res.converged))
     return SpectrumResult(
         a=a, omega_hat=omega_hat, z=z, theta01=theta01, rows=tuple(rows), bound_breaches=tuple(breaches)
     )

@@ -36,6 +36,7 @@ from .expr import (
     differentiate,
     eval_numeric,
     exp,
+    free_symbols,
     mul,
     simplify,
     sinh,
@@ -48,14 +49,15 @@ from .grammar import parse, to_text
 from .quadrature import _shared_de_sums, damped_mode_integral
 from .spectrum import (
     ModeParams,
-    correction_integral_closed,
-    correction_integral_quadrature,
-    deformed_correction_quadrature,
+    _correction,
+    correction_terms,
     deformed_f_theta,
     deformed_power,
     f_closed,
     f_quadrature,
     hawking_temperature,
+    mode_closed,
+    mode_quadrature,
     theta01_from_engine,
 )
 from .starprod import build_table, commutator, star, verify_flat_relations
@@ -518,7 +520,7 @@ def _check_quadrature_agreement(rng: random.Random, tol: float) -> Finding:
 
 def _check_correction_integral(rng: random.Random, tol: float) -> Finding:
     return _two_routes(
-        ((correction_integral_quadrature(m).value, correction_integral_closed(m)) for m in _ORACLE_MODES),
+        ((mode_quadrature(m, 1).value, mode_closed(m, 1)) for m in _ORACLE_MODES),
         tol, "the extra-damping-factor integral matches its one-step gamma recursion",
     )
 
@@ -527,7 +529,7 @@ def _check_correction_assembly(rng: random.Random, tol: float) -> Finding:
     modes = (ModeParams(omega_hat=1.3, z=0.9, a=1.1, omega=1.1 * s) for s in _ORACLE_S)
     return _two_routes(
         (
-            (deformed_correction_quadrature(m, 1e-4), deformed_f_theta(m, 1e-4) - f_closed(m))
+            (_correction(m, 1e-4, lambda p: mode_quadrature(m, p).value), deformed_f_theta(m, 1e-4) - f_closed(m))
             for m in modes
         ),
         tol, "the two quadrature correction terms reassemble the first-order bracket",
@@ -575,25 +577,28 @@ def _check_deformed_fd(rng: random.Random, tol: float) -> Finding:
 
 
 def _check_integrand_consistency(rng: random.Random, tol: float) -> Finding:
-    """Tie the spectrum-module correction coefficients to the twist engine.
+    """Tie the spectrum's correction table to the twist engine.
 
-    The engine action of a canonical twist with parameter r on the two mode
-    factors must equal the amplitude-correction coefficient forms at the
-    spectrum parameter ``theta01_from_engine(r)``, structurally: both sides
-    are canonical forms, so the comparison is exact and ``tol`` is only
-    reported.
+    A canonical twist with parameter r acts on the two mode factors (the wave
+    term) and on the phase's argument (the argument term).  Each action over its
+    factors and u^p = e^{-a p z0} must be the coefficient of ``correction_terms``
+    at ``theta01_from_engine(r)``: at rational parameters both are one rational
+    rounded once, so the comparison is exact and ``tol`` is only reported.
     """
     r = Fraction(3, 7)
     tw = build_linear_twist(CanonicalTwist({(0, 1): r}), RINDLER)
-    theta_upper = -theta01_from_engine(r)  # the spectrum's raised component theta^{01}
     z0, z1, a, w_hat, w = sym("z0"), sym("z1"), sym("a"), sym("omega_hat"), sym("omega")
-    phi = exp(I * w_hat * z1 * exp(-a * z0))
+    u = exp(-a * z0)
+    phi = exp(I * w_hat * z1 * u)
     psi = exp(I * w * z0)
-    lhs1 = tw.operator.apply(phi, psi)
-    want1 = mul(2 * I * theta_upper * w * w_hat / (a * z1), exp(-a * z0), phi, psi)
-    lhs2 = tw.operator.apply(I * w_hat * z1, exp(-a * z0))
-    want2 = mul(-2 * theta_upper * w_hat / z1, exp(-a * z0))
-    ok = lhs1 == want1 and lhs2 == want2
+    actions = (mul(tw.operator.apply(phi, psi), phi**-1, psi**-1), tw.operator.apply(I * w_hat * z1, u))
+    m = ModeParams(omega_hat=Fraction(13, 10), z=Fraction(9, 10), a=Fraction(11, 10), omega=Fraction(7, 5))
+    point = {"omega_hat": m.omega_hat, "z1": m.z, "a": m.a, "omega": m.omega}
+    terms = correction_terms(m, theta01_from_engine(r))
+    ok = len(terms) == len(actions)
+    for action, (p, coefficient) in zip(actions, terms):
+        value = substitute(mul(action, u**-p), point)
+        ok = ok and not free_symbols(value) and eval_numeric(value, {}) == complex(coefficient)
     return ok, None, "engine twist action reproduces the amplitude-correction integrands"
 
 

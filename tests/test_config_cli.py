@@ -484,15 +484,16 @@ def test_spectrum_underflowing_omega_over_a_exits_2_naming_omega(tmp_path, capsy
 
 @pytest.mark.parametrize("method", ["quadrature", "both"])
 def test_spectrum_quadrature_overflow_at_subnormal_omega_hat_z_names_omega(tmp_path, capsys, method):
-    # omega_hat * z = 1e-320: the closed form is finite, but the quadrature's
-    # w^-c overflows; its error once escaped the handler that names omega
+    # omega_hat * z = 1e-320: the quadrature's w^-c overflows, and its error once
+    # escaped the handler that names omega; the closed form's correction term
+    # J_1 = (s / w) J_0 overflows too, and it is evaluated first
     text = f"[spectrum]\na = 1\nomega_hat = 1e-320\nz = 1\nomega_grid = 0.5 1\nmethod = {method}\n"
     cfg = _write(tmp_path, text)
     out = tmp_path / "out"
     code, stdout, stderr = _cli(capsys, "spectrum", "--config", str(cfg), "--out", str(out))
     assert code == 2, stderr
     assert stderr == (
-        "error: grid frequency omega = 0.5 (omega / a = 0.5) is out of range: math range error\n"
+        "error: grid frequency omega = 0.5 (omega / a = 0.5) is out of range: the closed form is not finite\n"
     )
     assert stdout == ""
     assert not out.exists()

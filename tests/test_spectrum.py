@@ -2,6 +2,7 @@ import json
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,14 +15,14 @@ from starwedge.spectrum import (
     METHODS,
     ModeParams,
     compute_spectrum,
-    correction_integral_closed,
-    correction_integral_quadrature,
-    deformed_correction_quadrature,
+    correction_terms,
     deformed_f_theta,
     deformed_power,
     f_closed,
     f_quadrature,
     hawking_temperature,
+    mode_closed,
+    mode_quadrature,
     planck_power,
     relative_deviation_closed,
 )
@@ -124,8 +125,8 @@ def test_quadrature_matches_closed_amplitude(s):
 @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
 def test_correction_integral_quadrature_oracle(s):
     m = _mode(s)
-    q = correction_integral_quadrature(m)
-    c = correction_integral_closed(m)
+    q = mode_quadrature(m, 1)
+    c = mode_closed(m, 1)
     assert abs(q.value - c) <= 1e-6 * abs(c)
 
 
@@ -134,9 +135,12 @@ def test_correction_integral_gamma_recursion():
     # Gamma(1 + y) = y Gamma(y); verify the exact ratio numerically
     m = _mode(1.3, wz=1.7)
     s = m.omega / m.a
-    ratio = correction_integral_closed(m) / f_closed(m)
+    ratio = mode_closed(m, 1) / f_closed(m)
     want = (s / (m.omega_hat * m.z)) * 1.0  # |(-is) * i / (wz)| structure
     assert ratio == pytest.approx(want, rel=1e-12)
+    # and the recursion is J_1 by its own gamma formula, (1/a) Gamma(1 - i s) (-i wz)^(-(1 - i s))
+    direct = complex_gamma(1.0 - 1j * s) * (-1j * m.omega_hat * m.z) ** -(1.0 - 1j * s) / m.a
+    assert abs(mode_closed(m, 1) - direct) <= 1e-13 * abs(direct)
 
 
 # --- deformation --------------------------------------------------------------------------
@@ -174,7 +178,7 @@ def test_quadrature_assembled_correction_matches_bracket():
     # weighted sum must reproduce the closed-form first-order bracket
     for s_val in (0.5, 1.0, 2.0):
         m = ModeParams(omega_hat=1.3, z=0.9, a=1.1, omega=1.1 * s_val)
-        got = deformed_correction_quadrature(m, 1e-4)
+        got = sum(c * mode_quadrature(m, p).value for p, c in correction_terms(m, 1e-4))
         want = deformed_f_theta(m, 1e-4) - f_closed(m)
         assert abs(got - want) <= 1e-6 * abs(want)
 
@@ -320,13 +324,36 @@ def test_both_rows_are_the_closed_form_and_quadrature_rows_interleaved():
 @pytest.mark.parametrize("theta01", [1e-4, 0.1])
 def test_compute_spectrum_rows_read_the_deformed_power_point(theta01):
     res = compute_spectrum(_README_GRID, **{**_README, "theta01": theta01}, method="both")
-    for closed, quad in zip(res.rows[0::2], res.rows[1::2]):
+    for closed in res.rows[0::2]:
         m = ModeParams(omega_hat=1.0, z=1.0, a=_README["a"], omega=closed.omega)
         point = deformed_power(m, theta01)
         assert (closed.f_value, closed.power, closed.power_deformed) == (
             point.amplitude, point.power, point.via_amplitude
         )
-        assert quad.power_deformed == quad.power * (1.0 + point.deviation)
+
+
+# the README grid and the far-field grid of the benchmark's spectrum workload
+_TWO_ROUTE_GRIDS = {
+    "readme": (dict(a=2.0 * math.pi, omega_hat=1.0, z=1.0), list(np.geomspace(0.25, 5.0, 20))),
+    "far_field": (dict(a=1.0, omega_hat=8.0, z=1.0), list(np.geomspace(0.5, 4.0, 6))),
+}
+
+
+@pytest.mark.parametrize("theta01", [1e-4, 0.1])
+@pytest.mark.parametrize("grid", sorted(_TWO_ROUTE_GRIDS))
+def test_each_route_squares_its_own_correction_to_the_first_order_power(grid, theta01):
+    # the quadrature row sums the correction over its own J_p: it must agree with
+    # the closed-form row and with the first order (2 pi / a) / (e^(2 pi omega / a) - 1) (1 + deviation)
+    params, omegas = _TWO_ROUTE_GRIDS[grid]
+    res = compute_spectrum(omegas, **params, theta01=theta01, method="both")
+    with mpmath.workdps(30):
+        for closed, quad in zip(res.rows[0::2], res.rows[1::2]):
+            a, z, omega = (mpmath.mpf(x) for x in (params["a"], params["z"], closed.omega))
+            planck = (2 * mpmath.pi / a) / mpmath.expm1(2 * mpmath.pi * omega / a)
+            want = planck * (1 - 4 * mpmath.mpf(theta01) * omega / (a * z**2))
+            assert abs(quad.power_deformed - closed.power_deformed) <= 1e-9 * abs(closed.power_deformed)
+            assert abs(quad.power_deformed - want) <= 1e-9 * abs(want)
+            assert abs(closed.power_deformed - want) <= 1e-9 * abs(want)
 
 
 def test_compute_spectrum_validation():

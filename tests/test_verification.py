@@ -89,10 +89,13 @@ def _scaled_planck_power(a, omega):
     return (1.0 + 1e-9) * (2.0 * math.pi / a) * math.exp(-x) / -math.expm1(-x)
 
 
-def _bracket_plus_one(m, theta01):
-    # spectrum._bracket with (i omega/a - 1) changed to (i omega/a + 1)
-    s = m.omega / m.a
-    return 1.0 - (2.0 * theta01 * m.omega / (m.a * m.z**2)) * (1j * s + 1.0)
+def _correction_terms_theta_unraised(m, theta01):
+    # spectrum.correction_terms with theta^{01} = theta01: the whole bracket's sign flipped
+    theta_upper = theta01
+    return (
+        (1, 1j * (2 * theta_upper * m.omega * m.omega_hat / (m.a * m.z))),
+        (1, -2 * theta_upper * m.omega_hat / m.z),
+    )
 
 
 def _theta01_unflipped(theta01):
@@ -100,13 +103,28 @@ def _theta01_unflipped(theta01):
     return theta01 / 4
 
 
-def _argument_term_plus(m, theta01):
-    # spectrum.deformed_correction_quadrature with the argument term's sign flipped
+def _correction_terms_argument_plus(m, theta01):
+    # spectrum.correction_terms with the argument term's sign flipped
     theta_upper = -theta01
-    j = correction_integral_quadrature(m).value  # a global of spectrum, where this code runs
-    wave_term = (2.0j * theta_upper * m.omega * m.omega_hat / (m.a * m.z)) * j
-    argument_term = (2.0 * theta_upper * m.omega_hat / m.z) * j
-    return wave_term + argument_term
+    return (
+        (1, 1j * (2 * theta_upper * m.omega * m.omega_hat / (m.a * m.z))),
+        (1, 2 * theta_upper * m.omega_hat / m.z),
+    )
+
+
+def _correction_terms_wave_minus(m, theta01):
+    # spectrum.correction_terms with the wave term's sign flipped
+    theta_upper = -theta01
+    return (
+        (1, -1j * (2 * theta_upper * m.omega * m.omega_hat / (m.a * m.z))),
+        (1, -2 * theta_upper * m.omega_hat / m.z),
+    )
+
+
+def _first_order_power_minus(omega, amplitude, correction):
+    # spectrum._first_order_power with 1 - 2 Re c: the deviation sign of every row
+    power = omega * abs(amplitude) ** 2
+    return power, power * (1.0 - 2.0 * (correction / amplitude).real)
 
 
 # entries of the mutant catalogue: a one-line defect of the source, as the
@@ -121,18 +139,38 @@ _MUTANTS = {
         spectrum.planck_power, "__code__", _scaled_planck_power.__code__, ["planck_equivalence"]
     ),
     "bracket_sign": (
-        spectrum._bracket,
+        spectrum.correction_terms,
         "__code__",
-        _bracket_plus_one.__code__,
-        ["deformed_correction_assembly", "deformed_deviation_closed", "deformed_deviation_finite_difference"],
+        _correction_terms_theta_unraised.__code__,
+        [
+            "twist_spectrum_integrand_consistency",
+            "deformed_deviation_closed",
+            "deformed_deviation_finite_difference",
+        ],
     ),
     "theta01_from_engine_sign": (
         spectrum.theta01_from_engine, "__code__", _theta01_unflipped.__code__,
         ["twist_spectrum_integrand_consistency"],
     ),
     "argument_term_sign": (
-        spectrum.deformed_correction_quadrature, "__code__", _argument_term_plus.__code__,
-        ["deformed_correction_assembly"],
+        spectrum.correction_terms,
+        "__code__",
+        _correction_terms_argument_plus.__code__,
+        [
+            "twist_spectrum_integrand_consistency",
+            "deformed_deviation_closed",
+            "deformed_deviation_finite_difference",
+        ],
+    ),
+    # the power reads only Re c, so only the tie to the engine sees the wave term
+    "wave_term_sign": (
+        spectrum.correction_terms, "__code__", _correction_terms_wave_minus.__code__,
+        ["twist_spectrum_integrand_consistency"],
+    ),
+    # both row kinds square their corrected amplitude in the one _first_order_power
+    "quadrature_row_deviation_sign": (
+        spectrum._first_order_power, "__code__", _first_order_power_minus.__code__,
+        ["deformed_deviation_closed"],
     ),
     "lanczos_g_shifted": (
         gammafn, "_LANCZOS_G", gammafn._LANCZOS_G + 1e-9, ["gamma_modulus_identity", "planck_equivalence"]
@@ -215,15 +253,34 @@ def test_a_verify_run_takes_each_distinct_de_sum_once(monkeypatch):
     assert quadrature._memo is None
 
 
-def test_a_spectrum_keeps_no_de_sum_across_calls(monkeypatch):
+@pytest.mark.parametrize("method", ["quadrature", "both"])
+def test_a_spectrum_keeps_no_de_sum_across_calls(monkeypatch, method):
     # the README grid and parameters; each quadrature point takes its sums at M and 2M
+    # for J_0 by parts, and the correction's J_1 reuses them
     calls = _count_de_sums(monkeypatch)
     grid = [0.5, 1.0, 2.0]
     for n in (1, 2):
         spectrum.compute_spectrum(
-            grid, a=2.0 * math.pi, omega_hat=1.0, z=1.0, theta01=1e-4, method="quadrature"
+            grid, a=2.0 * math.pi, omega_hat=1.0, z=1.0, theta01=1e-4, method=method
         )
         assert calls[0] == n * 2 * len(grid)
+
+
+def test_a_nested_shared_block_reuses_the_outer_sums_and_leaves_them(monkeypatch):
+    calls = _count_de_sums(monkeypatch)
+    with quadrature._shared_de_sums():
+        quadrature.mode_integral(1.0, 1.0)
+        outer = quadrature._memo
+        with quadrature._shared_de_sums():
+            assert quadrature._memo is outer
+            quadrature.mode_integral(1.0, 2.0, power_shift=1)  # the same c = 1 - i
+        assert quadrature._memo is outer and len(outer) == 2
+        with pytest.raises(RuntimeError, match="inner"), quadrature._shared_de_sums():
+            raise RuntimeError("inner")
+        assert quadrature._memo is outer
+        quadrature.mode_integral(1.0, 3.0)
+    assert calls[0] == 2
+    assert quadrature._memo is None
 
 
 def test_the_shared_de_sums_are_dropped_when_a_check_raises(monkeypatch):
