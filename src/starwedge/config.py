@@ -43,6 +43,7 @@ _SPECTRUM_KEYS = {
     "rtol",
 }
 FORMATS = ("text", "json", "csv")
+MAX_GRID_COUNT = 10**6  # the most points of a geom or lin omega_grid, which is built in memory
 
 
 class SpectrumConfig(NamedTuple):
@@ -94,6 +95,8 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         start = _number(parts[1], "omega_grid start")
         stop = _number(parts[2], "omega_grid stop")
         count = _int(parts[3], "omega_grid count")
+        if count > MAX_GRID_COUNT:
+            raise ConfigError(f"omega_grid count must be at most {MAX_GRID_COUNT}, got {count}")
         if count < 1 or start <= 0 or stop <= start:
             raise ConfigError("omega_grid spec needs 0 < START < STOP and COUNT >= 1")
         if parts[0] == "geom":

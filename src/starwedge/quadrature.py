@@ -2,23 +2,23 @@
 
 The object of interest is
 
-    J_p(s, w) = int_0^inf u^(p - i s - 1) exp(i w u) du,      s = omega/a, w = omega_hat * z,
+    I_p(s) = int_0^inf x^(p - i s - 1) e^(ix) dx,      s = omega/a,
 
-reached from the proper-time integral by the substitution u = exp(-a tau);
-it converges only conditionally.  Two exact identities reduce every call,
-without the gamma function, to one integral of the form
-int_0^inf x^(c - 1) e^(ix) dx with Re c >= 1, where c = p - i s:
+reached from the proper-time integral by the substitution u = exp(-a tau)
+and x = omega_hat z u; it converges only conditionally.  The mode integral at
+w = omega_hat z, J_p(s, w) = int_0^inf u^(p - i s - 1) exp(i w u) du, is
+w^(i s) w^(-p) I_p(s), so the integrals read no w: ``spectrum`` applies the
+unit-modulus phase w^(i s) once and puts w^(-p) into its coefficients.  For
+p = 0 the integrand x^(c - 1), c = p - i s, is singular at x = 0, and one
+exact integration by parts reduces it to an integral with Re c >= 1:
 
-    rescaling                x = w u:   J_p(s, w) = w^(-c) int_0^inf x^(c - 1) e^(ix) dx
-    integration by parts     (p = 0):   J(c) = (-i w / c) J(c + 1)
+    I(c) = (-i / c) I(c + 1),
 
-Rescaling makes the cost independent of w.  Integration by parts removes the
-singularity of u^(c - 1) at u = 0; at c = -i s its factor is w / s, so
-J_0 = (w / s) J_1, and J_0 diverges at s = 0, which raises ValueError.
+so I_0 = I_1 / s, and I_0 diverges at s = 0, which raises ValueError.
 
 Each integral is evaluated on the real axis by the double-exponential
 (DE) rule of Ooura and Mori for Fourier integrals (J. Comput. Appl. Math. 38
-(1991) 353-360; the robust map of 112 (1999) 229-241).  With x = w u,
+(1991) 353-360; the robust map of 112 (1999) 229-241):
 
     x = M phi(t),   phi(t) = t / (1 - e^(-v)),   v = 2 t + alpha (1 - e^(-t)) + beta (e^t - 1),
 
@@ -32,10 +32,10 @@ and numpy is imported on first use, so the symbolic layer never loads it.  The
 oscillating tail needs no damping factor: the rule sums the conditionally
 convergent integral by itself.  M = 64 panel_factor with the 64 doubled while
 under 8 s, up to 4096, since u^(-i s) turns at the rate |s| / u.  The estimate
-max(|J(M) - J(2M)|, _TAIL_TOL) is exactly that floor once the rule has
+max(|I(M) - I(2M)|, _TAIL_TOL) is exactly that floor once the rule has
 converged to roundoff, so it does not grow under doubling.
 
-Rounding.  For s < 0 the value J_1(s, 1) is of order e^(-pi |s|), while the
+Rounding.  For s < 0 the value I_1(s) is of order e^(-pi |s|), while the
 terms of the rule are of order one, so every rounding error in them is
 amplified by about e^(pi |s|) relative to the result; at |s| = 4 that is 3e5.
 So everything runs in extended precision (np.longdouble), s >= 0 included
@@ -48,23 +48,22 @@ So everything runs in extended precision (np.longdouble), s >= 0 included
   in extended precision; sin or cos of the rounded x would lose ulp(x);
 - phi' = e^(-v) N / (1 - e^(-v))^2 has an O(t^2) numerator, written without
   cancellation as N = (expm1(v) - v) + alpha e^(-t) (expm1(t) - t) + beta (expm1(t) - t e^t);
-- for p = 0 the rule would meet u^(c - 1) singular at u = 0, so the
-  integral is taken by parts, J(c) = (-i w / c) J(c + 1).
+- for p = 0 the rule would meet x^(c - 1) singular at x = 0, so the
+  integral is taken by parts, I(c) = (-i / c) I(c + 1).
 
-At |s| near 4 this leaves at most about 4e-12 of J (in plain double, about
+At |s| near 4 this leaves at most about 4e-12 of I (in plain double, about
 1.2e-8); the estimate exceeds rtol = 1e-7 from s = -4.8 on.
 
-Shared sums.  A DE sum depends on c and M alone, not on w.  Inside the block
+Shared sums.  A DE sum depends on c and M alone.  Inside the block
 of ``_shared_de_sums`` each distinct (c, M) is summed once and the sum is
 reused: ``verification.run_all_checks`` repeats the same c across checks, and
-``spectrum.compute_spectrum`` takes a point's J_1 from the sums of its J_0.
+``spectrum.compute_spectrum`` takes a point's I_1 from the sums of its I_0.
 A block opened inside an open one shares its sums; the outermost block drops
 them at its end, by return or by exception, so no sum outlives one call.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from contextlib import contextmanager
 from functools import lru_cache
@@ -149,34 +148,26 @@ def _de_sum(c: complex, m: int):
     return total
 
 
-def damped_mode_integral(
-    s: float, w: float, power_shift: int = 0, panel_factor: int = 1
-) -> tuple[complex, float]:
-    """One integral J_p(s, w) and a refinement-based error estimate.
+# nothing is damped since the DE rule; the name stays while the benchmark's
+# tracer resolves it (ROADMAP item 6 renames it)
+def damped_mode_integral(s: float, power_shift: int = 0, panel_factor: int = 1) -> tuple[complex, float]:
+    """One integral I_p(s) and a refinement-based error estimate.
 
     ``power_shift`` is the extra power p of u in the integrand (0 for the
     plain mode amplitude, 1 when an extra exp(-a tau) factor is present).
-    With c = p - i s and x = w u the integral is w^(-c) times the DE rule
-    for int_0^inf x^(c - 1) e^(ix) dx; for p = 0 it is first taken by parts,
-    J(c) = (-i w / c) J(c + 1), which raises ValueError at c = 0 (p = s = 0).
-    A scale factor w^(-c), times -i w / c for p = 0, that is not finite
-    raises OverflowError.
-    The value is J(2M) and the estimate max(|J(M) - J(2M)|, _TAIL_TOL), with
+    With c = p - i s the integral is the DE rule for int_0^inf x^(c - 1) e^(ix) dx;
+    for p = 0 it is first taken by parts, I(c) = (-i / c) I(c + 1), which
+    raises ValueError at c = 0 (p = s = 0).
+    The value is I(2M) and the estimate max(|I(M) - I(2M)|, _TAIL_TOL), with
     M set by s and ``panel_factor`` as the module docstring says.
     """
-    if w <= 0:
-        raise ValueError("w = omega_hat * z must be positive")
     c = power_shift - 1j * s
     scale = 1.0
     if power_shift == 0:
         if c == 0:
-            raise ValueError("J_0(s, w) diverges at s = 0 (gamma pole of the amplitude)")
-        scale = -1j * w / c
+            raise ValueError("I_0(s) diverges at s = 0 (gamma pole of the amplitude)")
+        scale = -1j / c
         c += 1
-    scale *= cmath.exp(-c * math.log(w))
-    if not cmath.isfinite(scale):
-        # a w near the largest double: -i w / c overflows, and inf * w^(-c) is nan
-        raise OverflowError(f"the scale factor of J_{power_shift}(s, w) is not finite at w = {w!r}")
     # M >= 8 s resolves u^(-i s); see the module docstring
     m = 64
     while m < min(8 * s, 4096):
@@ -188,21 +179,20 @@ def damped_mode_integral(
 
 def mode_integral(
     s: float,
-    w: float,
     *,
     power_shift: int = 0,
     panel_factor: int = 1,
     rtol: float = 1e-7,
 ) -> QuadratureResult:
-    """J_p(s, w) with an error estimate.
+    """I_p(s) with an error estimate.
 
     The value and estimate are those of ``damped_mode_integral``, the
-    estimate floored at 1e-15 (1 + |J|); ``converged`` reports whether it
+    estimate floored at 1e-15 (1 + |I|); ``converged`` reports whether it
     met ``rtol`` relative to the value.  Non-convergence is reported, never
-    raised, so callers can flag partial results.  J_0 diverges at s = 0,
+    raised, so callers can flag partial results.  I_0 diverges at s = 0,
     which raises ValueError.
     """
-    value, estimate = damped_mode_integral(s, w, power_shift, panel_factor)
+    value, estimate = damped_mode_integral(s, power_shift, panel_factor)
     estimate = max(estimate, 1e-15 * (1.0 + abs(value)))
     converged = estimate <= rtol * max(abs(value), 1e-300)
     return QuadratureResult(value=value, error_estimate=estimate, converged=converged)

@@ -14,17 +14,19 @@ with -i = e^{-i pi/2}.  The detected power at negative frequency is Planckian:
 
 a thermal spectrum at temperature T = a / 2 pi.
 
-Both amplitudes are f = (1/a) J_0 in the family of mode integrals J_p(s, w)
-of ``quadrature``, s = omega/a, w = omega_hat z: ``mode_closed`` takes J_p by one
-gamma evaluation and the recursion J_{k+1} = ((s + i k) / w) J_k, and
-``mode_quadrature`` by the real-axis oracle.
+Both amplitudes are f = (omega_hat z)^{i s} (1/a) I_0 in the family of scale-free
+mode integrals I_p(s) of ``quadrature``, s = omega/a: ``mode_closed`` takes
+(1/a) I_p by one gamma evaluation and ``mode_quadrature`` by the real-axis
+oracle.  The phase exp(i s (ln omega_hat + ln z)) has unit modulus and is the
+only factor that reads omega_hat; each row applies it once, to its amplitude,
+and takes its powers from the phase-free I_p, so no power depends on omega_hat.
 
 The constant-deformation correction enters through the single parameter
 ``theta01`` (the time-radial component with both indices lowered by the
 (-,+,+,+) metric; the raised component is -theta01).  At first order the
-amplitude gains sum coefficient (1/a) J_p over the table ``correction_terms``,
-and the detected spectrum deviates from the Planck form by the relative
-amount -2 theta01 omega / (pi T z^2).  That first-order result holds while
+amplitude gains the phase times sum coefficient (1/a) I_p over the table
+``correction_terms``, and the detected spectrum deviates from the Planck form
+by -2 theta01 omega / (pi T z^2), relative.  That first-order result holds while
 the deviation stays within |deviation| <= 0.1; ``compute_spectrum`` returns
 the grid frequencies past that bound as data, in
 ``SpectrumResult.bound_breaches``.
@@ -113,60 +115,61 @@ def planck_power(a: float, omega: float) -> float:
     return (2.0 * math.pi / a) * math.exp(-x) / -math.expm1(-x)
 
 
+def _phase(m: ModeParams) -> complex:
+    """(omega_hat z)^{i omega/a}, of unit modulus: the only factor that reads omega_hat."""
+    return cmath.exp(1j * (m.omega / m.a) * (math.log(m.omega_hat) + math.log(m.z)))
+
+
 def f_closed(m: ModeParams) -> complex:
-    """Closed-form Fourier amplitude of the mode in observer proper time.
+    """Closed-form Fourier amplitude of the mode in observer proper time: the phase times mode_closed(m, 0).
 
     The overall sign is fixed by the defining integral itself (the quadrature
     route converges to this value); the phase factor has unit modulus, so
-    every power formula is independent of omega_hat * z.  An omega / a or an
-    omega_hat * z that underflows to 0 raises OverflowError.
+    every power formula reads ``mode_closed`` alone.  An omega / a that
+    underflows to 0 raises OverflowError.
     """
+    return mode_closed(m, 0) * _phase(m)
+
+
+def _gamma_ratio(m: ModeParams, p: int) -> complex:
+    """I_p / I_0 by Gamma(y + 1) = y Gamma(y): the product of s + i k over k < p."""
+    s = m.omega / m.a
+    return math.prod(s + 1j * k for k in range(p))
+
+
+def mode_closed(m: ModeParams, p: int) -> complex:
+    """(1/a) I_p(omega/a) in closed form, (1/a) Gamma(-i s) e^{pi s/2} prod_{k<p} (s + i k): one gamma evaluation."""
     s = m.omega / m.a
     if s == 0.0:
         if m.omega != 0.0:
             raise OverflowError(f"omega / a underflows to 0 at a = {m.a!r}")
         raise GammaPoleError("amplitude has a gamma pole at omega = 0")
-    wz = m.omega_hat * m.z
-    if wz == 0.0:
-        raise OverflowError(f"omega_hat * z underflows to 0 at omega_hat = {m.omega_hat!r}, z = {m.z!r}")
-    phase = cmath.exp(1j * s * math.log(wz))
-    return (1.0 / m.a) * phase * complex_gamma(-1j * s) * math.exp(math.pi * s / 2.0)
-
-
-def _gamma_ratio(m: ModeParams, p: int) -> complex:
-    """J_p / J_0 by Gamma(y + 1) = y Gamma(y): the product of (s + i k) / w over k < p."""
-    s, w = m.omega / m.a, m.omega_hat * m.z
-    return math.prod((s + 1j * k) / w for k in range(p))
-
-
-def mode_closed(m: ModeParams, p: int) -> complex:
-    """(1/a) J_p(omega/a, omega_hat z) in closed form: one gamma evaluation, f_closed(m) = J_0 / a."""
-    return f_closed(m) * _gamma_ratio(m, p)
+    return (1.0 / m.a) * complex_gamma(-1j * s) * math.exp(math.pi * s / 2.0) * _gamma_ratio(m, p)
 
 
 def mode_quadrature(m: ModeParams, p: int, *, panel_factor: int = 1, rtol: float = 1e-7) -> QuadratureResult:
-    """(1/a) J_p(omega/a, omega_hat z) by real-axis quadrature, independent of the gamma function."""
-    res = mode_integral(m.omega / m.a, m.omega_hat * m.z, power_shift=p, panel_factor=panel_factor, rtol=rtol)
+    """(1/a) I_p(omega/a) by real-axis quadrature, independent of the gamma function."""
+    res = mode_integral(m.omega / m.a, power_shift=p, panel_factor=panel_factor, rtol=rtol)
     return res._replace(value=res.value / m.a)
 
 
 def f_quadrature(m: ModeParams, *, panel_factor: int = 1, rtol: float = 1e-7) -> QuadratureResult:
-    """Fourier amplitude by real-axis quadrature: the numerical oracle for :func:`f_closed`."""
+    """The amplitude without its phase, (1/a) I_0, by real-axis quadrature: the oracle for ``mode_closed(m, 0)``."""
     return mode_quadrature(m, 0, panel_factor=panel_factor, rtol=rtol)
 
 
 def correction_terms(m: ModeParams, theta01: Real) -> tuple[tuple[int, complex], ...]:
-    """The first-order amplitude correction f + sum coefficient (1/a) J_p as ``((p, coefficient), ...)``.
+    """The first-order amplitude correction f + phase * sum coefficient (1/a) I_p as ``((p, coefficient), ...)``.
 
-    The wave term 2 i theta^{01} omega omega_hat / (a z) and the argument term
-    -2 theta^{01} omega_hat / z, both on J_1, with theta^{01} = -theta01: the
-    one statement of the coefficients.  The factor i comes last, so for
-    ``Fraction`` input each coefficient is its exact value rounded once.
+    The wave term 2 i theta^{01} omega / (a z^2) and the argument term
+    -2 theta^{01} / z^2, both on I_1, with theta^{01} = -theta01: the one
+    statement of the coefficients, each that of J_1(s, omega_hat z) over omega_hat z.
+    The factor i comes last, so for ``Fraction`` input each is its exact value rounded once.
     """
     theta_upper = -theta01
     return (
-        (1, 1j * (2 * theta_upper * m.omega * m.omega_hat / (m.a * m.z))),
-        (1, -2 * theta_upper * m.omega_hat / m.z),
+        (1, 1j * (2 * theta_upper * m.omega / (m.a * m.z**2))),
+        (1, -2 * theta_upper / m.z**2),
     )
 
 
@@ -185,8 +188,8 @@ def _first_order_power(omega: float, amplitude: complex, correction: complex) ->
 
 def deformed_f_theta(m: ModeParams, theta01: float) -> complex:
     """Corrected Fourier amplitude at first order in theta01, in closed form."""
-    f = f_closed(m)
-    return f + _correction(m, theta01, lambda p: f * _gamma_ratio(m, p))
+    f = mode_closed(m, 0)
+    return (f + _correction(m, theta01, lambda p: f * _gamma_ratio(m, p))) * _phase(m)
 
 
 def relative_deviation_closed(m: ModeParams, theta01: float) -> float:
@@ -227,21 +230,21 @@ class DeformedPowerPoint(NamedTuple):
 def deformed_power(m: ModeParams, theta01: float) -> DeformedPowerPoint:
     """The detected spectrum at ``m.omega`` > 0 and its first-order correction.
 
-    The one closed-form evaluation of a frequency: f(-omega) is computed once.
-    A positive ``theta01`` suppresses the power.  Raises OverflowError where
-    pi T z^2, omega / a or omega_hat * z underflows to zero.
+    The one closed-form evaluation of a frequency: one gamma evaluation, and the phase
+    applied to the amplitude alone.  A positive ``theta01`` suppresses the power.
+    Raises OverflowError where pi T z^2 or omega / a underflows to zero.
     """
     if not m.omega > 0:
         raise ValueError("omega must be positive for the detected spectrum")
     dev = relative_deviation_closed(m, theta01)
     neg = m._replace(omega=-m.omega)
-    amplitude = f_closed(neg)
+    f = mode_closed(neg, 0)
     power, via_amplitude = _first_order_power(
-        m.omega, amplitude, _correction(neg, theta01, lambda p: amplitude * _gamma_ratio(neg, p))
+        m.omega, f, _correction(neg, theta01, lambda p: f * _gamma_ratio(neg, p))
     )
     planck = planck_power(m.a, m.omega)
     return DeformedPowerPoint(
-        amplitude=amplitude, power=power, planck=planck, deviation=dev,
+        amplitude=f * _phase(neg), power=power, planck=planck, deviation=dev,
         closed_form=planck * (1.0 + dev), via_amplitude=via_amplitude,
     )
 
@@ -347,8 +350,8 @@ def compute_spectrum(
     """Evaluate the detected spectrum over a grid of positive frequencies.
 
     Each grid frequency is one :func:`deformed_power` point, which the
-    closed-form row reads; the quadrature row squares its own J_0 and
-    correction the same way, its J_1 from the DE sums J_0 took, shared per call.
+    closed-form row reads; the quadrature row squares its own I_0 and
+    correction the same way, its I_1 from the DE sums I_0 took, shared per call.
     ``method`` is one of ``METHODS``; quadrature rows report the convergence of
     their amplitude (and ``eps`` 0.0).  Every grid frequency past the
     first-order bound is listed in ``bound_breaches``, whatever the method.
@@ -386,7 +389,7 @@ def compute_spectrum(
             rows.append(SpectrumRow(omega, dp.amplitude, dp.power, dp.via_amplitude, "closed-form"))
         if method in ("quadrature", "both"):
             power, power_deformed = _first_order_power(omega, res.value, correction)
-            rows.append(SpectrumRow(omega, res.value, power, power_deformed, "quadrature", res.converged))
+            rows.append(SpectrumRow(omega, res.value * _phase(neg), power, power_deformed, "quadrature", res.converged))
     return SpectrumResult(
         a=a, omega_hat=omega_hat, z=z, theta01=theta01, rows=tuple(rows), bound_breaches=tuple(breaches)
     )

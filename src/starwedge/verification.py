@@ -50,6 +50,7 @@ from .quadrature import _shared_de_sums, damped_mode_integral
 from .spectrum import (
     ModeParams,
     _correction,
+    _phase,
     correction_terms,
     deformed_f_theta,
     deformed_power,
@@ -526,18 +527,16 @@ def _check_correction_integral(rng: random.Random, tol: float) -> Finding:
 
 
 def _check_correction_assembly(rng: random.Random, tol: float) -> Finding:
-    modes = (ModeParams(omega_hat=1.3, z=0.9, a=1.1, omega=1.1 * s) for s in _ORACLE_S)
-    return _two_routes(
-        (
-            (_correction(m, 1e-4, lambda p: mode_quadrature(m, p).value), deformed_f_theta(m, 1e-4) - f_closed(m))
-            for m in modes
-        ),
-        tol, "the two quadrature correction terms reassemble the first-order bracket",
-    )
+    pairs = []
+    for s in _ORACLE_S:
+        m = ModeParams(omega_hat=1.3, z=0.9, a=1.1, omega=1.1 * s)
+        table = _correction(m, 1e-4, lambda p: mode_quadrature(m, p).value)
+        pairs.append((table * _phase(m), deformed_f_theta(m, 1e-4) - f_closed(m)))
+    return _two_routes(pairs, tol, "the two quadrature correction terms reassemble the first-order bracket")
 
 
 def _check_quadrature_refinement(rng: random.Random, tol: float | None) -> Finding:
-    ests = [damped_mode_integral(1.0, 1.0, panel_factor=pf)[1] for pf in (1, 2, 4)]
+    ests = [damped_mode_integral(1.0, panel_factor=pf)[1] for pf in (1, 2, 4)]
     ok = ests[1] <= ests[0] and ests[2] <= ests[1]
     return ok, None, (
         f"undamped refinement residual non-increasing under doubling of the rule's M: "
@@ -580,10 +579,11 @@ def _check_integrand_consistency(rng: random.Random, tol: float) -> Finding:
     """Tie the spectrum's correction table to the twist engine.
 
     A canonical twist with parameter r acts on the two mode factors (the wave
-    term) and on the phase's argument (the argument term).  Each action over its
-    factors and u^p = e^{-a p z0} must be the coefficient of ``correction_terms``
-    at ``theta01_from_engine(r)``: at rational parameters both are one rational
-    rounded once, so the comparison is exact and ``tol`` is only reported.
+    term) and on the phase's argument (the argument term).  Each action over
+    its factors and (omega_hat z1 u)^p, u = e^{-a z0}, must be the coefficient
+    of ``correction_terms`` at ``theta01_from_engine(r)``: at rational
+    parameters both are one rational rounded once, so the comparison is exact
+    and ``tol`` is only reported.
     """
     r = Fraction(3, 7)
     tw = build_linear_twist(CanonicalTwist({(0, 1): r}), RINDLER)
@@ -597,7 +597,7 @@ def _check_integrand_consistency(rng: random.Random, tol: float) -> Finding:
     terms = correction_terms(m, theta01_from_engine(r))
     ok = len(terms) == len(actions)
     for action, (p, coefficient) in zip(actions, terms):
-        value = substitute(mul(action, u**-p), point)
+        value = substitute(mul(action, (w_hat * z1 * u) ** -p), point)
         ok = ok and not free_symbols(value) and eval_numeric(value, {}) == complex(coefficient)
     return ok, None, "engine twist action reproduces the amplitude-correction integrands"
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from starwedge import config
 from starwedge.cli import main
 from starwedge.config import ConfigError, atomic_write_text, load_config
 from starwedge.grammar import to_text
@@ -380,14 +381,12 @@ def test_a_check_that_raises_value_error_is_a_traceback(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("method", ["closed-form", "quadrature", "both"])
-@pytest.mark.parametrize(
-    "omega_hat, z, reason",
-    [("1", "1", "0.0 to a negative or complex power"), ("1e-4", "0.5", "math domain error")],
-)
-def test_spectrum_at_the_largest_double_exits_2_naming_omega(tmp_path, capsys, method, omega_hat, z, reason):
+@pytest.mark.parametrize("omega_hat, z", [("1", "1"), ("1e-4", "0.5")])
+def test_spectrum_at_the_largest_double_exits_2_naming_omega(tmp_path, capsys, method, omega_hat, z):
     # found by the config-space property: the gamma function's complex power
     # raised ZeroDivisionError, and the closed form's phase a math domain
-    # ValueError; each once escaped as a traceback, exit 1
+    # ValueError; each once escaped as a traceback, exit 1.  The phase is
+    # applied after the gamma function, which raises first at any omega_hat z
     keys = {"a": "2", "omega_hat": omega_hat, "z": z, "omega_grid": "1 1.7976931348623157e308", "method": method}
     cfg = _write(tmp_path, "[spectrum]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()))
     out = tmp_path / "out"
@@ -395,7 +394,7 @@ def test_spectrum_at_the_largest_double_exits_2_naming_omega(tmp_path, capsys, m
     assert code == 2, stderr
     assert stderr == (
         "error: grid frequency omega = 1.7976931348623157e+308 (omega / a = 8.98847e+307) "
-        f"is out of range: {reason}\n"
+        "is out of range: 0.0 to a negative or complex power\n"
     )
     assert stdout == ""
     assert not out.exists()
@@ -409,6 +408,27 @@ def test_each_omega_grid_error_names_the_key(tmp_path, capsys, grid):
     code, _, stderr = _cli(capsys, "spectrum", "--config", str(cfg), "--out", str(tmp_path / "out"))
     assert code == 2
     assert stderr.startswith("error: omega_grid ")
+
+
+@pytest.mark.parametrize("spec, count", [("lin", "1000001"), ("geom", "100000000000000000000")])
+def test_an_omega_grid_count_past_the_limit_exits_2_before_the_grid_is_built(tmp_path, capsys, spec, count):
+    # a COUNT of 1e20 once built the whole grid tuple and ended in a MemoryError traceback
+    cfg = _write(tmp_path, f"[spectrum]\na = 1\nomega_hat = 1\nz = 1\nomega_grid = {spec} 1 2 {count}\n")
+    out = tmp_path / "out"
+    code, stdout, stderr = _cli(capsys, "spectrum", "--config", str(cfg), "--out", str(out))
+    assert code == 2
+    assert stderr == f"error: omega_grid count must be at most 1000000, got {count}\n"
+    assert stdout == ""
+    assert not out.exists()
+
+
+def test_the_omega_grid_count_limit_is_inclusive(tmp_path, monkeypatch):
+    # at a lowered limit, so that no test builds a grid of a million points
+    monkeypatch.setattr(config, "MAX_GRID_COUNT", 3)
+    cfg = load_config(_write(tmp_path, "[spectrum]\na=1\nomega_hat=1\nz=1\nomega_grid = lin 1 2 3\n"))
+    assert cfg.spectrum.omegas == pytest.approx((1.0, 1.5, 2.0))
+    with pytest.raises(ConfigError, match="omega_grid count must be at most 3, got 4"):
+        load_config(_write(tmp_path, "[spectrum]\na=1\nomega_hat=1\nz=1\nomega_grid = geom 1 2 4\n"))
 
 
 def test_spectrum_past_planck_overflow_writes_zero_power(tmp_path, capsys):
@@ -450,22 +470,6 @@ def test_spectrum_subnormal_frequency_exits_2_naming_omega(tmp_path, method, ome
 
 
 @pytest.mark.parametrize("method", ["closed-form", "quadrature", "both"])
-@pytest.mark.parametrize("omega_hat, z", [("1e-300", "1e-30"), ("1e-320", "1e-10")])
-def test_spectrum_underflowing_omega_hat_z_exits_2_naming_both(tmp_path, capsys, omega_hat, z, method):
-    # valid values whose product is 0.0: the closed form's log(omega_hat * z)
-    # once escaped as a ValueError traceback, exit 1
-    keys = {"a": "1", "omega_hat": omega_hat, "z": z, "omega_grid": "0.5 1", "method": method}
-    cfg = _write(tmp_path, "[spectrum]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()))
-    out = tmp_path / "out"
-    code, stdout, stderr = _cli(capsys, "spectrum", "--config", str(cfg), "--out", str(out))
-    assert code == 2, stderr
-    assert "omega = 0.5" in stderr
-    assert f"omega_hat = {float(omega_hat)!r}" in stderr and f"z = {float(z)!r}" in stderr
-    assert stdout == ""
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("method", ["closed-form", "quadrature", "both"])
 def test_spectrum_underflowing_omega_over_a_exits_2_naming_omega(tmp_path, capsys, method):
     # omega / a = 1e-300 / 1e300 is 0.0: the closed form once read it as the
     # gamma pole at omega = 0 and escaped as a GammaPoleError traceback, exit 1
@@ -482,39 +486,39 @@ def test_spectrum_underflowing_omega_over_a_exits_2_naming_omega(tmp_path, capsy
     assert not out.exists()
 
 
-@pytest.mark.parametrize("method", ["quadrature", "both"])
-def test_spectrum_quadrature_overflow_at_subnormal_omega_hat_z_names_omega(tmp_path, capsys, method):
-    # omega_hat * z = 1e-320: the quadrature's w^-c overflows, and its error once
-    # escaped the handler that names omega; the closed form's correction term
-    # J_1 = (s / w) J_0 overflows too, and it is evaluated first
-    text = f"[spectrum]\na = 1\nomega_hat = 1e-320\nz = 1\nomega_grid = 0.5 1\nmethod = {method}\n"
-    cfg = _write(tmp_path, text)
-    out = tmp_path / "out"
-    code, stdout, stderr = _cli(capsys, "spectrum", "--config", str(cfg), "--out", str(out))
-    assert code == 2, stderr
-    assert stderr == (
-        "error: grid frequency omega = 0.5 (omega / a = 0.5) is out of range: the closed form is not finite\n"
-    )
-    assert stdout == ""
-    assert not out.exists()
+def _power_columns(tmp_path, capsys, name, keys):
+    """Run ``spectrum`` on a [spectrum] section, which must exit 0; the power and power_deformed columns of spectrum.csv."""
+    cfg = _write(tmp_path, "[spectrum]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()), f"{name}.ini")
+    out = tmp_path / name
+    code, _, stderr = _cli(capsys, "spectrum", "--config", str(cfg), "--out", str(out))
+    assert code == 0, stderr
+    lines = (out / "spectrum.csv").read_text(encoding="utf-8").splitlines()
+    return [line.split(",")[3:5] for line in lines[1:]]
 
 
-@pytest.mark.parametrize("method", ["quadrature", "both"])
-def test_spectrum_quadrature_overflow_at_the_largest_omega_hat_names_omega(tmp_path, capsys, method):
-    # found by the config-space property: the by-parts factor -i w / c
-    # overflowed to inf, and inf times the subnormal w^-c is nan, so the run
-    # once exited 4 with a NaN row and a numpy RuntimeWarning
-    text = "[spectrum]\na = 2\nomega_hat = 1.7976931348623157e308\nz = 1\nomega_grid = 1\n"
-    cfg = _write(tmp_path, text + f"method = {method}\n")
-    out = tmp_path / "out"
-    code, stdout, stderr = _cli(capsys, "spectrum", "--config", str(cfg), "--out", str(out))
-    assert code == 2, stderr
-    assert stderr == (
-        "error: grid frequency omega = 1.0 (omega / a = 0.5) is out of range: the scale factor "
-        "of J_0(s, w) is not finite at w = 1.7976931348623157e+308\n"
-    )
-    assert stdout == ""
-    assert not out.exists()
+@pytest.mark.parametrize("method", ["closed-form", "quadrature", "both"])
+@pytest.mark.parametrize("omega_hat, z", [("1e-300", "1e-30"), ("1e-320", "1e-10"), ("1e-320", "1")])
+def test_spectrum_at_a_tiny_omega_hat_z_gives_the_unit_omega_hat_power(tmp_path, capsys, omega_hat, z, method):
+    # a product omega_hat * z that underflows to 0 once escaped from the closed
+    # form's log(omega_hat * z) as a traceback, and at a subnormal product the
+    # correction term J_1 = (s / w) J_0 and the quadrature's scale factor w^-c
+    # overflowed, so these runs exited 2; omega_hat enters only as a phase
+    keys = {"a": "1", "omega_hat": omega_hat, "z": z, "theta01": "1e-4", "omega_grid": "0.5 1", "method": method}
+    got = _power_columns(tmp_path, capsys, "tiny", keys)
+    assert got == _power_columns(tmp_path, capsys, "unit", {**keys, "omega_hat": "1"})
+    assert len(got) == (4 if method == "both" else 2)
+
+
+@pytest.mark.parametrize("method, theta01", [("quadrature", "1e-4"), ("both", "1e-4"), ("closed-form", "1")])
+def test_spectrum_at_the_largest_omega_hat_gives_the_unit_omega_hat_power(tmp_path, capsys, method, theta01):
+    # found by the config-space property: the quadrature's by-parts factor
+    # -i w / c overflowed to inf, and inf times the subnormal w^-c is nan, so
+    # the run once exited 4 with a NaN row, then 2; with theta01 of order one
+    # the closed form's correction coefficient overflowed too
+    keys = {"a": "2", "omega_hat": "1.7976931348623157e308", "z": "1", "theta01": theta01, "omega_grid": "1",
+            "method": method}
+    got = _power_columns(tmp_path, capsys, "largest", keys)
+    assert got == _power_columns(tmp_path, capsys, "unit", {**keys, "omega_hat": "1"})
 
 
 @pytest.mark.parametrize(

@@ -102,7 +102,7 @@ def test_gamma_against_mpmath_high_precision():
 
 
 def test_damped_integral_against_mpmath_closed_form():
-    # the mode integral has the exact value Gamma(p-is) (-iw)^(-(p-is));
+    # the mode integral I_p(s) has the exact value Gamma(p-is) (-i)^(-(p-is));
     # evaluate it at 30 significant digits and compare the double-exponential
     # rule, also at s < 0, where rounding is amplified by about e^(pi |s|)
     from starwedge.quadrature import damped_mode_integral
@@ -110,7 +110,7 @@ def test_damped_integral_against_mpmath_closed_form():
     with mpmath.workdps(30):
         for p in (0, 1):
             for s in (-4.0, -0.5, 0.5, 2.0):
-                got, _ = damped_mode_integral(s, 1.0, power_shift=p)
+                got, _ = damped_mode_integral(s, power_shift=p)
                 c = p - 1j * s
                 want = complex(mpmath.gamma(c) * (-1j) ** (-c))
                 assert abs(got - want) <= 1e-11 * abs(want), (p, s)

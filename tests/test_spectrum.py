@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from starwedge import spectrum
 from starwedge.config import dump_json
@@ -131,16 +132,17 @@ def test_correction_integral_quadrature_oracle(s):
 
 
 def test_correction_integral_gamma_recursion():
-    # the extra-damping integral equals (-i s / (wz)) ... f_closed via
-    # Gamma(1 + y) = y Gamma(y); verify the exact ratio numerically
+    # the extra-damping integral I_1 is s I_0 by Gamma(1 + y) = y Gamma(y),
+    # so J_1 / J_0 = s / (wz) with J_p(s, wz) = (wz)^(is - p) I_p(s)
     m = _mode(1.3, wz=1.7)
     s = m.omega / m.a
-    ratio = mode_closed(m, 1) / f_closed(m)
-    want = (s / (m.omega_hat * m.z)) * 1.0  # |(-is) * i / (wz)| structure
-    assert ratio == pytest.approx(want, rel=1e-12)
+    wz = m.omega_hat * m.z
+    assert mode_closed(m, 1) / mode_closed(m, 0) == pytest.approx(s, rel=1e-12)
+    ratio = wz ** (1j * s - 1) * mode_closed(m, 1) / f_closed(m)
+    assert ratio == pytest.approx(s / wz, rel=1e-12)
     # and the recursion is J_1 by its own gamma formula, (1/a) Gamma(1 - i s) (-i wz)^(-(1 - i s))
-    direct = complex_gamma(1.0 - 1j * s) * (-1j * m.omega_hat * m.z) ** -(1.0 - 1j * s) / m.a
-    assert abs(mode_closed(m, 1) - direct) <= 1e-13 * abs(direct)
+    direct = complex_gamma(1.0 - 1j * s) * (-1j * wz) ** -(1.0 - 1j * s) / m.a
+    assert abs(wz ** (1j * s - 1) * mode_closed(m, 1) - direct) <= 1e-13 * abs(direct)
 
 
 # --- deformation --------------------------------------------------------------------------
@@ -175,10 +177,12 @@ def test_deformed_deviation_via_amplitude():
 
 def test_quadrature_assembled_correction_matches_bracket():
     # both correction terms carry the extra-damping-factor integral; their
-    # weighted sum must reproduce the closed-form first-order bracket
+    # weighted sum, times the phase (omega_hat z)^(is), must reproduce the
+    # closed-form first-order bracket
     for s_val in (0.5, 1.0, 2.0):
         m = ModeParams(omega_hat=1.3, z=0.9, a=1.1, omega=1.1 * s_val)
-        got = sum(c * mode_quadrature(m, p).value for p, c in correction_terms(m, 1e-4))
+        phase = (1.3 * 0.9) ** (1j * s_val)
+        got = phase * sum(c * mode_quadrature(m, p).value for p, c in correction_terms(m, 1e-4))
         want = deformed_f_theta(m, 1e-4) - f_closed(m)
         assert abs(got - want) <= 1e-6 * abs(want)
 
@@ -342,7 +346,7 @@ _TWO_ROUTE_GRIDS = {
 @pytest.mark.parametrize("theta01", [1e-4, 0.1])
 @pytest.mark.parametrize("grid", sorted(_TWO_ROUTE_GRIDS))
 def test_each_route_squares_its_own_correction_to_the_first_order_power(grid, theta01):
-    # the quadrature row sums the correction over its own J_p: it must agree with
+    # the quadrature row sums the correction over its own I_p: it must agree with
     # the closed-form row and with the first order (2 pi / a) / (e^(2 pi omega / a) - 1) (1 + deviation)
     params, omegas = _TWO_ROUTE_GRIDS[grid]
     res = compute_spectrum(omegas, **params, theta01=theta01, method="both")
@@ -354,6 +358,25 @@ def test_each_route_squares_its_own_correction_to_the_first_order_power(grid, th
             assert abs(quad.power_deformed - closed.power_deformed) <= 1e-9 * abs(closed.power_deformed)
             assert abs(quad.power_deformed - want) <= 1e-9 * abs(want)
             assert abs(closed.power_deformed - want) <= 1e-9 * abs(want)
+
+
+# omega_hat over the whole range of a double: subnormals, 1e-300 to 1e300, the largest
+_OMEGA_HATS = st.one_of(
+    st.sampled_from([5e-324, 1e-320, 1.7976931348623157e308]), st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+)
+
+
+@given(omega_hat=_OMEGA_HATS, z=st.floats(-3.0, 3.0).map(lambda e: 10.0**e))
+def test_the_powers_do_not_depend_on_omega_hat(omega_hat, z):
+    # omega_hat enters only as the unit-modulus phase (omega_hat z)^(i omega / a) of
+    # the amplitude, so both row kinds give the powers of omega_hat = 1 bit for bit
+    def powers(omega_hat):
+        res = compute_spectrum(_README_GRID, **{**_README, "omega_hat": omega_hat, "z": z}, method="both")
+        return [(r.method, r.power, r.power_deformed) for r in res.rows]
+
+    got = powers(omega_hat)
+    assert got == powers(1.0)
+    assert [method for method, _, _ in got] == ["closed-form", "quadrature"] * len(_README_GRID)
 
 
 def test_compute_spectrum_validation():

@@ -93,8 +93,8 @@ def _correction_terms_theta_unraised(m, theta01):
     # spectrum.correction_terms with theta^{01} = theta01: the whole bracket's sign flipped
     theta_upper = theta01
     return (
-        (1, 1j * (2 * theta_upper * m.omega * m.omega_hat / (m.a * m.z))),
-        (1, -2 * theta_upper * m.omega_hat / m.z),
+        (1, 1j * (2 * theta_upper * m.omega / (m.a * m.z**2))),
+        (1, -2 * theta_upper / m.z**2),
     )
 
 
@@ -107,8 +107,8 @@ def _correction_terms_argument_plus(m, theta01):
     # spectrum.correction_terms with the argument term's sign flipped
     theta_upper = -theta01
     return (
-        (1, 1j * (2 * theta_upper * m.omega * m.omega_hat / (m.a * m.z))),
-        (1, 2 * theta_upper * m.omega_hat / m.z),
+        (1, 1j * (2 * theta_upper * m.omega / (m.a * m.z**2))),
+        (1, 2 * theta_upper / m.z**2),
     )
 
 
@@ -116,8 +116,8 @@ def _correction_terms_wave_minus(m, theta01):
     # spectrum.correction_terms with the wave term's sign flipped
     theta_upper = -theta01
     return (
-        (1, -1j * (2 * theta_upper * m.omega * m.omega_hat / (m.a * m.z))),
-        (1, -2 * theta_upper * m.omega_hat / m.z),
+        (1, -1j * (2 * theta_upper * m.omega / (m.a * m.z**2))),
+        (1, -2 * theta_upper / m.z**2),
     )
 
 
@@ -269,16 +269,16 @@ def test_a_spectrum_keeps_no_de_sum_across_calls(monkeypatch, method):
 def test_a_nested_shared_block_reuses_the_outer_sums_and_leaves_them(monkeypatch):
     calls = _count_de_sums(monkeypatch)
     with quadrature._shared_de_sums():
-        quadrature.mode_integral(1.0, 1.0)
+        quadrature.mode_integral(1.0)
         outer = quadrature._memo
         with quadrature._shared_de_sums():
             assert quadrature._memo is outer
-            quadrature.mode_integral(1.0, 2.0, power_shift=1)  # the same c = 1 - i
+            quadrature.mode_integral(1.0, power_shift=1)  # the same c = 1 - i
         assert quadrature._memo is outer and len(outer) == 2
         with pytest.raises(RuntimeError, match="inner"), quadrature._shared_de_sums():
             raise RuntimeError("inner")
         assert quadrature._memo is outer
-        quadrature.mode_integral(1.0, 3.0)
+        quadrature.mode_integral(1.0)
     assert calls[0] == 2
     assert quadrature._memo is None
 
