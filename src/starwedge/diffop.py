@@ -40,7 +40,6 @@ from .expr import (
     _diff_terms,
     _from_terms,
     _mul_terms,
-    _parts,
     _setattr,
     mul,
     substitute,
@@ -292,7 +291,7 @@ def _coefficient_matrix(op: BidiffOp) -> TermMatrix:
     for scalar, left, right in op.terms:
         right_terms = [_as_terms(r) for r in right.coeffs]
         for row, coeff in zip(c, left.coeffs):
-            scaled = {mono: scalar * x for mono, x in _parts(coeff)}
+            scaled = {mono: scalar * x for mono, x in _as_terms(coeff).items()}
             if scaled:
                 for entry, r in zip(row, right_terms):
                     _mul_terms(scaled, r, entry)
@@ -305,9 +304,7 @@ def _contract(chart: Chart, matrix: TermMatrix, f: Expr, g: Expr) -> Expr:
     Row by row, row_mu = sum_nu matrix[mu][nu] * d_nu g, and d_mu f * row_mu
     accumulates in place into one term map: one large product per row.  Each
     partial derivative of f and of g is taken at most once, and only where
-    its row or column of the matrix is not all zero.  In each product the
-    factor with the longer monomials goes first, so that more merged
-    monomials gain no atom over it and skip the sort (see ``_mul_terms``).
+    its row or column of the matrix is not all zero.
     """
     _check_function_chart(chart, f)
     _check_function_chart(chart, g)

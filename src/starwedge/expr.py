@@ -31,25 +31,31 @@ nodes in a weak table, so structurally equal atoms are one object, and atoms
 compare and hash by identity, in C.  Monomials are tuples of (atom, exponent)
 pairs, so hashing one for a term-map lookup runs no Python code.  Every other
 expression (zero, a constant, a monomial other than a bare atom, a sum) is an
-``Add`` of its sorted (monomial, coefficient) tuple, built once per result,
-not interned, and compared and hashed by that tuple.  Each expression stores
-its sort key (the canonical order of atoms, in which a composite ``Fn``
-argument takes part): an atom when it is interned, an ``Add`` on first use.
-So sorting the atoms of a monomial reads one stored attribute per atom and
-runs no Python code for it.  The tables rely on one node per atom structure
-while it lives, which holds as long as one thread at a time builds nodes, as
-every caller in the package does.  Atoms pickle by their fields and an
-``Add`` by its terms, so unpickled atoms are interned too.
+``Add`` of its term map, which maps each monomial to its coefficient.  The
+node owns the map it was built from, is not interned, compares by its map and
+hashes by the set of its terms, so neither needs an order.  The sorted
+(monomial, coefficient) tuple is built once, on the first read of the order,
+and kept on the node: an intermediate that is only multiplied, added or
+compared is never sorted.  Each expression stores its sort key (the
+canonical order of atoms, in which a composite ``Fn`` argument takes part):
+an atom when it is interned, an ``Add`` on first use.  So ordering the atoms
+of a monomial reads one stored attribute per atom and runs no Python code
+for it.  The tables rely on one node per atom structure while it lives,
+which holds as long as one thread at a time builds nodes, as every caller in
+the package does.  Atoms pickle by their fields and an ``Add`` by its terms,
+so unpickled atoms are interned too.
 
-The working form is the term map, which maps each monomial to its
-coefficient; ``_add_term``, ``_mul_terms`` and ``_reduce_cosh`` are the one
-definition of the normal form on it.  Every term map is reduced, so a
-product takes a fast path: a constant term scales the other term's monomial
-as it is, and only a cosh atom that both monomials share goes through
-``_reduce_cosh``.  ``_from_terms`` is the one writer of the canonical layout
-and ``_parts`` its one reader: ``_as_terms``, ``substitute``,
-``free_symbols``, ``==``, ``hash`` and the printer of ``grammar`` all take an
-expression apart through it.  ``Add.terms`` is a
+The working form is the term map; ``_add_term``, ``_mul_terms`` and
+``_reduce_cosh`` are the one definition of the normal form on it.  Every
+stored monomial lists its atoms in key order and every term map is reduced,
+so a product merges two sorted monomials in one pass: a constant term scales
+the other term's monomial as it is, and only a cosh atom that both monomials
+share goes through ``_reduce_cosh``.  ``differentiate`` reaches the normal
+form through the same product.  ``_from_terms`` is the one writer of the
+layout.  ``_as_terms`` reads a copy of the map, for every walk that needs no
+order (products, sums, ``substitute``, ``free_symbols``); ``_parts`` reads
+the sorted terms, for every walk whose output shows the order (the printer of
+``grammar``, ``summands``, ``_skey``).  ``Add.terms`` is a
 read-only view for walkers outside this module, built by ``_term_to_expr`` on
 first access and then kept.  It holds one record per term: an atom, a
 ``Const``, a ``Pow`` (an atom to an exponent other than 1), or a ``Mul`` of an
@@ -257,9 +263,10 @@ class Expr:
     attribute raises.  ``Sym`` and ``Fn`` constructors return the live atom
     of equal fields, if there is one, or intern a new one with its sort key
     ``_key`` set; those atoms compare and hash by identity.  On an ``Add``
-    the slots ``_key`` and ``_hash`` stay unset until :func:`_skey` and
-    ``hash`` first fill them, and an ``Add`` compares and hashes by its terms
-    (see the module docstring).
+    the slots ``_key``, ``_hash`` and ``_items`` stay unset until
+    :func:`_skey`, ``hash`` and :func:`_parts` first fill them, and an
+    ``Add`` compares by its term map and hashes by the set of its terms (see
+    the module docstring).
     """
 
     __slots__ = ("_key", "_hash")
@@ -275,7 +282,7 @@ class Expr:
         try:
             return self._hash
         except AttributeError:
-            h = hash(_parts(self))
+            h = hash(frozenset(self._map.items()))
             _setattr(self, "_hash", h)
             return h
 
@@ -284,7 +291,8 @@ class Expr:
             return True
         if not isinstance(other, Expr):
             return NotImplemented
-        return hash(self) == hash(other) and _parts(self) == _parts(other)
+        # only an Add gets here, atoms compare by identity, and an Add is never a bare atom
+        return other.__class__ is Add and self._map == other._map
 
     def __reduce__(self) -> tuple:
         return self.__class__, tuple(getattr(self, f) for f in self.__match_args__)
@@ -347,13 +355,15 @@ class Sym(Expr):
 
 
 class Add(Expr):
-    """Every expression but a bare atom: its sorted (monomial, coefficient) tuple; zero has none.
+    """Every expression but a bare atom: its term map, monomial to coefficient; zero has none.
 
-    ``terms`` is kept once built: a walker that memoizes by ``id``, as the
-    benchmark's mpmath oracle does, needs each record to live as long as the sum.
+    The node owns ``_map``; ``_items``, the sorted terms, is built by
+    :func:`_parts` on first read.  ``terms`` is kept once built: a walker that
+    memoizes by ``id``, as the benchmark's mpmath oracle does, needs each
+    record to live as long as the sum.
     """
 
-    __slots__ = ("_items", "_terms")
+    __slots__ = ("_map", "_items", "_terms")
     __match_args__ = ("terms",)
 
     @property
@@ -361,12 +371,12 @@ class Add(Expr):
         try:
             return self._terms
         except AttributeError:
-            terms = tuple([_term_to_expr(m, c) for m, c in self._items])
+            terms = tuple([_term_to_expr(m, c) for m, c in _parts(self)])
             _setattr(self, "_terms", terms)
             return terms
 
     def __reduce__(self) -> tuple:
-        return _from_terms, (dict(self._items),)
+        return _from_terms, (dict(self._map),)
 
 
 class Fn(Expr):
@@ -547,17 +557,31 @@ def _reduce_cosh(mono_atoms: dict[Expr, int], coeff: ComplexRational, out: TermM
 
 
 def _parts(e: Expr) -> tuple[tuple[Monomial, ComplexRational], ...]:
-    """The (monomial, coefficient) terms of a canonical expression, in stored order.
+    """The (monomial, coefficient) terms of a canonical expression, in canonical order.
 
-    The one reader of what ``_from_terms`` writes: the stored tuple of an
-    ``Add``, or the one term of a bare atom.  Exact zero has no terms.
+    The reader for every walk whose output shows the order: an ``Add`` sorts
+    its map by ``_mono_key`` on the first call and keeps the tuple, and a bare
+    atom is its one term.  Exact zero has no terms.
     """
-    return e._items if isinstance(e, Add) else ((((e, 1),), CR_ONE),)
+    if e.__class__ is not Add:
+        return ((((e, 1),), CR_ONE),)
+    try:
+        return e._items
+    except AttributeError:
+        items = e._map.items()
+        if len(items) > 1:
+            items = sorted(items, key=lambda kv: _mono_key(kv[0]))
+        items = tuple(items)
+        _setattr(e, "_items", items)
+        return items
 
 
 def _as_terms(e: Expr) -> TermMap:
-    """The term map of a canonical expression; its terms are already distinct and nonzero."""
-    return dict(_parts(e))
+    """A copy of the term map of a canonical expression, for the caller to keep or change.
+
+    Its terms are distinct and nonzero, in no particular order.
+    """
+    return dict(e._map) if e.__class__ is Add else {((e, 1),): CR_ONE}
 
 
 def _term_to_expr(mono: Monomial, coeff: ComplexRational) -> Term:
@@ -573,18 +597,18 @@ def _term_to_expr(mono: Monomial, coeff: ComplexRational) -> Term:
 
 
 def _from_terms(terms: TermMap) -> Expr:
-    """The canonical expression of a term map: the one writer of the layout ``_parts`` reads.
+    """The canonical expression of a reduced term map: the one writer of the layout.
 
-    A bare atom is the atom itself, anything else an ``Add`` of the sorted terms.
+    A bare atom is the atom itself, anything else an ``Add`` that takes
+    ``terms`` over as it is, unsorted: the caller hands the map to the node
+    and must not change it afterwards.
     """
     if len(terms) == 1:
-        (mono, coeff), = items = tuple(terms.items())
+        (mono, coeff), = terms.items()
         if len(mono) == 1 and mono[0][1] == 1 and coeff.is_one:
             return mono[0][0]
-    else:
-        items = tuple(sorted(terms.items(), key=lambda kv: _mono_key(kv[0])))
     node = object.__new__(Add)
-    _setattr(node, "_items", items)
+    _setattr(node, "_map", terms)
     return node
 
 
@@ -601,12 +625,13 @@ def _mul_terms(t1: TermMap, t2: TermMap, out: TermMap | None = None) -> TermMap:
     """Add the product of two term maps into ``out`` (a new map by default) and return it.
 
     Both maps must be reduced, as every term map in this package is: each
-    monomial is frozen and carries a cosh exponent of at most 1.  So a
-    constant term times another term is that term's monomial as it is, and
-    only a cosh atom that both monomials share can reach an exponent of 2,
-    the one case that needs ``_reduce_cosh``; every other product is merged,
-    its cancelled exponents deleted, and frozen at once.  A product that gains
-    no atom over m1 keeps m1's order, so it is not sorted again.
+    monomial lists its atoms in ``_key`` order, with nonzero exponents, and
+    carries a cosh exponent of at most 1.  So a constant term times another
+    term is that term's monomial as it is, and any other pair of monomials is
+    merged in one pass, the lower key first, with the exponents of a shared
+    atom added and the atom dropped where they cancel.  Only a cosh atom that
+    both monomials share can reach an exponent of 2, the one case that goes
+    through ``_reduce_cosh``.
     """
     if out is None:
         out = {}
@@ -615,32 +640,38 @@ def _mul_terms(t1: TermMap, t2: TermMap, out: TermMap | None = None) -> TermMap:
             for m2, c2 in t2.items():
                 _add_term(out, m2, c1 * c2)
             continue
-        left = dict(m1)
+        n1 = len(m1)
         for m2, c2 in t2.items():
-            if not m2:
-                _add_term(out, m1, c1 * c2)
-                continue
-            atoms = left.copy()
-            gained = cosh_squared = False
-            for a, e in m2:
-                x = atoms.get(a)
-                if x is None:
-                    atoms[a] = e
-                    gained = True
-                    continue
-                x += e
-                if not x:
-                    del atoms[a]
-                    continue
-                atoms[a] = x
-                if x >= 2 and a.__class__ is Fn and a.fname == "cosh":
-                    cosh_squared = True
             c = c1 * c2
-            if cosh_squared:
-                _reduce_cosh(atoms, c, out)
-                continue
-            # no new atom: the dict keeps m1's order, less its cancelled atoms
-            mono = _freeze(atoms) if gained else tuple(atoms.items())
+            if m2:
+                merged = []
+                i = j = 0
+                n2 = len(m2)
+                cosh_squared = False
+                while i < n1 and j < n2:
+                    p, q = m1[i], m2[j]
+                    a, b = p[0], q[0]
+                    if a is b:
+                        x = p[1] + q[1]
+                        if x:
+                            merged.append((a, x))
+                            if x >= 2 and a.__class__ is Fn and a.fname == "cosh":
+                                cosh_squared = True
+                        i += 1
+                        j += 1
+                    elif a._key < b._key:
+                        merged.append(p)
+                        i += 1
+                    else:
+                        merged.append(q)
+                        j += 1
+                merged.extend(m1[i:] if j == n2 else m2[j:])
+                if cosh_squared:
+                    _reduce_cosh(dict(merged), c, out)
+                    continue
+                mono = tuple(merged)
+            else:
+                mono = m1
             # _add_term, inlined; c is nonzero, as both factors are
             cur = out.get(mono)
             if cur is None:
@@ -663,18 +694,21 @@ def add(*parts: ExprLike) -> Expr:
 
 
 def mul(*parts: ExprLike) -> Expr:
-    if len(parts) == 1:
-        return _coerce(parts[0])
-    terms: TermMap = {(): CR_ONE}
-    for p in parts:
-        terms = _mul_terms(terms, _as_terms(_coerce(p)))
+    if len(parts) < 2:
+        return _coerce(parts[0]) if parts else ONE
+    terms = _as_terms(_coerce(parts[0]))
+    for p in parts[1:]:
         if not terms:
             return ZERO
+        terms = _mul_terms(terms, _as_terms(_coerce(p)))
     return _from_terms(terms)
 
 
 def _pow_terms(terms: TermMap, n: int) -> TermMap:
-    """The term map of ``e ** n`` for ``e`` of term map ``terms``: the one power rule."""
+    """The term map of ``e ** n`` for ``e`` of term map ``terms``: the one power rule.
+
+    For a sum and ``n == 1`` the result is ``terms`` itself.
+    """
     if len(terms) == 1:
         (mono, coeff), = terms.items()
         out: TermMap = {}
@@ -685,14 +719,14 @@ def _pow_terms(terms: TermMap, n: int) -> TermMap:
             raise ZeroDivisionError("division by exact zero expression")
         raise NonMonomialDivisionError("can only divide by a single-term (monomial) expression")
     # expand nonnegative powers of sums (and of zero) by binary exponentiation
-    acc: TermMap = {(): CR_ONE}
+    acc: TermMap | None = None
     while n:
         if n & 1:
-            acc = _mul_terms(acc, terms)
+            acc = terms if acc is None else _mul_terms(acc, terms)
         n >>= 1
         if n:
             terms = _mul_terms(terms, terms)
-    return acc
+    return {(): CR_ONE} if acc is None else acc
 
 
 def _pow_expr(e: Expr, n: int) -> Expr:
@@ -702,7 +736,7 @@ def _pow_expr(e: Expr, n: int) -> Expr:
 
 def _fn(name: str, arg: ExprLike) -> Expr:
     a = _coerce(arg)
-    if not _parts(a):
+    if a.__class__ is Add and not a._map:
         return _const(_FN_RULES[name].at_zero)
     return Fn(name, a)
 
@@ -748,12 +782,14 @@ def _atom_derivative(atom: Expr, name: str) -> TermMap:
 def _diff_terms(terms: TermMap, name: str) -> TermMap:
     """Term map of the partial derivative of ``terms`` by the symbol ``name``.
 
-    Each distinct atom is derived once.  Each derivative term
-    coeff * k * atom^(k-1) * rest * d is folded into one atom dict and
-    inserted with one cosh reduction.
+    The derivative of coeff * m is the sum, over the atoms x^k of m, of
+    (k * coeff * m / x) * dx.  Each distinct atom is derived once; the
+    lowered terms k * coeff * m / x of one atom, still in key order and
+    distinct, form one term map, which ``_mul_terms`` multiplies by that
+    atom's derivative.
     """
-    out: TermMap = {}
     derived: dict[Expr, TermMap] = {}
+    lowered: dict[Expr, TermMap] = {}
     for mono, coeff in terms.items():
         for idx, (atom, k) in enumerate(mono):
             d = derived.get(atom)
@@ -761,14 +797,17 @@ def _diff_terms(terms: TermMap, name: str) -> TermMap:
                 d = derived[atom] = _atom_derivative(atom, name)
             if not d:
                 continue
-            c = coeff * ComplexRational(k)
-            for d_mono, d_coeff in d.items():
-                atoms = {a: x for j, (a, x) in enumerate(mono) if j != idx}
-                if k != 1:
-                    atoms[atom] = k - 1
-                for a, x in d_mono:
-                    atoms[a] = atoms.get(a, 0) + x
-                _reduce_cosh(atoms, c * d_coeff, out)
+            if k == 1:
+                rest, c = mono[:idx] + mono[idx + 1:], coeff
+            else:
+                rest, c = (*mono[:idx], (atom, k - 1), *mono[idx + 1:]), coeff * ComplexRational(k)
+            rests = lowered.get(atom)
+            if rests is None:
+                rests = lowered[atom] = {}
+            rests[rest] = c
+    out: TermMap = {}
+    for atom, rests in lowered.items():
+        _mul_terms(rests, derived[atom], out)
     return out
 
 
@@ -791,7 +830,7 @@ def substitute(e: Expr, mapping: Mapping[str, ExprLike]) -> Expr:
 
     def walk(node: Expr) -> TermMap:
         out: TermMap = {}
-        for mono, coeff in _parts(node):
+        for mono, coeff in _as_terms(node).items():
             acc: TermMap = {(): coeff}
             for atom, k in mono:
                 if isinstance(atom, Sym):
@@ -812,7 +851,7 @@ def free_symbols(e: Expr) -> frozenset[str]:
     names: set[str] = set()
 
     def walk(node: Expr) -> None:
-        for mono, _ in _parts(node):
+        for mono in _as_terms(node):
             for atom, _ in mono:
                 if isinstance(atom, Sym):
                     names.add(atom.name)

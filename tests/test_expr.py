@@ -23,6 +23,7 @@ from starwedge.expr import (
     _as_terms,
     _freeze,
     _from_terms,
+    _mono_key,
     _mul_terms,
     _parts,
     _reduce_cosh,
@@ -315,8 +316,8 @@ def test_canonical_form_is_fixed_point(recipe):
     e = _recipe_to_expr(recipe)
     for x in (e, differentiate(e, "z0"), substitute(e, {"z1": z0 * sinh(z2)})):
         assert simplify(x) == x
-        # _parts reads what _from_terms wrote: each monomial in _skey order with
-        # nonzero exponents, each coefficient nonzero; so _as_terms need not sort
+        # _parts sorts what _from_terms stored: each monomial in _skey order with
+        # nonzero exponents, each coefficient nonzero, as _mul_terms relies on
         for mono, coeff in _parts(x):
             keys = [_skey(atom) for atom, _ in mono]
             assert keys == sorted(set(keys)) and all(k != 0 for _, k in mono)
@@ -435,7 +436,7 @@ def _atoms_of(e):
     return [n for n in _walk_nodes(e) if isinstance(n, (Sym, Fn))]
 
 
-# --- a sum stores its (monomial, coefficient) tuple; its node view is built on demand ---
+# --- a sum stores its term map; its sorted terms and node view are built on demand ---
 
 def _view_built(e):
     return hasattr(e, "_terms")
@@ -506,6 +507,50 @@ def test_composite_nodes_are_not_interned():
     for build in (lambda: z0 + 1, lambda: 2 * z0, lambda: z0 ** 2, lambda: integer(2)):
         first, second = build(), build()
         assert first == second and hash(first) == hash(second) and first is not second
+
+
+@given(recipes, recipes)
+def test_sums_and_products_do_not_depend_on_operand_order(r1, r2):
+    x, y = _recipe_to_expr(r1), _recipe_to_expr(r2)
+    for lhs, rhs in ((add(x, y), add(y, x)), (mul(x, y), mul(y, x))):
+        # compared and hashed before either is sorted, then printed and sorted
+        assert lhs == rhs and hash(lhs) == hash(rhs)
+        assert to_text(lhs) == to_text(rhs) and _parts(lhs) == _parts(rhs)
+        keys = [_mono_key(mono) for mono, _ in _parts(lhs)]
+        assert keys == sorted(set(keys))
+
+
+def test_a_term_map_read_from_an_expression_is_the_callers_own():
+    for build in (lambda: z1 * sinh(u) + 3 * z0**2 - I, lambda: 2 * z0, lambda: ZERO, lambda: z0):
+        for read_first in (False, True):
+            e, twin = build(), build()
+            if read_first:
+                hash(e), to_text(e)
+            terms = _as_terms(e)
+            for mono in list(terms)[:1]:
+                del terms[mono]
+            terms[((z3, 1),)] = ComplexRational(5)
+            assert e == twin and hash(e) == hash(twin) and to_text(e) == to_text(twin)
+            assert _as_terms(e) == _as_terms(twin) != terms
+
+
+def test_a_sum_is_sorted_only_when_its_order_is_read(monkeypatch):
+    from starwedge import diffop, expr, starprod, twists
+
+    spec = twists.spec_from_config({"kind": "quadratic", "xi": "1/6", "indices": "0 1 2 3"})
+    twist = twists.build_linear_twist(spec, diffop.RINDLER)
+    f, g = (z0 + z1 * sinh(u) + z2) ** 4, (z3 + z1 * cosh(u) + z0 * z2) ** 4
+    sorted_monomials = []
+    mono_key = expr._mono_key
+    monkeypatch.setattr(expr, "_mono_key", lambda mono: sorted_monomials.append(mono) or mono_key(mono))
+    e = starprod.commutator(f, g, twist)
+    rebuilt = _from_terms(_as_terms(e))
+    assert e == rebuilt and hash(e) == hash(rebuilt)
+    assert sorted_monomials == []
+    # printing sorts the sum once, one key per term, and keeps the order
+    text = to_text(e)
+    assert len(sorted_monomials) == len(_as_terms(e)) > 1
+    assert to_text(e) == text and len(sorted_monomials) == len(_as_terms(e))
 
 
 def test_simplify_check_still_catches_a_wrong_canonical_value(monkeypatch):
@@ -668,9 +713,9 @@ _term_maps = st.lists(st.tuples(_monomials, _coefficients), max_size=5).map(_ter
 def _nested_operands(draw):
     """Two term maps, the atoms of every monomial of one a subset of the other's.
 
-    Either operand may hold the subset, so the product takes the path where
-    m2 brings no atom that m1 lacks, and the path where it brings only such
-    atoms; exponents are drawn nonzero, so no atom drops out of a monomial.
+    Either operand may hold the subset, so m2 may bring no atom that m1
+    lacks, or only such atoms; exponents are drawn nonzero, so no atom drops
+    out of a monomial.
     """
     atoms = draw(st.sets(st.sampled_from(_PRODUCT_ATOMS), min_size=1))
     subset = draw(st.sets(st.sampled_from(sorted(atoms, key=_skey))))
@@ -746,6 +791,41 @@ def _product_keeping_m2_order(t1, t2, out=None):
 
 def test_a_product_that_keeps_m2_order_fails_the_fast_path_property(monkeypatch):
     monkeypatch.setitem(globals(), "_mul_terms", _product_keeping_m2_order)
+    with pytest.raises(AssertionError):
+        unshrunk(test_the_fast_paths_of_a_product_are_not_seen, *_PRODUCT_OPERANDS)()
+
+
+def _product_merging_by_id(t1, t2, out=None):
+    """``_mul_terms`` with one defect: its merge of m1 and m2 orders the atoms
+    of the two by ``id``, not by ``_key``."""
+    out = {} if out is None else out
+    for m1, c1 in t1.items():
+        for m2, c2 in t2.items():
+            merged, i, j = [], 0, 0
+            while i < len(m1) and j < len(m2):
+                (a1, e1), (a2, e2) = m1[i], m2[j]
+                if a1 is a2:
+                    if e1 + e2:
+                        merged.append((a1, e1 + e2))
+                    i, j = i + 1, j + 1
+                elif id(a1) < id(a2):
+                    merged.append(m1[i])
+                    i += 1
+                else:
+                    merged.append(m2[j])
+                    j += 1
+            merged += m1[i:] + m2[j:]
+            if any(e >= 2 and atom is cosh(u) for atom, e in merged):
+                _reduce_cosh(dict(merged), c1 * c2, out)
+            else:
+                _add_term(out, tuple(merged), c1 * c2)
+    return out
+
+
+def test_a_product_that_merges_by_id_fails_the_fast_path_property(monkeypatch):
+    # the ids of the atoms of _PRODUCT_ATOMS do not follow their key order, so
+    # the mutant orders some pairs the other way
+    monkeypatch.setitem(globals(), "_mul_terms", _product_merging_by_id)
     with pytest.raises(AssertionError):
         unshrunk(test_the_fast_paths_of_a_product_are_not_seen, *_PRODUCT_OPERANDS)()
 
