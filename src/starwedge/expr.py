@@ -38,11 +38,11 @@ hashes by the set of its terms, so neither needs an order.  The sorted
 and kept on the node: an intermediate that is only multiplied, added or
 compared is never sorted.  Each expression stores its sort key (the
 canonical order of atoms, in which a composite ``Fn`` argument takes part):
-an atom when it is interned, an ``Add`` on first use.  So ordering the atoms
-of a monomial reads one stored attribute per atom and runs no Python code
-for it.  The tables rely on one node per atom structure while it lives,
-which holds as long as one thread at a time builds nodes, as every caller in
-the package does.  Atoms pickle by their fields and an ``Add`` by its terms,
+an atom when it is interned, an ``Add`` on first use, so the merge that
+orders the atoms of a product reads one stored attribute per atom.  The
+tables rely on one node per atom structure while it lives, which holds as
+long as one thread at a time builds nodes, as every caller in the package
+does.  Atoms pickle by their fields and an ``Add`` by its terms,
 so unpickled atoms are interned too.
 
 The working form is the term map; ``_add_term``, ``_mul_terms`` and
@@ -50,8 +50,10 @@ The working form is the term map; ``_add_term``, ``_mul_terms`` and
 stored monomial lists its atoms in key order and every term map is reduced,
 so a product merges two sorted monomials in one pass: a constant term scales
 the other term's monomial as it is, and only a cosh atom that both monomials
-share goes through ``_reduce_cosh``.  ``differentiate`` reaches the normal
-form through the same product.  ``_from_terms`` is the one writer of the
+share goes through ``_reduce_cosh``, which multiplies the rest by
+1 + sinh(u)^2 through the same merge, the only code that orders atoms.
+``differentiate`` reaches the normal form through the same product.
+``_from_terms`` is the one writer of the
 layout.  ``_as_terms`` reads a copy of the map, for every walk that needs no
 order (products, sums, ``substitute``, ``free_symbols``); ``_parts`` reads
 the sorted terms, for every walk whose output shows the order (the printer of
@@ -73,9 +75,8 @@ import cmath
 import random
 import weakref
 from fractions import Fraction
-from math import gcd, lcm
-from operator import attrgetter
-from typing import Callable, Mapping, NamedTuple, Union
+from math import comb, gcd, lcm
+from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 __all__ = [
     "ComplexRational",
@@ -497,27 +498,14 @@ def _skey(e: Term) -> tuple:
 
 # --- normal form ------------------------------------------------------------
 
-# A monomial maps atoms (Sym or Fn nodes) to nonzero integer exponents.  The
-# term map of an expression maps frozen monomials to coefficients.
+# A monomial is a tuple of (atom, exponent) pairs, Sym or Fn nodes in key order
+# with nonzero integer exponents; a term map maps monomials to coefficients.
 Monomial = tuple[tuple[Expr, int], ...]
 TermMap = dict[Monomial, ComplexRational]
 
 
-_atom_key = attrgetter("_key")
-
-
 def _mono_key(mono: Monomial) -> tuple:
     return tuple([(atom._key, exp) for atom, exp in mono])
-
-
-def _freeze(atoms: Mapping[Expr, int]) -> Monomial:
-    """The monomial of an atom dict: its atoms in key order, zero exponents dropped."""
-    if 0 in atoms.values():
-        atoms = {a: e for a, e in atoms.items() if e}
-    order = sorted(atoms, key=_atom_key)
-    # from a list: tuple(zip(...)) here raised the peak memory of the
-    # commutator tables and ladder by about 0.3 MB (tracemalloc)
-    return tuple([(a, atoms[a]) for a in order])
 
 
 def _add_term(out: TermMap, mono: Monomial, coeff: ComplexRational) -> None:
@@ -534,26 +522,31 @@ def _add_term(out: TermMap, mono: Monomial, coeff: ComplexRational) -> None:
             out[mono] = s
 
 
-def _reduce_cosh(mono_atoms: dict[Expr, int], coeff: ComplexRational, out: TermMap) -> None:
-    """Insert coeff * monomial into ``out`` with cosh powers >= 2 eliminated."""
-    for atom, e in mono_atoms.items():
-        if isinstance(atom, Fn) and atom.fname == "cosh" and e >= 2:
-            rest = dict(mono_atoms)
-            del rest[atom]
-            k, r = divmod(e, 2)
-            if r:
-                rest[atom] = 1
-            # (1 + sinh(u)^2)^k expanded by the binomial theorem
-            s_atom = Fn("sinh", atom.arg)
-            binom = 1
-            for j in range(k + 1):
-                sub = dict(rest)
-                if j:
-                    sub[s_atom] = sub.get(s_atom, 0) + 2 * j
-                _reduce_cosh(sub, coeff if binom == 1 else coeff * ComplexRational(binom), out)
-                binom = binom * (k - j) // (j + 1)
-            return
-    _add_term(out, _freeze(mono_atoms), coeff)
+def _reduce_cosh(mono: Sequence[tuple[Expr, int]], coeff: ComplexRational, out: TermMap) -> None:
+    """Add ``coeff * mono`` into ``out`` with every cosh(u)^e, e >= 2, rewritten.
+
+    ``mono`` lists its atoms in key order, with nonzero exponents.  Each such
+    cosh(u)^e leaves cosh(u)^(e mod 2) in the rest, and (1 + sinh(u)^2)^(e // 2)
+    becomes a binomial term map; ``_mul_terms`` multiplies the rest by those
+    maps, the last product adding into ``out``.  The maps hold no cosh, so
+    ``_mul_terms`` does not come back here.
+    """
+    rest, factors = [], []
+    for atom, e in mono:
+        if e < 2 or atom.__class__ is not Fn or atom.fname != "cosh":
+            rest.append((atom, e))
+            continue
+        k, r = divmod(e, 2)
+        if r:
+            rest.append((atom, 1))
+        s_atom = Fn("sinh", atom.arg)
+        factors.append({((s_atom, 2 * j),) if j else (): ComplexRational(comb(k, j))
+                        for j in range(k + 1)})
+    terms: TermMap = {tuple(rest): coeff}
+    last = factors.pop() if factors else {(): CR_ONE}
+    for factor in factors:
+        terms = _mul_terms(terms, factor)
+    _mul_terms(terms, last, out)
 
 
 def _parts(e: Expr) -> tuple[tuple[Monomial, ComplexRational], ...]:
@@ -630,8 +623,9 @@ def _mul_terms(t1: TermMap, t2: TermMap, out: TermMap | None = None) -> TermMap:
     term is that term's monomial as it is, and any other pair of monomials is
     merged in one pass, the lower key first, with the exponents of a shared
     atom added and the atom dropped where they cancel.  Only a cosh atom that
-    both monomials share can reach an exponent of 2, the one case that goes
-    through ``_reduce_cosh``.
+    both monomials share can reach an exponent of 2; ``_reduce_cosh`` rewrites
+    it by multiplying the rest of the monomial by 1 + sinh(u)^2 through this
+    same merge, the only code that puts atoms in order.
     """
     if out is None:
         out = {}
@@ -667,7 +661,7 @@ def _mul_terms(t1: TermMap, t2: TermMap, out: TermMap | None = None) -> TermMap:
                         j += 1
                 merged.extend(m1[i:] if j == n2 else m2[j:])
                 if cosh_squared:
-                    _reduce_cosh(dict(merged), c, out)
+                    _reduce_cosh(merged, c, out)
                     continue
                 mono = tuple(merged)
             else:
@@ -707,12 +701,16 @@ def mul(*parts: ExprLike) -> Expr:
 def _pow_terms(terms: TermMap, n: int) -> TermMap:
     """The term map of ``e ** n`` for ``e`` of term map ``terms``: the one power rule.
 
-    For a sum and ``n == 1`` the result is ``terms`` itself.
+    A monomial scales its exponents where they stand, which keeps its key
+    order, and goes through ``_reduce_cosh``; ``n == 0`` gives 1, with no zero
+    exponents.  For a sum and ``n == 1`` the result is ``terms`` itself.
     """
     if len(terms) == 1:
+        if n == 0:
+            return {(): CR_ONE}
         (mono, coeff), = terms.items()
         out: TermMap = {}
-        _reduce_cosh({a: x * n for a, x in mono}, coeff.power(n), out)
+        _reduce_cosh([(a, x * n) for a, x in mono], coeff.power(n), out)
         return out
     if n < 0:
         if not terms:

@@ -21,12 +21,11 @@ from starwedge.expr import (
     UnboundSymbolError,
     _add_term,
     _as_terms,
-    _freeze,
     _from_terms,
     _mono_key,
     _mul_terms,
     _parts,
-    _reduce_cosh,
+    _pow_terms,
     _skey,
     add,
     const,
@@ -101,6 +100,13 @@ def test_commutative_product_cancels():
 def test_higher_cosh_powers_are_reduced():
     e = cosh(u) ** 4 - (1 + sinh(u) ** 2) ** 2
     assert e == ZERO
+
+
+def test_every_cosh_atom_of_a_monomial_is_reduced():
+    m = cosh(a * z0) * cosh(z1)
+    want = (1 + sinh(a * z0) ** 2) * (1 + sinh(z1) ** 2)
+    assert m ** 2 == want
+    assert m * m == want
 
 
 def test_simplify_is_idempotent():
@@ -685,13 +691,45 @@ def test_signed_zeros_of_numeric_evaluation_are_pinned():
 
 # --- the product of term maps -------------------------------------------------------
 
-# sinh and cosh of one shared composite argument, as on the accelerated chart
-_PRODUCT_ATOMS = (z0, z1, a, sinh(u), cosh(u))
+def _is_cosh(atom):
+    return isinstance(atom, Fn) and atom.fname == "cosh"
+
+
+def _reference_monomial(atoms):
+    """The monomial of an atom dict: its atoms sorted by ``_key``, zero exponents dropped."""
+    return tuple(sorted([(x, e) for x, e in atoms.items() if e], key=lambda it: it[0]._key))
+
+
+def _reference_reduce(atoms, coeff, out):
+    """Add coeff times the monomial of the atom dict ``atoms`` into ``out``, with each
+    cosh power >= 2 expanded by the binomial theorem, one recursion per term."""
+    for atom, e in atoms.items():
+        if _is_cosh(atom) and e >= 2:
+            rest = dict(atoms)
+            del rest[atom]
+            k, r = divmod(e, 2)
+            if r:
+                rest[atom] = 1
+            s_atom = Fn("sinh", atom.arg)
+            binom = 1
+            for j in range(k + 1):
+                sub = dict(rest)
+                if j:
+                    sub[s_atom] = sub.get(s_atom, 0) + 2 * j
+                _reference_reduce(sub, coeff * ComplexRational(binom), out)
+                binom = binom * (k - j) // (j + 1)
+            return
+    _add_term(out, _reference_monomial(atoms), coeff)
+
+
+# sinh and cosh of one shared composite argument, as on the accelerated chart,
+# and of a second argument, so a monomial may hold two distinct cosh atoms
+_PRODUCT_ATOMS = (z0, z1, a, sinh(u), cosh(u), sinh(z1), cosh(z1))
 # a reduced monomial: any exponent from -2 to 2, cosh at most 1; zeros drop out
 _monomials = st.one_of(
     st.just(()),
-    st.tuples(*[st.integers(-2, 2)] * 4, st.integers(-2, 1)).map(
-        lambda exps: _freeze(dict(zip(_PRODUCT_ATOMS, exps)))
+    st.tuples(*[st.integers(-2, 1 if _is_cosh(x) else 2) for x in _PRODUCT_ATOMS]).map(
+        lambda exps: _reference_monomial(dict(zip(_PRODUCT_ATOMS, exps)))
     ),
 )
 _coefficients = st.tuples(st.integers(-3, 3), st.integers(-2, 2)).map(
@@ -724,7 +762,9 @@ def _nested_operands(draw):
         exps = st.sampled_from([-2, -1, 1, 2])
         terms = []
         for _ in range(draw(st.integers(1, 3))):
-            mono = _freeze({x: draw(st.sampled_from([-2, -1, 1]) if x is cosh(u) else exps) for x in chosen})
+            mono = _reference_monomial(
+                {x: draw(st.sampled_from([-2, -1, 1]) if _is_cosh(x) else exps) for x in chosen}
+            )
             terms.append((mono, draw(_coefficients)))
         return _term_map(terms)
 
@@ -739,7 +779,7 @@ def _reference_product(t1, t2, out):
             atoms = dict(m1)
             for atom, e in m2:
                 atoms[atom] = atoms.get(atom, 0) + e
-            _reduce_cosh(atoms, c1 * c2, out)
+            _reference_reduce(atoms, c1 * c2, out)
     return out
 
 
@@ -757,6 +797,15 @@ def test_the_fast_paths_of_a_product_are_not_seen(operands, t3):
         assert list(mono) == sorted(mono, key=lambda it: _skey(it[0]))
         assert all(e != 0 for _, e in mono)
         assert all(e <= 1 for atom, e in mono if atom is cosh(u))
+
+
+@given(_monomials, _coefficients.filter(lambda c: not c.is_zero), st.integers(-3, 4))
+# two cosh atoms that both reach a power of 3, one beside a sinh of its argument
+@example(_reference_monomial({cosh(u): 1, cosh(z1): 1, sinh(z1): -1}), ComplexRational(2, 1), 3)
+def test_a_monomial_power_is_the_reference_reduction_of_its_scaled_atoms(mono, coeff, n):
+    want = {}
+    _reference_reduce({atom: e * n for atom, e in mono}, coeff.power(n), want)
+    assert _pow_terms({mono: coeff}, n) == want
 
 
 def unshrunk(test, *strategies):
@@ -781,9 +830,9 @@ def _product_keeping_m2_order(t1, t2, out=None):
             for atom, e in m2:
                 atoms[atom] = atoms.get(atom, 0) + e
             if not set(atoms) <= {atom for atom, _ in m2} or any(
-                e >= 2 and atom is cosh(u) for atom, e in atoms.items()
+                e >= 2 and _is_cosh(atom) for atom, e in atoms.items()
             ):
-                _reduce_cosh(atoms, c1 * c2, out)
+                _reference_reduce(atoms, c1 * c2, out)
                 continue
             _add_term(out, tuple((atom, e) for atom, e in atoms.items() if e), c1 * c2)
     return out
@@ -815,8 +864,8 @@ def _product_merging_by_id(t1, t2, out=None):
                     merged.append(m2[j])
                     j += 1
             merged += m1[i:] + m2[j:]
-            if any(e >= 2 and atom is cosh(u) for atom, e in merged):
-                _reduce_cosh(dict(merged), c1 * c2, out)
+            if any(e >= 2 and _is_cosh(atom) for atom, e in merged):
+                _reference_reduce(dict(merged), c1 * c2, out)
             else:
                 _add_term(out, tuple(merged), c1 * c2)
     return out
