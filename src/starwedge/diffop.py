@@ -41,6 +41,7 @@ from .expr import (
     _from_terms,
     _mul_terms,
     _setattr,
+    _sum_of_products,
     mul,
     substitute,
     summands,
@@ -301,30 +302,32 @@ def _coefficient_matrix(op: BidiffOp) -> TermMatrix:
 def _contract(chart: Chart, matrix: TermMatrix, f: Expr, g: Expr) -> Expr:
     """sum_{mu nu} matrix[mu][nu] * d_mu f * d_nu g, built as one expression.
 
-    Row by row, row_mu = sum_nu matrix[mu][nu] * d_nu g, and d_mu f * row_mu
-    accumulates in place into one term map: one large product per row.  Each
-    partial derivative of f and of g is taken at most once, and only where
-    its row or column of the matrix is not all zero.
+    Row by row, row_mu = sum_nu matrix[mu][nu] * d_nu g, and the result is
+    sum_mu d_mu f * row_mu: one call of ``expr._sum_of_products``, which
+    merges monomials for a small contraction and multiplies packed exponent
+    integers for a large one.  Each partial derivative of f and of g is taken
+    at most once, and only where its row or column of the matrix is not all
+    zero.
     """
     _check_function_chart(chart, f)
     _check_function_chart(chart, g)
     f_terms, g_terms = _as_terms(f), _as_terms(g)
     dg: dict[int, TermMap] = {}
-    out: TermMap = {}
+    rows = []
     for mu, entries in enumerate(matrix):
         if not any(entries):
             continue
         df = _diff_terms(f_terms, chart.coords[mu])
         if not df:
             continue
-        row: TermMap = {}
+        pairs = []
         for nu, entry in enumerate(entries):
             if entry:
                 if nu not in dg:
                     dg[nu] = _diff_terms(g_terms, chart.coords[nu])
-                _mul_terms(dg[nu], entry, row)
-        _mul_terms(row, df, out)
-    return _from_terms(out)
+                pairs.append((dg[nu], entry))
+        rows.append((df, pairs))
+    return _from_terms(_sum_of_products(rows))
 
 
 def wedge(a: DiffOp, b: DiffOp) -> BidiffOp:

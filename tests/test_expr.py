@@ -23,7 +23,9 @@ from starwedge.expr import (
     _as_terms,
     _from_terms,
     _mono_key,
+    _merged_sum_of_products,
     _mul_terms,
+    _packed_sum_of_products,
     _parts,
     _pow_terms,
     _skey,
@@ -877,6 +879,79 @@ def test_a_product_that_merges_by_id_fails_the_fast_path_property(monkeypatch):
     monkeypatch.setitem(globals(), "_mul_terms", _product_merging_by_id)
     with pytest.raises(AssertionError):
         unshrunk(test_the_fast_paths_of_a_product_are_not_seen, *_PRODUCT_OPERANDS)()
+
+
+# --- the two strategies of a sum of products ------------------------------------------
+
+# exponents near 45 put a sum of three past the 8-bit field of the packed layout;
+# a reduced monomial holds cosh at most to the first power
+_wide_exponents = st.one_of(st.integers(-2, 2), st.integers(40, 45), st.integers(-45, -40))
+_wide_cosh_exponents = st.one_of(st.integers(-2, 1), st.integers(-45, -40))
+_wide_monomials = st.one_of(
+    st.just(()),
+    st.tuples(*[_wide_cosh_exponents if _is_cosh(x) else _wide_exponents for x in _PRODUCT_ATOMS]).map(
+        lambda exps: _reference_monomial(dict(zip(_PRODUCT_ATOMS, exps)))
+    ),
+)
+# complex coefficients over unlike denominators
+_rational_coefficients = st.builds(
+    lambda re, im, d1, d2: ComplexRational(Fraction(re, d1), Fraction(im, d2)),
+    st.integers(-3, 3), st.integers(-2, 2), st.sampled_from([1, 2, 3, 7]), st.sampled_from([1, 2, 3, 7]),
+)
+
+
+@st.composite
+def _product_rows(draw):
+    """Rows (a, [(b_j, c_j), ...]) as a contraction hands them over: the b maps, like
+    the derivatives of its second slot, are shared by the rows."""
+    monomials = st.one_of(_monomials, _wide_monomials) if draw(st.booleans()) else _monomials
+    maps = st.lists(st.tuples(monomials, _rational_coefficients), max_size=4).map(_term_map)
+    columns = draw(st.lists(maps, min_size=1, max_size=3))
+    return [
+        (draw(maps), [(draw(st.sampled_from(columns)), draw(maps)) for _ in range(draw(st.integers(0, 3)))])
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+
+
+def _one(atoms, coeff=1):
+    return {_reference_monomial(atoms): ComplexRational(coeff)}
+
+
+@given(_product_rows())
+# two distinct cosh atoms shared by b and c, and cosh(u) again between the row and a
+@example([(
+    _one({cosh(u): 1, z1: -1}),
+    [(_one({cosh(u): 1, cosh(z1): 1}), _one({cosh(u): 1, cosh(z1): 1, sinh(z1): 1})),
+     (_one({cosh(u): 1, z0: 1}), _one({z1: 1}))],
+)])
+# 1/cosh and other negative exponents
+@example([(
+    _one({cosh(u): -1, z1: -2}),
+    [(_one({cosh(u): 1, sinh(u): -1}), _one({cosh(u): -1, z0: -1})),
+     (_one({cosh(z1): -1, a: -2}), _one({cosh(z1): 1, sinh(z1): -2}))],
+)])
+# an exponent past the 8-bit field
+@example([(_one({z1: 45}), [(_one({z1: 45}), _one({z1: 45}))])])
+# exponents that fit 8 bits, but the sinh(u)^2 of a cosh reduction does not
+@example([(
+    _one({sinh(u): 40, cosh(u): 1}),
+    [(_one({sinh(u): 43, cosh(u): 1}), _one({sinh(u): 44, cosh(u): 1}))],
+)])
+# complex coefficients over different denominators
+@example([(
+    {_reference_monomial({z0: 1}): ComplexRational(Fraction(1, 2), Fraction(1, 3)),
+     (): ComplexRational(0, 1)},
+    [({_reference_monomial({cosh(u): 1}): ComplexRational(Fraction(2, 7), -1)},
+      {_reference_monomial({cosh(u): 1, z1: 2}): ComplexRational(0, Fraction(1, 6))})],
+)])
+# a row that cancels, and two rows that cancel each other: the result is {}
+@example([
+    (_one({z0: 1}), [(_one({cosh(u): 1}), _one({z1: 1})), (_one({cosh(u): 1}), _one({z1: 1}, -1))]),
+    (_one({z0: 1}), [(_one({sinh(u): 1}), _one({cosh(u): 1}, Fraction(1, 3)))]),
+    (_one({z0: 1}), [(_one({sinh(u): 1}), _one({cosh(u): 1}, Fraction(-1, 3)))]),
+])
+def test_the_packed_and_the_merged_sum_of_products_agree(rows):
+    assert _packed_sum_of_products(rows) == _merged_sum_of_products(rows)
 
 
 def test_every_interned_atom_carries_its_structural_key():

@@ -187,7 +187,8 @@ def _operator_and_slots(draw):
     Its legs are the chart's generators and two vector fields that are not
     generators; the operator is a single term, a wedge, a sum or a multiple
     of these.  The slots are small sums over the chart's coordinates and
-    sinh and cosh of a * c0.
+    sinh and cosh of a * c0, each to a power of 1 to 3, so the contraction
+    may be small enough to merge or large enough to pack.
     """
     chart = draw(st.sampled_from([MINKOWSKI, RINDLER]))
     c = [sym(n) for n in chart.coords]
@@ -203,8 +204,10 @@ def _operator_and_slots(draw):
     )
     factors = [*c, sinh(a * c[0]), cosh(a * c[0]), 1 / c[1]]
     monomials = st.lists(st.sampled_from(factors), max_size=3).map(lambda fs: mul(1, *fs))
-    slots = st.lists(st.tuples(st.integers(-3, 3), monomials), min_size=1, max_size=3).map(
-        lambda terms: add(*(mul(k, m) for k, m in terms))
+    slots = st.builds(
+        lambda terms, n: add(*(mul(k, m) for k, m in terms)) ** n,
+        st.lists(st.tuples(st.integers(-3, 3), monomials), min_size=1, max_size=3),
+        st.integers(1, 3),
     )
     return draw(ops), draw(slots), draw(slots)
 
@@ -275,6 +278,24 @@ def test_each_derivative_derives_each_atom_once(monkeypatch, kind):
     f, g = _ladder_pair(RINDLER)
     commutator(f**4, g**4, _readme_twists(RINDLER)[kind])
     assert repeats and repeats == [0] * len(repeats)
+
+
+@pytest.mark.parametrize("kind", ["canonical", "lie", "quadratic"])
+def test_the_ladder_packs_and_a_coordinate_commutator_merges(monkeypatch, kind):
+    # the k = 4 ladder estimates 520 to 780 pairs of monomials, a coordinate
+    # commutator fewer than 8
+    taken = []
+    for name in ("_packed_sum_of_products", "_merged_sum_of_products"):
+        strategy = getattr(expr, name)
+        counted = lambda rows, name=name, strategy=strategy: taken.append(name) or strategy(rows)
+        monkeypatch.setattr(expr, name, counted)
+    tw = _readme_twists(RINDLER)[kind]
+    f, g = _ladder_pair(RINDLER)
+    commutator(f**4, g**4, tw)
+    assert taken == ["_packed_sum_of_products"]
+    taken.clear()
+    commutator(z0, z1, tw)
+    assert taken == ["_merged_sum_of_products"]
 
 
 # --- flat tables against closed forms --------------------------------------------------
