@@ -12,6 +12,7 @@ from starwedge.cli import main
 from starwedge.config import ConfigError, atomic_write_text, load_config
 from starwedge.grammar import to_text
 from starwedge.twists import CanonicalTwist, LieTwist
+from test_cli_property import _reject_constant
 
 FULL_CONFIG = """\
 [run]
@@ -756,12 +757,14 @@ def test_verify_passes_and_is_deterministic(tmp_path, capsys):
 def test_verify_seed_change_same_outcomes(tmp_path, capsys):
     outcomes = []
     # seeds 12 and 609 once failed expr_simplify_preserves_eval on cancellation
-    # in the double evaluation of an exact canonical form
-    for seed in ("1", "2", "12", "609"):
+    # in the double evaluation of an exact canonical form; seed 81, whose
+    # recipes nest cosh(cosh(x)), passes it by the narrowest margin (5.685e-13
+    # against 1e-12); each report is strict JSON, with no NaN or Infinity token
+    for seed in ("1", "2", "12", "81", "609"):
         out = tmp_path / f"s{seed}"
         code, stdout, stderr = _cli(capsys, "verify", "--seed", seed, "--out", str(out))
         assert code == 0
-        report = json.loads((out / "report.json").read_text())
+        report = json.loads((out / "report.json").read_text(), parse_constant=_reject_constant)
         outcomes.append([(c["name"], c["passed"]) for c in report["checks"]])
     assert all(o == outcomes[0] for o in outcomes)
 

@@ -913,11 +913,35 @@ def _product_rows(draw):
     ]
 
 
+@st.composite
+def _rows_at_the_field_limit(draw):
+    """One chain a * b * c at the edge of the packed layout's 8-bit field, beside small terms.
+
+    The sinh(u) exponents of a, b and c sum to 125, 126 or 127, 0 to 2 below
+    the largest exponent an 8-bit field holds, and cosh(u) is shared within
+    the chain, so that its reduction adds 2 to sinh(u): at 126 and 127 the
+    field holds the product only if its width counts those 2.  Every other
+    exponent is at most 2 in size, so the sinh(u) exponents set the width.
+    """
+    total = 127 - draw(st.integers(0, 2))
+    e_a, e_b = draw(st.integers(3, 40)), draw(st.integers(3, 40))
+    # cosh(u) in b and c, reduced within the row, or in a and b or c, reduced against a
+    shared = draw(st.sampled_from([(0, 1, 1), (1, 1, 1), (1, 1, 0), (1, 0, 1)]))
+
+    def factor(e, with_cosh):
+        atoms = {**dict(draw(_monomials)), sinh(u): e, cosh(u): with_cosh}
+        chain = (_reference_monomial(atoms), draw(_rational_coefficients.filter(lambda c: not c.is_zero)))
+        return _term_map([chain, *draw(st.lists(st.tuples(_monomials, _rational_coefficients), max_size=2))])
+
+    a_map, b_map, c_map = (factor(e, s) for e, s in zip((e_a, e_b, total - e_a - e_b), shared))
+    return [(a_map, [(b_map, c_map)])]
+
+
 def _one(atoms, coeff=1):
     return {_reference_monomial(atoms): ComplexRational(coeff)}
 
 
-@given(_product_rows())
+@given(st.one_of(_product_rows(), _rows_at_the_field_limit()))
 # two distinct cosh atoms shared by b and c, and cosh(u) again between the row and a
 @example([(
     _one({cosh(u): 1, z1: -1}),

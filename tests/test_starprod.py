@@ -189,6 +189,13 @@ def _operator_and_slots(draw):
     of these.  The slots are small sums over the chart's coordinates and
     sinh and cosh of a * c0, each to a power of 1 to 3, so the contraction
     may be small enough to merge or large enough to pack.
+
+    Half the draws are large by construction: a single term with a nonzero
+    scalar, and slots (n0 c0 + ... + n3 c3 + m sinh(a c0) + m' cosh(a c0))^3
+    with n_k >= 1 and m, m' >= 0.  No term of such a slot or of its
+    derivatives cancels, so each derivative holds at least the 10 monomials
+    of the square of four coordinates, and each row of the contraction
+    estimates at least 10 * 10 pairs: the packed path.
     """
     chart = draw(st.sampled_from([MINKOWSKI, RINDLER]))
     c = [sym(n) for n in chart.coords]
@@ -196,9 +203,17 @@ def _operator_and_slots(draw):
     legs += [lorentz_generator(chart, al, be) for al in range(4) for be in range(al + 1, 4)]
     legs += [DiffOp.partial(chart, 2, c[0]), DiffOp.partial(chart, 0, c[1] * c[3]) + DiffOp.partial(chart, 3)]
     leg = st.sampled_from(legs)
-    single = st.builds(lambda s, left, right: BidiffOp.from_terms(chart, [(s, left, right)]), _scalars, leg, leg)
+
+    def single(scalars):
+        return st.builds(lambda s, left, right: BidiffOp.from_terms(chart, [(s, left, right)]), scalars, leg, leg)
+
+    if draw(st.booleans()):
+        atoms = [*c, sinh(a * c[0]), cosh(a * c[0])]
+        weights = st.tuples(*[st.integers(1, 3)] * 4, st.integers(0, 2), st.integers(0, 2))
+        slots = weights.map(lambda ns: add(*(mul(n, x) for n, x in zip(ns, atoms))) ** 3)
+        return draw(single(_scalars.filter(lambda s: not s.is_zero))), draw(slots), draw(slots)
     ops = st.recursive(
-        st.one_of(single, st.builds(wedge, leg, leg)),
+        st.one_of(single(_scalars), st.builds(wedge, leg, leg)),
         lambda inner: st.one_of(st.builds(BidiffOp.__add__, inner, inner), st.builds(BidiffOp.scale, inner, _scalars)),
         max_leaves=4,
     )

@@ -10,6 +10,7 @@ import pytest
 from starwedge import diffop, gammafn, quadrature, rindler, spectrum, twists, verification
 from starwedge.config import dump_json
 from starwedge.verification import DEFAULT_TOLERANCES, report_dict, run_all_checks
+from test_cli_property import _reject_constant
 
 FLAT_RELATIONS = ["flat_relations_canonical", "flat_relations_lie", "flat_relations_quadratic"]
 
@@ -213,10 +214,6 @@ def test_a_catalogued_defect_fails_exactly_its_checks(monkeypatch, mutant):
         monkeypatch.undo()
         _clear_caches()
     assert all(r.passed for r in run_all_checks(seed=1))
-
-
-def _reject_constant(token):
-    raise ValueError(f"non-JSON constant {token}")
 
 
 def test_a_non_finite_measured_value_is_null_in_strict_json(monkeypatch):
