@@ -16,6 +16,9 @@ from, are shared values built once: each is cached on its (chart, indices)
 arguments, a domain of at most 4 + 12 operators per chart.  ``DiffOp.pretty``
 computes its text, the sort key of tensor legs, once per operator, and a
 ``DiffOp`` hashes its fields once, since legs key the dicts of ``BidiffOp``.
+A ``BidiffOp`` builds its coefficient matrix C on first use and keeps it for
+its life, as it keeps C - C^t for the star commutator, so every action and
+table of one operator shares one C.
 ``pullback`` itself is not cached, so transporting a flat operator always
 recomputes the chain rule.
 """
@@ -219,11 +222,44 @@ class DiffOp:
         return out
 
 
-class BidiffOp(NamedTuple):
-    """Normalized sum of scalar * (left tensor right) legs."""
+class BidiffOp:
+    """Normalized sum of scalar * (left tensor right) legs.
 
-    chart: Chart
-    terms: tuple[tuple[ComplexRational, DiffOp, DiffOp], ...]
+    The fields ``chart`` and ``terms`` are set once by construction, and
+    assigning or deleting any attribute raises.  Two operators are equal when
+    their fields are, and one pickles by its fields alone.  The slot
+    ``_matrix`` (the coefficient matrix C) stays unset until
+    :func:`_coefficient_matrix` first fills it, and ``_commutator``
+    (C - C^t) until ``starprod._commutator_matrix`` does.  Their term maps
+    are kept for the operator's life, so no reader may change them.
+    """
+
+    __slots__ = ("chart", "terms", "_matrix", "_commutator")
+
+    def __init__(self, chart: Chart, terms: tuple[tuple[ComplexRational, DiffOp, DiffOp], ...]) -> None:
+        _setattr(self, "chart", chart)
+        _setattr(self, "terms", terms)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not BidiffOp:
+            return NotImplemented
+        return self is other or (self.chart == other.chart and self.terms == other.terms)
+
+    def __hash__(self) -> int:
+        return hash((self.chart, self.terms))
+
+    def __repr__(self) -> str:
+        return f"BidiffOp(chart={self.chart!r}, terms={self.terms!r})"
+
+    def __reduce__(self) -> tuple:
+        # by the fields alone: the kept matrices are rebuilt on first use
+        return BidiffOp, (self.chart, self.terms)
 
     @staticmethod
     def from_terms(
@@ -285,9 +321,13 @@ def _coefficient_matrix(op: BidiffOp) -> TermMatrix:
     """The coefficient matrix C of ``op``, so that op(f, g) = sum C^{mu nu} d_mu f d_nu g.
 
     C^{mu nu} sums scalar * left.coeffs[mu] * right.coeffs[nu] over the terms
-    of ``op``.  It is built anew on each call, from the legs' small
-    coefficients.
+    of ``op``.  It is built from the legs' small coefficients on the first
+    call and kept in ``op._matrix``; the caller must not change it.
     """
+    try:
+        return op._matrix
+    except AttributeError:
+        pass
     c: TermMatrix = [[{} for _ in range(4)] for _ in range(4)]
     for scalar, left, right in op.terms:
         right_terms = [_as_terms(r) for r in right.coeffs]
@@ -296,6 +336,7 @@ def _coefficient_matrix(op: BidiffOp) -> TermMatrix:
             if scaled:
                 for entry, r in zip(row, right_terms):
                     _mul_terms(scaled, r, entry)
+    _setattr(op, "_matrix", c)
     return c
 
 

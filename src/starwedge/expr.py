@@ -62,16 +62,17 @@ and that one sort of a call's atoms are the code that orders atoms.
 copy of the map, for every walk that needs no order (products, sums,
 ``substitute``, ``free_symbols``); ``_parts`` reads the sorted terms, for
 every walk whose output shows the order (the printer of ``grammar``,
-``summands``, ``_skey``).  ``Add.terms`` is a read-only view for walkers
-outside this module, built by ``_term_to_expr`` on first access and then
-kept.  It holds one record per term: an atom, a ``Const``, a ``Pow`` (an
-atom to an exponent other than 1), or a ``Mul`` of an optional leading
-``Const`` and then atoms and ``Pow``s in monomial order.
-The records are named tuples, not expressions; ``_skey`` and
-``eval_numeric`` read them.  Each public operation takes its operands apart
-into term maps once, works on the maps, and builds its result once, at the
-end; ``differentiate`` and the operators of ``diffop`` chain whole
-computations on term maps the same way.
+``summands``, ``_skey``, ``eval_numeric``).  ``Add.terms`` is a read-only
+view for walkers outside this module, built by ``_term_to_expr`` on first
+access and then kept; no walk of this module builds it.  It holds one record
+per term: an atom, a ``Const``, a ``Pow`` (an atom to an exponent other than
+1), or a ``Mul`` of an optional leading ``Const`` and then atoms and ``Pow``s
+in monomial order.  The records are named tuples, not expressions;
+``_skey`` and ``eval_numeric`` still accept them, and key and evaluate a sum
+from its sorted terms exactly as they would its records.  Each public
+operation takes its operands apart into term maps once, works on the maps,
+and builds its result once, at the end; ``differentiate`` and the operators
+of ``diffop`` chain whole computations on term maps the same way.
 """
 
 from __future__ import annotations
@@ -189,6 +190,9 @@ class ComplexRational:
 
     def __mul__(self, other: "ComplexRational") -> "ComplexRational":
         a, b, c, e = self._a, self._b, other._a, other._b
+        if self._d == 1 == other._d:
+            # Gaussian integers: the product is reduced as it is
+            return _new_cr(a * c - b * e, a * e + b * c, 1)
         return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
 
     def __neg__(self) -> "ComplexRational":
@@ -313,10 +317,10 @@ class Expr:
     __radd__ = __add__
 
     def __sub__(self, other: "ExprLike") -> "Expr":
-        return add(self, mul(integer(-1), other))
+        return _sub(self, other)
 
     def __rsub__(self, other: "ExprLike") -> "Expr":
-        return add(other, mul(integer(-1), self))
+        return _sub(other, self)
 
     def __mul__(self, other: "ExprLike") -> "Expr":
         return mul(self, other)
@@ -324,7 +328,7 @@ class Expr:
     __rmul__ = __mul__
 
     def __neg__(self) -> "Expr":
-        return mul(integer(-1), self)
+        return _sub(ZERO, self)
 
     def __truediv__(self, other: "ExprLike") -> "Expr":
         return mul(self, _pow_expr(_coerce(other), -1))
@@ -364,9 +368,10 @@ class Add(Expr):
     """Every expression but a bare atom: its term map, monomial to coefficient; zero has none.
 
     The node owns ``_map``; ``_items``, the sorted terms, is built by
-    :func:`_parts` on first read.  ``terms`` is kept once built: a walker that
-    memoizes by ``id``, as the benchmark's mpmath oracle does, needs each
-    record to live as long as the sum.
+    :func:`_parts` on first read, and ``_skey`` and ``eval_numeric`` read it.
+    ``terms``, the records, is only for walkers outside this module, and is
+    kept once built: a walker that memoizes by ``id``, as the benchmark's
+    mpmath oracle does, needs each record to live as long as the sum.
     """
 
     __slots__ = ("_map", "_items", "_terms")
@@ -479,8 +484,9 @@ def _skey(e: Term) -> tuple:
     Two expressions are equal exactly when their keys are equal.  An atom
     gets its key when it is interned: ``(1, name)`` for a ``Sym`` and
     ``(2, fname, _skey(arg))`` for an ``Fn``.  A record of ``Add.terms`` is
-    keyed as it comes, and an ``Add`` of one term has the key of its record
-    (zero that of ``Const(0)``).
+    keyed as it comes, and an ``Add`` is keyed from its sorted terms
+    (:func:`_parts`), each term as its record would be: an ``Add`` of one
+    term has the key of that term (zero that of ``Const(0)``).
     """
     # the stored key first: every atom and every keyed Add has one
     try:
@@ -495,10 +501,17 @@ def _skey(e: Term) -> tuple:
         return (4, tuple(map(_skey, e.factors)))
     if not isinstance(e, Add):
         raise TypeError(type(e))
-    keys = tuple(map(_skey, e.terms))
+    keys = tuple([_term_key(mono, c) for mono, c in _parts(e)])
     k = (5, keys) if len(keys) > 1 else keys[0] if keys else (0, "0", "0")
     _setattr(e, "_key", k)
     return k
+
+
+def _term_key(mono: Monomial, coeff: ComplexRational) -> tuple:
+    """``_skey`` of the record of one term, built without the record."""
+    keys = [] if coeff.is_one and mono else [(0, *coeff.part_texts())]
+    keys += [atom._key if k == 1 else (3, atom._key, k) for atom, k in mono]
+    return keys[0] if len(keys) == 1 else (4, tuple(keys))
 
 
 # --- normal form ------------------------------------------------------------
@@ -890,6 +903,14 @@ def add(*parts: ExprLike) -> Expr:
     return _from_terms(out)
 
 
+def _sub(a: ExprLike, b: ExprLike) -> Expr:
+    """``a - b``: the coefficients of ``b`` negated into a copy of the term map of ``a``."""
+    out = _as_terms(_coerce(a))
+    for mono, c in _as_terms(_coerce(b)).items():
+        _add_term(out, mono, -c)
+    return _from_terms(out)
+
+
 def mul(*parts: ExprLike) -> Expr:
     if len(parts) < 2:
         return _coerce(parts[0]) if parts else ONE
@@ -1075,22 +1096,21 @@ Bindings = Mapping[str, complex]
 def eval_numeric(e: Term, bindings: Bindings) -> complex:
     """IEEE complex value of ``e``, or of a record of ``Add.terms``.
 
-    Every free symbol must be bound.  An ``Add`` of one term is its record's
-    value, not a sum, so -0.0 stays."""
-    if isinstance(e, Add):
-        terms = e.terms
-        if len(terms) == 1:
-            return eval_numeric(terms[0], bindings)
-        return sum(eval_numeric(t, bindings) for t in terms) if terms else 0j
+    Every free symbol must be bound.  An ``Add`` is evaluated from its sorted
+    terms (:func:`_parts`), each in the order of its record: a term of one
+    factor is that factor's value, any other the product from ``1 + 0j`` of
+    the coefficient, if it is not 1, and then of each atom power in monomial
+    order.  The terms are summed in canonical order, and a one-term ``Add`` is
+    its term's value, not a sum, so -0.0 stays."""
+    if e.__class__ is Add:
+        parts = _parts(e)
+        if len(parts) == 1:
+            return _term_value(*parts[0], bindings)
+        return sum([_term_value(mono, c, bindings) for mono, c in parts]) if parts else 0j
     if isinstance(e, Const):
         return e.value.to_complex()
-    if isinstance(e, Sym):
-        try:
-            return complex(bindings[e.name])
-        except KeyError:
-            raise UnboundSymbolError(e.name) from None
-    if isinstance(e, Fn):
-        return _FN_RULES[e.fname].value(eval_numeric(e.arg, bindings))
+    if isinstance(e, (Sym, Fn)):
+        return _atom_value(e, bindings)
     if isinstance(e, Pow):
         return eval_numeric(e.base, bindings) ** e.exponent
     if isinstance(e, Mul):
@@ -1099,6 +1119,32 @@ def eval_numeric(e: Term, bindings: Bindings) -> complex:
             out *= eval_numeric(f, bindings)
         return out
     raise TypeError(type(e))
+
+
+def _atom_value(atom: Expr, bindings: Bindings) -> complex:
+    if atom.__class__ is Sym:
+        try:
+            return complex(bindings[atom.name])
+        except KeyError:
+            raise UnboundSymbolError(atom.name) from None
+    return _FN_RULES[atom.fname].value(eval_numeric(atom.arg, bindings))
+
+
+def _term_value(mono: Monomial, coeff: ComplexRational, bindings: Bindings) -> complex:
+    """The value of one term, multiplied as ``eval_numeric`` multiplies its record."""
+    if coeff.is_one and mono:
+        if len(mono) == 1:
+            atom, k = mono[0]
+            return _atom_value(atom, bindings) if k == 1 else _atom_value(atom, bindings) ** k
+        out = 1 + 0j
+    else:
+        # (1 + 0j) * c is c bit for bit: c is finite and its zero parts are +0.0
+        out = coeff.to_complex()
+        if not mono:
+            return out
+    for atom, k in mono:
+        out *= _atom_value(atom, bindings) if k == 1 else _atom_value(atom, bindings) ** k
+    return out
 
 
 DEFAULT_SAMPLE_RANGE = (0.5, 2.0)

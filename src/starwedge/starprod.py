@@ -4,9 +4,11 @@ The deformed product is f*g = fg + O(f, g) with O the first-order twist
 operator, and O(f, g) = sum C^{mu nu} d_mu f d_nu g with C its coefficient
 matrix.  The commutator [f, g] = f*g - g*f is the contraction of C - C^t
 with (f, g), and the coordinate commutator [c_mu, c_nu] is the entry
-(C - C^t)^{mu nu} itself, which ``build_table`` reads off.  Canonical forms
-are unique, so the undeformed part fg - gf is structurally zero and is never
-built; the commutator is first order in the deformation parameter.
+(C - C^t)^{mu nu} itself, which ``build_table`` reads off.  The operator
+keeps C and C - C^t once built, so every product, commutator and table of
+one twist shares them.  Canonical forms are unique, so the undeformed part
+fg - gf is structurally zero and is never built; the commutator is first
+order in the deformation parameter.
 Associativity of the truncated product holds only up to second order in the
 parameter and is deliberately not asserted anywhere.
 ``verify_flat_relations`` compares an engine-built flat-chart table entry by
@@ -21,7 +23,7 @@ from typing import NamedTuple
 
 from .diffop import BidiffOp, Chart, ChartMismatchError, MINKOWSKI, TermMatrix, lowered_coordinate
 from .diffop import _coefficient_matrix, _contract
-from .expr import Expr, I, ZERO, _add_term, _from_terms, add, mul
+from .expr import Expr, I, ZERO, _add_term, _from_terms, _setattr, add, mul
 from .grammar import to_text
 from .rindler import METRIC_SIGNATURE
 from .twists import (
@@ -65,7 +67,15 @@ def commutator(f: Expr, g: Expr, twist: LinearTwist) -> Expr:
 
 
 def _commutator_matrix(op: BidiffOp) -> TermMatrix:
-    """C - C^t for the coefficient matrix C of ``op``."""
+    """C - C^t for the coefficient matrix C of ``op``.
+
+    It is built on the first call and kept in ``op._commutator``, as C is
+    kept in ``op._matrix``; the caller must not change it.
+    """
+    try:
+        return op._commutator
+    except AttributeError:
+        pass
     c = _coefficient_matrix(op)
     out: TermMatrix = [[{} for _ in range(4)] for _ in range(4)]
     for mu in range(4):
@@ -75,6 +85,7 @@ def _commutator_matrix(op: BidiffOp) -> TermMatrix:
                 _add_term(entry, mono, -x)
             out[mu][nu] = entry
             out[nu][mu] = {mono: -x for mono, x in entry.items()}
+    _setattr(op, "_commutator", out)
     return out
 
 
@@ -95,10 +106,13 @@ class CommutatorTable(NamedTuple):
 
 
 def build_table(twist: LinearTwist) -> CommutatorTable:
-    """[c_mu, c_nu] for mu < nu, read off C - C^t: d_mu c_nu is 1 or 0."""
+    """[c_mu, c_nu] for mu < nu, read off C - C^t: d_mu c_nu is 1 or 0.
+
+    Each entry takes a copy of its term map, since the operator keeps C - C^t.
+    """
     matrix = _commutator_matrix(twist.operator)
     entries = {
-        (mu, nu): _from_terms(matrix[mu][nu])
+        (mu, nu): _from_terms(dict(matrix[mu][nu]))
         for mu in range(4)
         for nu in range(mu + 1, 4)
     }

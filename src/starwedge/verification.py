@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
@@ -18,6 +19,7 @@ from . import rindler
 from .diffop import (
     MINKOWSKI,
     RINDLER,
+    Chart,
     lorentz_generator,
     momentum_generator,
     wedge,
@@ -62,7 +64,7 @@ from .spectrum import (
     theta01_from_engine,
 )
 from .starprod import build_table, commutator, star, verify_flat_relations
-from .twists import CanonicalTwist, LieTwist, QuadraticTwist, build_linear_twist
+from .twists import CanonicalTwist, LieTwist, LinearTwist, QuadraticTwist, build_linear_twist
 
 if TYPE_CHECKING:
     import numpy as np
@@ -279,9 +281,29 @@ _SAMPLE_SPECS = (
 )
 
 
-def _sample_twists(chart):
-    for spec in _SAMPLE_SPECS:
-        yield build_linear_twist(spec, chart)
+# the sample twists built inside ``_shared_sample_twists``, by chart name; None outside it
+_kept_twists: dict[str, tuple[LinearTwist, ...]] | None = None
+
+
+@contextmanager
+def _shared_sample_twists():
+    """Within the block, the sample twists of each chart are built once; they are dropped at its end."""
+    global _kept_twists
+    _kept_twists = {}
+    try:
+        yield
+    finally:
+        _kept_twists = None
+
+
+def _sample_twists(chart: Chart) -> tuple[LinearTwist, ...]:
+    """The twists of ``_SAMPLE_SPECS`` on ``chart``, shared inside ``_shared_sample_twists``."""
+    if _kept_twists is not None and chart.name in _kept_twists:
+        return _kept_twists[chart.name]
+    twists = tuple([build_linear_twist(spec, chart) for spec in _SAMPLE_SPECS])
+    if _kept_twists is not None:
+        _kept_twists[chart.name] = twists
+    return twists
 
 
 def _check_twist_annihilates_constants(rng: random.Random, tol: float | None) -> Finding:
@@ -667,7 +689,9 @@ def run_all_checks(
 
     ``tolerances`` overrides entries of ``DEFAULT_TOLERANCES``, and only those.
     The oracle checks share their DE sums: each distinct one is taken once per
-    call (see ``quadrature._shared_de_sums``).
+    call (see ``quadrature._shared_de_sums``).  The operator checks share the
+    sample twists, and with them each twist's kept coefficient matrices: each
+    is built once per call (see ``_shared_sample_twists``).
     """
     unknown = set(tolerances or ()) - set(DEFAULT_TOLERANCES)
     if unknown:
@@ -675,7 +699,7 @@ def run_all_checks(
     tols = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     rng = random.Random(seed)
     findings: list[tuple[str, Finding]] = []
-    with _shared_de_sums():
+    with _shared_de_sums(), _shared_sample_twists():
         for name, fn in _CHECKS:
             findings.append((name, fn(random.Random(rng.randrange(2**62)), tols.get(name))))
             if name == "classical_limits":

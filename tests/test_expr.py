@@ -2,21 +2,25 @@ import cmath
 import gc
 import math
 import pickle
+import struct
 from fractions import Fraction
 
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
 from starwedge.expr import (
+    _FN_RULES,
     FUNCTIONS,
     Add,
     ComplexRational,
+    Const,
     Expr,
     Fn,
     I,
     ONE,
     ZERO,
     NonMonomialDivisionError,
+    Pow,
     Sym,
     UnboundSymbolError,
     _add_term,
@@ -374,6 +378,19 @@ def test_ring_identities_hold_structurally(r1, r2):
     assert f * (g + 1) == f * g + f
 
 
+@given(recipes, recipes, st.integers(-3, 3))
+def test_subtraction_and_negation_add_the_negated_terms(r1, r2, n):
+    x, y = _recipe_to_expr(r1), _recipe_to_expr(r2)
+    for got, want in (
+        (x - y, add(x, mul(-1, y))),
+        (y - x, add(y, mul(-1, x))),
+        (n - x, add(n, mul(-1, x))),
+        (x - n, add(x, mul(-1, n))),
+        (-x, add(mul(-1, x))),
+    ):
+        assert got == want and hash(got) == hash(want) and to_text(got) == to_text(want)
+
+
 # --- node contract: immutable, hashed and keyed once, picklable --------------------
 
 def _rebuild(v):
@@ -650,6 +667,18 @@ def test_complex_rational_equality_agrees_with_hash(x, y, z):
         assert lhs == rhs and hash(lhs) == hash(rhs)
 
 
+_integers = st.one_of(st.integers(-6, 6), st.integers(-(10**30), 10**30))
+
+
+@given(_integers, _integers, _integers, _integers)
+def test_a_product_of_gaussian_integers_matches_fraction_pairs(a, b, c, e):
+    # both denominators are 1, so the product is built without a gcd
+    x, y = (Fraction(a), Fraction(b)), (Fraction(c), Fraction(e))
+    product = ComplexRational(a, b) * ComplexRational(c, e)
+    _assert_matches(product, _ref_mul(x, y))
+    assert product._d == 1
+
+
 # --- canonical order ------------------------------------------------------------------
 
 def test_canonical_order_compares_coefficients_as_text():
@@ -689,6 +718,65 @@ def test_signed_zeros_of_numeric_evaluation_are_pinned():
     assert [repr(eval_numeric(e, b)) for e in exprs] == [
         "0j", "(1+0j)", "(-0+0j)", "(-0+0j)", "(-0+0j)", "0j", "(-0+0j)",
     ]
+
+
+def _reference_eval(e, bindings):
+    """Numeric evaluation as a walk of the records of ``Add.terms``: each record's
+    factors multiplied from 1 + 0j, a one-factor record and a one-term sum unmultiplied
+    and unsummed."""
+    if isinstance(e, Add):
+        terms = e.terms
+        if len(terms) == 1:
+            return _reference_eval(terms[0], bindings)
+        return sum(_reference_eval(t, bindings) for t in terms) if terms else 0j
+    if isinstance(e, Const):
+        return e.value.to_complex()
+    if isinstance(e, Sym):
+        return complex(bindings[e.name])
+    if isinstance(e, Fn):
+        return _FN_RULES[e.fname].value(_reference_eval(e.arg, bindings))
+    if isinstance(e, Pow):
+        return _reference_eval(e.base, bindings) ** e.exponent
+    out = 1 + 0j
+    for f in e.factors:
+        out *= _reference_eval(f, bindings)
+    return out
+
+
+def _bits(z):
+    return struct.pack("<dd", z.real, z.imag)
+
+
+# signed zeros and negative values, where the order of the products shows in the bits
+_SIGNED_BINDINGS = st.fixed_dictionaries(
+    {n: st.one_of(st.sampled_from([0.0, -0.0, -1.5]), st.floats(0.5, 2.0)) for n in _NAMES}
+)
+
+
+@given(recipes, _SIGNED_BINDINGS)
+@example(("mul", ("int", -1), ("sym", "z0")), {"z0": 0.0, "z1": -0.0, "z2": 0.5, "a": 1.0, "w": 1.0})
+def test_numeric_evaluation_is_the_record_walk_bit_for_bit(recipe, bindings):
+    e = _recipe_to_expr(recipe)
+    for x in (e, I * e - 1, e * sinh(z1)):
+        records = ()
+        if isinstance(x, Add):
+            if x is not e and x is not ZERO:
+                # a new sum is keyed and evaluated from its sorted terms: no record is built
+                _skey(sinh(x))
+                try:
+                    eval_numeric(x, bindings)
+                except (OverflowError, ZeroDivisionError):
+                    pass
+                assert not _view_built(x)
+            records = x.terms
+        for y in (x, *records):
+            try:
+                want = _reference_eval(y, bindings)
+            except (OverflowError, ZeroDivisionError) as err:
+                with pytest.raises(type(err)):
+                    eval_numeric(y, bindings)
+                continue
+            assert _bits(eval_numeric(y, bindings)) == _bits(want)
 
 
 # --- the product of term maps -------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The package's frozen records: ``NamedTuple``s, and ``DiffOp``, a class with slots.
+"""The package's frozen records: ``NamedTuple``s, and ``DiffOp`` and ``BidiffOp``, classes with slots.
 
 Every record keeps the behaviour of the frozen dataclass it replaced: its
 fields in order, positional and keyword construction, defaults, equality and

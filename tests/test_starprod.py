@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -265,6 +266,48 @@ def test_a_commutator_without_the_transpose_fails_both_properties(monkeypatch):
     for chart in (MINKOWSKI, RINDLER):
         with pytest.raises(AssertionError):
             test_each_table_entry_is_the_coordinate_commutator(chart)
+
+
+# --- an operator keeps its C and C - C^t ----------------------------------------------------
+
+@pytest.mark.parametrize("chart", [MINKOWSKI, RINDLER])
+def test_the_kept_matrices_are_left_as_a_fresh_operator_builds_them(chart):
+    f, g = _ladder_pair(chart)
+    c = [sym(n) for n in chart.coords]
+    for tw in _readme_twists(chart).values():
+        op = tw.operator
+        first = op.apply(f, g)
+        assert op._matrix is _coefficient_matrix(op)
+        star(f, g, tw)
+        commutator(f, g, tw)
+        assert op._commutator is starprod._commutator_matrix(op)
+        tables = [build_table(tw), build_table(tw)]
+        commutator(g, f, tw)
+        assert op.apply(f, g) == first and tables[0] == tables[1]
+        # each table entry owns a copy of its term map
+        for (mu, nu), e in tables[0].entries.items():
+            assert getattr(e, "_map", None) is not op._commutator[mu][nu]
+            assert e == commutator(c[mu], c[nu], tw)
+        fresh = build_linear_twist(tw.spec, chart).operator
+        assert op._matrix == _coefficient_matrix(fresh)
+        assert op._commutator == starprod._commutator_matrix(fresh)
+
+
+def test_an_unpickled_operator_rebuilds_its_matrices_on_first_use():
+    f, g = _ladder_pair(RINDLER)
+    for tw in _readme_twists(RINDLER).values():
+        op = tw.operator
+        want = commutator(f, g, tw)
+        fresh = build_linear_twist(tw.spec, RINDLER).operator
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            data = pickle.dumps(op, protocol)
+            # the kept matrices are not pickled
+            assert data == pickle.dumps(fresh, protocol)
+            back = pickle.loads(data)
+            assert back == op and hash(back) == hash(op)
+            assert not hasattr(back, "_matrix") and not hasattr(back, "_commutator")
+            assert commutator(f, g, LinearTwist(tw.spec, back)) == want
+            assert back._matrix == op._matrix and back._commutator == op._commutator
 
 
 @pytest.mark.parametrize("kind", ["canonical", "lie", "quadratic"])

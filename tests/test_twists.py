@@ -181,7 +181,8 @@ def test_build_linear_twist_dispatch():
 
 def test_verify_builds_every_twist_with_build_linear_twist(monkeypatch):
     # rebind build_linear_twist in every starwedge module that holds it, as
-    # the benchmark's tracer does; the suite makes 44 twists, all through it
+    # the benchmark's tracer does; the suite makes 23 twists, all through it:
+    # 17 of its own and the six sample twists, built once per run
     built = []
     original = twists.build_linear_twist
 
@@ -193,7 +194,7 @@ def test_verify_builds_every_twist_with_build_linear_twist(monkeypatch):
         if name.startswith("starwedge") and getattr(module, "build_linear_twist", None) is original:
             monkeypatch.setattr(module, "build_linear_twist", counted)
     assert all(r.passed for r in verification.run_all_checks(seed=1))
-    assert len(built) == 44
+    assert len(built) == 23
     assert set(built) == {"canonical", "lie", "quadratic"}
 
 

@@ -7,7 +7,7 @@ from types import MappingProxyType, SimpleNamespace
 
 import pytest
 
-from starwedge import diffop, gammafn, quadrature, rindler, spectrum, twists, verification
+from starwedge import diffop, gammafn, quadrature, rindler, spectrum, starprod, twists, verification
 from starwedge.config import dump_json
 from starwedge.verification import DEFAULT_TOLERANCES, report_dict, run_all_checks
 from test_cli_property import _reject_constant
@@ -291,3 +291,62 @@ def test_the_shared_de_sums_are_dropped_when_a_check_raises(monkeypatch):
     with pytest.raises(RuntimeError, match="check failed"):
         run_all_checks(seed=1)
     assert quadrature._memo is None
+
+
+# --- the sample twists and their kept matrices live for one run ------------------------
+
+def test_a_verify_run_builds_each_operator_matrix_at_most_once(monkeypatch):
+    # the checks share the six sample twists, and each operator keeps its
+    # C and C - C^t: a run builds 26 of the one and 16 of the other
+    built = {"_matrix": [], "_commutator": []}
+
+    def counted(build, slot):
+        def first_use_counted(op):
+            if not hasattr(op, slot):
+                built[slot].append(op)
+            return build(op)
+
+        return first_use_counted
+
+    coefficient_matrix = counted(diffop._coefficient_matrix, "_matrix")
+    for module in (diffop, starprod):
+        monkeypatch.setattr(module, "_coefficient_matrix", coefficient_matrix)
+    monkeypatch.setattr(starprod, "_commutator_matrix", counted(starprod._commutator_matrix, "_commutator"))
+    assert all(r.passed for r in run_all_checks(seed=1))
+    for slot, n in (("_matrix", 26), ("_commutator", 16)):
+        assert len(built[slot]) == n
+        assert len({id(op) for op in built[slot]}) == n
+
+
+def test_each_verify_run_builds_its_own_sample_twists(monkeypatch):
+    # 17 twists of the checks' own and the six sample twists per run, so
+    # nothing built in one run outlives it
+    built = []
+    original = verification.build_linear_twist
+
+    def counted(spec, chart):
+        built.append(spec)
+        return original(spec, chart)
+
+    monkeypatch.setattr(verification, "build_linear_twist", counted)
+    run_all_checks(seed=1)
+    assert len(built) == 23
+    run_all_checks(seed=1)
+    assert len(built) == 46
+    assert verification._kept_twists is None
+    # outside a run each call builds afresh
+    assert verification._sample_twists(diffop.RINDLER)[0] is not verification._sample_twists(diffop.RINDLER)[0]
+    assert len(built) == 52
+
+
+def test_the_sample_twists_are_dropped_when_a_check_raises(monkeypatch):
+    def failing(rng, tol):
+        assert verification._kept_twists
+        raise RuntimeError("check failed")
+
+    names = [name for name, _ in verification._CHECKS]
+    upto = names.index("star_unit") + 1
+    monkeypatch.setattr(verification, "_CHECKS", [*verification._CHECKS[:upto], ("failing", failing)])
+    with pytest.raises(RuntimeError, match="check failed"):
+        run_all_checks(seed=1)
+    assert verification._kept_twists is None
