@@ -30,10 +30,18 @@ panels and no cut of the range; it depends on M alone and is cached.  The
 extended-precision constants pi and beta are built inside that cached rule,
 and numpy is imported on first use, so the symbolic layer never loads it.  The
 oscillating tail needs no damping factor: the rule sums the conditionally
-convergent integral by itself.  M = 64 panel_factor with the 64 doubled while
-under 8 s, up to 4096, since u^(-i s) turns at the rate |s| / u.  The estimate
-max(|I(M) - I(2M)|, _TAIL_TOL) is exactly that floor once the rule has
-converged to roundoff, so it does not grow under doubling.
+convergent integral by itself.
+
+The mesh.  M = 64 panel_factor with the 64 doubled while under 8 s, up to
+4096, since u^(-i s) turns at the rate |s| / u; the rule reads signed s, so
+for s < 0 M stays 64 panel_factor.  The sums walk up the meshes and stop at
+the first pair that differs by at most the floor _TAIL_TOL, never past the
+pair (M, 2M): the walk starts at (M / 2, M) where M / 2 >= 8 s still holds
+(every s <= 4 at panel_factor 1), else at (M, 2M).  The value is the finer sum
+of the last pair and the estimate max(|coarse - fine|, _TAIL_TOL), so a walk
+that reaches (M, 2M) returns I(2M) with the estimate |I(M) - I(2M)|, floored.
+The estimate is exactly the floor once the rule has converged to roundoff, so
+it does not grow under doubling.
 
 Rounding.  For s < 0 the value I_1(s) is of order e^(-pi |s|), while the
 terms of the rule are of order one, so every rounding error in them is
@@ -158,8 +166,12 @@ def damped_mode_integral(s: float, power_shift: int = 0, panel_factor: int = 1) 
     With c = p - i s the integral is the DE rule for int_0^inf x^(c - 1) e^(ix) dx;
     for p = 0 it is first taken by parts, I(c) = (-i / c) I(c + 1), which
     raises ValueError at c = 0 (p = s = 0).
-    The value is I(2M) and the estimate max(|I(M) - I(2M)|, _TAIL_TOL), with
-    M set by s and ``panel_factor`` as the module docstring says.
+    The rule walks up the meshes M / 2, M, 2M (M / 2 only where it still
+    resolves u^(-i s)), with M set by s and ``panel_factor`` as the module
+    docstring says, and stops at the first pair whose sums differ by at most
+    _TAIL_TOL.  The value is the finer sum of the last pair taken and the
+    estimate max(|coarse - fine|, _TAIL_TOL); a walk that reaches (M, 2M)
+    returns I(2M).
     """
     c = power_shift - 1j * s
     scale = 1.0
@@ -173,8 +185,15 @@ def damped_mode_integral(s: float, power_shift: int = 0, panel_factor: int = 1) 
     while m < min(8 * s, 4096):
         m *= 2
     m *= panel_factor
-    coarse, fine = (complex(scale * _de_sum(c, k)) for k in (m, 2 * m))
-    return fine, max(abs(fine - coarse), _TAIL_TOL)
+    meshes = (m // 2, m, 2 * m) if m >= 16 * s else (m, 2 * m)
+    coarse = complex(scale * _de_sum(c, meshes[0]))
+    for k in meshes[1:]:
+        fine = complex(scale * _de_sum(c, k))
+        estimate = abs(fine - coarse)
+        if estimate <= _TAIL_TOL:
+            break
+        coarse = fine
+    return fine, max(estimate, _TAIL_TOL)
 
 
 def mode_integral(
@@ -186,7 +205,8 @@ def mode_integral(
 ) -> QuadratureResult:
     """I_p(s) with an error estimate.
 
-    The value and estimate are those of ``damped_mode_integral``, the
+    The value and estimate are those of ``damped_mode_integral`` (the finer
+    sum of the first mesh pair that agrees to _TAIL_TOL, at most (M, 2M)), the
     estimate floored at 1e-15 (1 + |I|); ``converged`` reports whether it
     met ``rtol`` relative to the value.  Non-convergence is reported, never
     raised, so callers can flag partial results.  I_0 diverges at s = 0,

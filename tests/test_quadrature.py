@@ -1,9 +1,12 @@
 import math
+import random
 
 import mpmath
 import numpy as np
 import pytest
 
+from starwedge import quadrature, spectrum
+from starwedge.config import _parse_grid
 from starwedge.quadrature import damped_mode_integral, mode_integral
 
 _LONGDOUBLE_IS_DOUBLE = np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps
@@ -94,3 +97,109 @@ def test_negative_frequency_integral():
     res = mode_integral(s)
     want = _reference_gamma(-1j * s) * math.exp(math.pi * s / 2.0)
     assert abs(res.value - want) <= 1e-8 * abs(want)
+
+
+# --- the walk up the meshes ---------------------------------------------------------
+
+def _fixed_mesh(s: float, panel_factor: int) -> int:
+    """M of the fixed pair: 64 doubled while under 8 s, up to 4096, times ``panel_factor``."""
+    m = 64
+    while m < min(8 * s, 4096):
+        m *= 2
+    return m * panel_factor
+
+
+def _fixed_pair(s: float, power_shift: int = 0, panel_factor: int = 1) -> tuple[complex, float]:
+    """The rule without the walk: the sums at M and 2M, the value I(2M) and the estimate
+    max(|I(M) - I(2M)|, _TAIL_TOL)."""
+    c = power_shift - 1j * s
+    scale = 1.0
+    if power_shift == 0:
+        scale = -1j / c
+        c += 1
+    m = _fixed_mesh(s, panel_factor)
+    coarse, fine = (complex(scale * quadrature._de_sum(c, k)) for k in (m, 2 * m))
+    return fine, max(abs(fine - coarse), quadrature._TAIL_TOL)
+
+
+def _limit_form(s: float, power_shift: int) -> complex:
+    """I_p(s) = Gamma(c) e^(i pi c / 2), c = p - i s, at 30 digits."""
+    with mpmath.workdps(30):
+        c = mpmath.mpc(power_shift, -s)
+        return complex(mpmath.gamma(c) * mpmath.exp(1j * mpmath.pi * c / 2))
+
+
+_RNG = random.Random(7)
+# a seeded grid over [-6, 40], with its low end, where the fixed pair has not met the
+# floor, the far-field row s = -4 and the resolution limits s = 4 and 8
+_WALK_S = sorted([_RNG.uniform(-6.0, 40.0) for _ in range(14)] + [-6.0, -5.0, -4.0, 4.0, 8.0])
+
+
+@pytest.fixture
+def meshes(monkeypatch):
+    """The meshes of the DE sums evaluated, in order, recorded from ``_de_rule``."""
+    seen = []
+    rule = quadrature._de_rule
+
+    def recording(m):
+        seen.append(m)
+        return rule(m)
+
+    monkeypatch.setattr(quadrature, "_de_rule", recording)
+    return seen
+
+
+@pytest.mark.parametrize("panel_factor", [1, 2, 4])
+@pytest.mark.parametrize("p", [0, 1])
+def test_the_walk_doubles_the_mesh_and_stops_at_the_fixed_pair(meshes, p, panel_factor):
+    for s in _WALK_S:
+        meshes.clear()
+        damped_mode_integral(s, p, panel_factor)
+        m = _fixed_mesh(s, panel_factor)
+        assert len(meshes) in (2, 3)
+        assert all(b == 2 * a for a, b in zip(meshes, meshes[1:]))
+        assert meshes[0] >= m // 2 and meshes[-1] <= 2 * m
+        if m < 16 * s:
+            # M / 2 would not resolve u^(-i s): the walk is the fixed pair
+            assert meshes == [m, 2 * m]
+
+
+@pytest.mark.parametrize("panel_factor", [1, 2, 4])
+@pytest.mark.parametrize("p", [0, 1])
+def test_the_walk_keeps_the_fixed_pairs_flags(monkeypatch, p, panel_factor):
+    for s in _WALK_S:
+        value, estimate = damped_mode_integral(s, p, panel_factor)
+        ref_value, ref_estimate = _fixed_pair(s, p, panel_factor)
+        assert estimate <= ref_estimate
+        if estimate < ref_estimate or value != ref_value:
+            # an early stop agrees to the floor
+            assert estimate == quadrature._TAIL_TOL
+        for rtol in (1e-7, 1e-10, 1e-13):
+            walk = mode_integral(s, power_shift=p, panel_factor=panel_factor, rtol=rtol)
+            with monkeypatch.context() as mp:
+                mp.setattr(quadrature, "damped_mode_integral", _fixed_pair)
+                ref = mode_integral(s, power_shift=p, panel_factor=panel_factor, rtol=rtol)
+            assert walk.converged == ref.converged
+
+
+@pytest.mark.skipif(_LONGDOUBLE_IS_DOUBLE, reason="np.longdouble is plain double on this platform")
+@pytest.mark.parametrize("panel_factor", [1, 2, 4])
+@pytest.mark.parametrize("p", [0, 1])
+def test_the_walk_is_no_farther_from_the_limit_form(p, panel_factor):
+    for s in _WALK_S:
+        want = _limit_form(s, p)
+        value, _ = damped_mode_integral(s, p, panel_factor)
+        ref_value, _ = _fixed_pair(s, p, panel_factor)
+        assert abs(value - want) <= max(2.0 * abs(ref_value - want), 1e-14)
+
+
+def test_the_readme_grid_stops_at_the_lower_pair(meshes):
+    grid = _parse_grid("geom 0.25 5 20")
+    result = spectrum.compute_spectrum(
+        grid, a=2.0 * math.pi, omega_hat=1.0, z=1.0, theta01=1e-4, method="quadrature"
+    )
+    assert len(result.rows) == len(grid)
+    assert sorted(set(meshes)) == [32, 64]
+    # the far-field grid's top row, s = -4, walks to the fixed pair and keeps its value
+    for p in (0, 1):
+        assert damped_mode_integral(-4.0, p) == _fixed_pair(-4.0, p)

@@ -228,32 +228,38 @@ def test_a_non_finite_measured_value_is_null_in_strict_json(monkeypatch):
 
 
 def _count_de_sums(monkeypatch):
-    """A counter of the DE sums evaluated: each evaluation, and no shared one, reads its rule."""
-    calls = [0]
+    """A counter of the DE sums evaluated: each evaluation, and no shared one, reads its rule.
+
+    Entry 0 counts the sums and entry 1 adds up their nodes.
+    """
+    calls = [0, 0]
     rule = quadrature._de_rule
 
     def counting(m):
+        log_x, weights = rule(m)
         calls[0] += 1
-        return rule(m)
+        calls[1] += len(log_x)
+        return log_x, weights
 
     monkeypatch.setattr(quadrature, "_de_rule", counting)
     return calls
 
 
 def test_a_verify_run_takes_each_distinct_de_sum_once(monkeypatch):
-    # the oracle checks ask for 42 sums, 14 of them distinct
+    # the oracle checks ask for 45 sums, 15 of them distinct
     calls = _count_de_sums(monkeypatch)
     run_all_checks(seed=1)
-    assert calls[0] == 14
+    assert calls[0] == 15
+    assert calls[1] == 8960
     run_all_checks(seed=1)
-    assert calls[0] == 28
+    assert calls[0] == 30
     assert quadrature._memo is None
 
 
 @pytest.mark.parametrize("method", ["quadrature", "both"])
 def test_a_spectrum_keeps_no_de_sum_across_calls(monkeypatch, method):
-    # the README grid and parameters; each quadrature point takes its sums at M and 2M
-    # for J_0 by parts, and the correction's J_1 reuses them
+    # the README grid and parameters; each quadrature point takes two sums, at M / 2 and M
+    # (the walk stops there), for J_0 by parts, and the correction's J_1 reuses them
     calls = _count_de_sums(monkeypatch)
     grid = [0.5, 1.0, 2.0]
     for n in (1, 2):
